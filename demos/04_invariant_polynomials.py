@@ -3,20 +3,12 @@
 Each named invariant is built twice: geometrically, by summing flat
 equations, and in closed form from the cube-group orbit sums.  Degrees are
 confirmed a third way by exhaustive flat-incidence scans that never touch
-the coefficient algebra.
+the coefficient algebra.  The confirmations below are the registered
+checks of the polys suite.
 """
 
-from segre_pg72 import (
-    Anf,
-    definitional_orbits,
-    degree_by_incidence,
-    element,
-    invariant_subspace,
-    named_P_basis,
-    named_Q,
-    orbit_mask,
-    verify_seven_table,
-)
+from segre_pg72 import named_P_basis, named_Q
+from segre_pg72.checks import REGISTRY, Run
 
 p = named_P_basis()
 print("Orbit-sum polynomials:")
@@ -29,27 +21,20 @@ for name, poly in q.items():
     print(f"  {name:>4}: degree {poly.degree}, {poly.coeffs.bit_count()} terms")
 print("  Q2 =", " + ".join(q["Q2"].monomial_strings()))
 
+run = Run()
 print("\nIncidence-only degree confirmations:")
-orbs = definitional_orbits()
-for name, labels in (("Q2", ("O2", "O4", "O5")), ("Q4", ("O2", "O5")),
-                     ("Q4'", ("O3", "O4", "O5")), ("Q6", ("O5",))):
-    print(f"  {name:>4}: {degree_by_incidence(orbit_mask(orbs, *labels))}")
+for result in run.ids(f"polys/incidence/{name}" for name in ("Q2", "Q4", "Q4'", "Q6")):
+    print(f"  {result.id.rsplit('/', 1)[1]:>4}: {result.actual}")
 
 print("\nValue table of the seven low-degree invariants:")
-for cid, desc, expected, actual, ok in verify_seven_table():
-    print(f"  {'ok ' if ok else 'BAD'} {desc}: {actual}")
+for result in run.ids(cid for cid in REGISTRY if "/seven-table/" in cid):
+    print(f"  {'ok ' if result.passed else 'BAD'} {result.description}: {result.actual}")
 
-basis = invariant_subspace((element("M"), element("N")), 7)
-members = {0}
-for b in basis:
-    members |= {x ^ b.coeffs for x in members}
-members.discard(0)
-print("\nInvariants of degree < 8:", len(members))
-census = {}
-for c in members:
-    d = Anf(c).degree
-    census[d] = census.get(d, 0) + 1
-print("Degree census:", census)
+count, census, identity = run.ids(
+    ("polys/invariant-count", "polys/degree-census", "polys/afterthought")
+)
+print("\nInvariants of degree < 8:", count.actual)
+print("Degree census:", census.actual)
 
 print("\nThe product identity expressing the sextic:")
-print("  Q2*Q4' + Q4 + Q4' == Q6:", q["Q2"] * q["Q4'"] + q["Q4"] + q["Q4'"] == q["Q6"])
+print("  Q2*Q4' + Q4 + Q4' == Q6:", identity.passed)

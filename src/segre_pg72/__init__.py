@@ -25,8 +25,6 @@ from .gf2 import (
     nullspace,
     orthogonal_complement,
     parse_point,
-    point_from_hex,
-    point_to_hex,
     span,
     weight,
 )
@@ -84,11 +82,9 @@ from .anf import (
     monomial_orbit_poly,
     named_P_basis,
     named_Q,
-    pointset_of,
     resolve_poly_name,
     substitute,
     symplectic_form,
-    verify_seven_table,
 )
 
 __all__ = [
@@ -97,7 +93,7 @@ __all__ = [
     "DIM", "UNIT", "POINTS", "ConstructionError", "Flat", "GFMatrix",
     "basis_vector", "flats_of_dimension", "format_point", "gaussian_binomial",
     "kernel", "nullspace", "orthogonal_complement", "parse_point",
-    "point_from_hex", "point_to_hex", "span", "weight",
+    "span", "weight",
     # segre
     "BASIS_INDEX", "MULTI_INDICES", "SegreModel", "build_model",
     "distinguished_tangent", "segre_point",
@@ -114,6 +110,5 @@ __all__ = [
     # anf
     "Anf", "anf_from_pointset", "degree_by_incidence", "flat_equation",
     "invariant_subspace", "mobius", "monomial_orbit_poly", "named_P_basis",
-    "named_Q", "pointset_of", "resolve_poly_name", "substitute",
-    "symplectic_form", "verify_seven_table",
+    "named_Q", "resolve_poly_name", "substitute", "symplectic_form",
 ]

@@ -85,10 +85,9 @@ class Anf:
     def monomial(cls, indices) -> "Anf":
         mask = 0
         for i in indices:
-            bit = 1 << (i - 1)
-            if not 1 <= i <= 8 or mask & bit:
+            if not 1 <= i <= 8 or mask >> (i - 1) & 1:
                 raise ValueError(f"bad monomial indices {indices!r}")
-            mask |= bit
+            mask |= 1 << (i - 1)
         return cls(1 << mask)
 
     @classmethod
@@ -154,10 +153,9 @@ class Anf:
         for term in terms:
             mask = 0
             for ch in term:
-                bit = 1 << (int(ch) - 1)
-                if not "1" <= ch <= "8" or mask & bit:
+                if not "1" <= ch <= "8" or mask >> (int(ch) - 1) & 1:
                     raise ValueError(f"bad monomial {term!r}")
-                mask |= bit
+                mask |= 1 << (int(ch) - 1)
             coeffs ^= 1 << mask
         return cls(coeffs)
 
@@ -191,10 +189,6 @@ def anf_from_pointset(psi: int) -> Anf:
         raise ValueError("point-set mask must cover bits 1..255 only")
     table = ~(psi | 1) & TABLE_FULL
     return Anf(mobius(table))
-
-
-def pointset_of(f: Anf) -> int:
-    return f.pointset()
 
 
 def flat_equation(x: Flat) -> Anf:
@@ -529,46 +523,6 @@ def resolve_poly_name(name: str) -> Anf:
         else:
             raise KeyError(f"unknown polynomial {part!r}")
     return total
-
-
-def verify_seven_table() -> list[tuple[str, str, object, object, bool]]:
-    """Evaluate the seven low-degree invariants on every point of every class.
-
-    Returns (check id, description, expected, actual, pass) rows covering the
-    5x7 value matrix and the zero-set sizes.
-    """
-    orbs = definitional_orbits()
-    rows = []
-    for name, values, size in SEVEN_TABLE:
-        poly = resolve_poly_name(name)
-        actual_values = tuple(
-            _constant_value_on(poly, orbs[f"O{i}"]) for i in range(1, 6)
-        )
-        rows.append(
-            (
-                f"seven-table/{name}/values",
-                f"{name} on (O1..O5)",
-                values,
-                actual_values,
-                actual_values == values,
-            )
-        )
-        actual_size = poly.pointset().bit_count()
-        rows.append(
-            (
-                f"seven-table/{name}/zeros",
-                f"|zero set of {name}|",
-                size,
-                actual_size,
-                actual_size == size,
-            )
-        )
-    return rows
-
-
-def _constant_value_on(poly: Anf, points) -> object:
-    values = {poly.evaluate(p) for p in points}
-    return values.pop() if len(values) == 1 else "mixed"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Command-line frontend: verification suites, evaluation, and exports.
 
 Exit codes are a stable contract: 0 all checks pass, 1 any check fails (or
-an output path cannot be written), 2 usage errors.
+an output path cannot be written), 2 usage errors.  The checks themselves
+are defined in ``checks``.
 """
 
 from __future__ import annotations
@@ -10,541 +11,67 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
-from dataclasses import dataclass
 
 from . import __version__
-from .anf import (
-    Anf,
-    anf_from_pointset,
-    degree_by_incidence,
-    invariant_subspace,
-    named_P_basis,
-    named_Q,
-    pointset_of,
-    resolve_poly_name,
-    substitute,
-    symplectic_form,
-    verify_seven_table,
-)
-from .gf2 import Flat, GFMatrix, UNIT, format_point, parse_point, weight
+from .anf import Anf, named_P_basis, named_Q, resolve_poly_name
+from .checks import SUITES, Result, Run
+from .gf2 import GFMatrix, format_point, parse_point, weight
 from .groups import (
-    centralizer_in_gl,
-    closure,
-    commutant_basis,
+    DEFAULT_CAP,
     cube_group,
     element,
-    fix_subspace,
-    named_elements,
     schreier_sims,
     segre_group,
     segre_group_even,
-    stabilizer_of_point,
 )
 from .orbits import (
-    CUBE_ORBIT_CENSUS,
-    TETRAD_LINES,
     classify_point,
     cube_orbit_labels,
-    definitional_orbits,
-    line_orbit_split,
-    orbit_mask,
-    parity_class,
     point_orbits,
     segre_triplet,
     spread_from_w,
-    tetrad_five_flats,
 )
 from .segre import build_model
-
-
-@dataclass
-class Check:
-    id: str
-    description: str
-    expected: str
-    actual: str
-    passed: bool
-
-
-def _check(cid: str, description: str, expected, actual) -> Check:
-    return Check(cid, description, str(expected), str(actual), expected == actual)
 
 
 # ---------------------------------------------------------------------------
 # Suites.
 
 
-def suite_groups(cap: int) -> list[Check]:
-    checks = []
-    m, n, k12 = element("M"), element("N"), element("K12")
-    mp, k, kp, j, w = element("M'"), element("K"), element("K'"), element("J"), element("W")
-    ident = GFMatrix.identity()
-
-    for label, gens, size in (
-        ("M,N", (m, n), 1296),
-        ("M',N", (mp, n), 648),
-        ("M,K12", (m, k12), 48),
-    ):
-        grp = closure(gens, cap=cap)
-        checks.append(_check(f"groups/closure/{label}", f"|<{label}>| by closure", size, len(grp)))
-        checks.append(
-            _check(f"groups/chain/{label}", f"|<{label}>| by stabilizer chain", size, schreier_sims(gens))
-        )
-    checks.append(
-        _check("groups/chain/M,N,K", "|<M,N,K>|", 348_364_800, schreier_sims((m, n, k)))
-    )
-    checks.append(
-        _check("groups/chain/M,N,K'", "|<M,N,K'>|", 174_182_400, schreier_sims((m, n, kp)))
-    )
-
-    checks.append(
-        _check("groups/catalog", "named catalog validates", 18, len(named_elements()))
-    )
-    checks.append(
-        _check("groups/J-product", "Jx*Jy*Jz equals J", True, element("Jx") * element("Jy") * element("Jz") == j)
-    )
-
-    basis = commutant_basis((mp, n))
-    checks.append(_check("groups/commutant/dim", "commutant dimension of <M',N>", 2, len(basis)))
-    cz = centralizer_in_gl((mp, n))
-    checks.append(
-        _check(
-            "groups/centralizer",
-            "invertible commutant elements",
-            sorted(x.cols for x in (ident, w, w * w)),
-            sorted(x.cols for x in cz.elements),
-        )
-    )
-    expected_w = tuple(
-        parse_point(s) for s in ("246", "1235", "248", "1347", "268", "1567", "468", "3578")
-    )
-    checks.append(_check("groups/W/images", "W basis images", expected_w, w.cols))
-    checks.append(_check("groups/W/order", "W cubes to identity", ident, w * w * w))
-    checks.append(
-        _check("groups/W/minpoly", "W^2 + W + I vanishes", GFMatrix([0] * 8), (w * w) ^ w ^ ident)
-    )
-    checks.append(_check("groups/W/fix", "W is fixed-point-free", Flat.empty(), fix_subspace(w)))
-    checks.append(_check("groups/W/conj-J", "J conjugates W to W^2", w * w, j * w * j.inverse()))
-
-    gs = segre_group()
-    normalized = all(a * w * a.inverse() in (w, w * w) for a in gs.elements)
-    checks.append(
-        _check("groups/W/normalized", "conjugates of W stay in {W, W^2} across the group", True, normalized)
-    )
-
-    jx, jy, jz = element("Jx"), element("Jy"), element("Jz")
-    gs0 = segre_group_even()
-    checks.append(
-        _check(
-            "groups/parity/in",
-            "paired involutions lie in the even subgroup",
-            True,
-            jx * jy in gs0 and jx * jz in gs0 and jy * jz in gs0,
-        )
-    )
-    checks.append(_check("groups/parity/out", "J lies outside the even subgroup", False, j in gs0))
-    checks.append(
-        _check(
-            "groups/fix/JxJy",
-            "fixed flat of Jx*Jy",
-            Flat([parse_point(s) for s in ("13", "24", "57", "68")]),
-            fix_subspace(jx * jy),
-        )
-    )
-    checks.append(
-        _check(
-            "groups/fix/JxJz",
-            "fixed flat of Jx*Jz",
-            Flat([parse_point(s) for s in ("15", "26", "37", "48")]),
-            fix_subspace(jx * jz),
-        )
-    )
-
-    stab = stabilizer_of_point(gs, UNIT)
-    checks.append(
-        _check(
-            "groups/stabilizer-u",
-            "stabilizer of the unit point is the cube group",
-            sorted(x.cols for x in cube_group().elements),
-            sorted(x.cols for x in stab.elements),
-        )
-    )
-    diagonals = [frozenset((1, 128)), frozenset((2, 64)), frozenset((4, 32)), frozenset((8, 16))]
-    perms = set()
-    kernel_elems = set()
-    for mat in stab.elements:
-        perm = tuple(
-            diagonals.index(frozenset((mat(a), mat(b)))) for a, b in (tuple(d) for d in diagonals)
-        )
-        perms.add(perm)
-        if perm == (0, 1, 2, 3):
-            kernel_elems.add(mat)
-    checks.append(
-        _check("groups/diagonal-action/image", "diagonal action hits all of Sym(4)", 24, len(perms))
-    )
-    checks.append(
-        _check(
-            "groups/diagonal-action/kernel",
-            "kernel of the diagonal action",
-            {ident.cols, j.cols},
-            {x.cols for x in kernel_elems},
-        )
-    )
-    return checks
+def suite_groups(run: Run) -> list[Result]:
+    return run.suite("groups")
 
 
-def suite_spread() -> list[Check]:
-    checks = []
-    spread = spread_from_w()
-    covered = set().union(*spread.lines)
-    checks.append(_check("spread/count", "spread has 85 lines", 85, len(spread.lines)))
-    checks.append(
-        _check("spread/cover", "lines partition the 255 points", 255, len(covered))
-    )
-    collinear = all((lambda t: t[0] ^ t[1] == t[2])(sorted(line)) for line in spread.lines)
-    checks.append(_check("spread/lines", "every class is a projective line", True, collinear))
-
-    split = line_orbit_split(spread, segre_group())
-    checks.append(
-        _check("spread/orbit-sizes", "line-orbit sizes", [4, 18, 27, 36], sorted(len(c) for c in split))
-    )
-    by_size = {len(c): set(c) for c in split}
-    orbs = definitional_orbits()
-    union = lambda lines: set().union(*lines)
-    checks.append(
-        _check("spread/L4", "4-line class underlies O1", set(orbs["O1"]), union(by_size[4]))
-    )
-    checks.append(
-        _check("spread/L18", "18-line class underlies O2", set(orbs["O2"]), union(by_size[18]))
-    )
-    checks.append(
-        _check("spread/L36", "36-line class underlies O3", set(orbs["O3"]), union(by_size[36]))
-    )
-    checks.append(
-        _check(
-            "spread/L27",
-            "27-line class underlies O4 and O5",
-            set(orbs["O4"] | orbs["O5"]),
-            union(by_size[27]),
-        )
-    )
-    checks.append(
-        _check("spread/tetrad", "4-line class is the frozen tetrad", set(TETRAD_LINES), by_size[4])
-    )
-    checks.append(
-        _check(
-            "spread/tangents",
-            "27-line class is the tangent family",
-            set(build_model().tangents.values()),
-            by_size[27],
-        )
-    )
-    c = element("C")
-    la, lb, lc, ld = TETRAD_LINES
-    cycles = (
-        frozenset(c(p) for p in la) == lb
-        and frozenset(c(p) for p in lb) == lc
-        and frozenset(c(p) for p in lc) == ld
-        and frozenset(c(p) for p in ld) == la
-    )
-    checks.append(_check("spread/C-cycle", "C cycles the tetrad lines", True, cycles))
-    w = element("W")
-    checks.append(
-        _check("spread/W-on-O2", "W(e1+e3)", format_point(32 ^ 128), format_point(w(1 ^ 4)))
-    )
-    checks.append(
-        _check("spread/W-on-O3", "W(e1+e8)", format_point(1 ^ UNIT), format_point(w(1 ^ 128)))
-    )
-    return checks
+def suite_spread(run: Run) -> list[Result]:
+    return run.suite("spread")
 
 
-def suite_orbits() -> list[Check]:
-    checks = []
-    orbs = definitional_orbits()
-    partition = point_orbits(segre_group())
-    checks.append(
-        _check(
-            "orbits/sizes",
-            "point-orbit sizes of the full group",
-            [12, 27, 54, 54, 108],
-            sorted(partition.sizes()),
-        )
-    )
-    agreement = all(
-        {classify_point(p) for p in cls.points} == {classify_point(cls.rep)}
-        and set(cls.points) == set(orbs[classify_point(cls.rep)])
-        for cls in partition.classes
-    )
-    checks.append(
-        _check("orbits/classifier", "definitional classifier matches the group orbits", True, agreement)
-    )
-    even_partition = point_orbits(segre_group_even())
-    checks.append(
-        _check("orbits/even-count", "even subgroup has six orbits", 6, len(even_partition.classes))
-    )
-    s, s1, s2 = segre_triplet()
-    expected_even = {orbs["O1"], orbs["O2"], orbs["O3"], s, s1, s2}
-    checks.append(
-        _check(
-            "orbits/even-classes",
-            "even-subgroup orbits are O1, O2, O3 and the triplet",
-            True,
-            {frozenset(c.points) for c in even_partition.classes} == expected_even,
-        )
-    )
-    checks.append(
-        _check("orbits/triplet-disjoint", "translate copies are disjoint", 0, len(s1 & s2))
-    )
-    checks.append(
-        _check("orbits/triplet-union", "translates cover the tangent-exterior class", set(orbs["O4"]), s1 | s2)
-    )
-    first_parity = {3: "even", 4: "odd", 5: "odd", 6: "even"}
-    split_ok = all(parity_class(p) == first_parity[weight(p)] for p in s1) and all(
-        parity_class(p) != first_parity[weight(p)] for p in s2
-    )
-    checks.append(
-        _check("orbits/parity-split", "weight/parity decomposition of the translates", True, split_ok)
-    )
-    flats = tetrad_five_flats().values()
-    counts = {"O1": 3, "O2": 2, "O3": 1, "O4": 0, "O5": 0}
-    incidence_ok = all(
-        sum(1 for fl in flats if p in fl) == counts[classify_point(p)] for p in range(1, 256)
-    )
-    checks.append(
-        _check("orbits/5-flat-incidence", "per-class membership counts in the four 5-flats", True, incidence_ok)
-    )
-    outside = {p for p in range(1, 256) if all(p not in fl for fl in flats)}
-    checks.append(
-        _check("orbits/81-points", "points avoiding every 5-flat", set(orbs["O4"] | orbs["O5"]), outside)
-    )
-    o1 = sorted(orbs["O1"])
-    tetrad = set(TETRAD_LINES)
-    externals = [
-        a ^ b
-        for i, a in enumerate(o1)
-        for b in o1[i + 1:]
-        if frozenset((a, b, a ^ b)) not in tetrad
-    ]
-    checks.append(_check("orbits/O1-bisecants", "O1 has 54 bisecants", 54, len(externals)))
-    checks.append(
-        _check(
-            "orbits/O1-externals",
-            "bisecant external points lie in O2",
-            True,
-            set(externals) <= set(orbs["O2"]),
-        )
-    )
-    model = build_model()
-    checks.append(
-        _check(
-            "orbits/model-counts",
-            "variety model family sizes",
-            (27, 27, 9, 9, 27, 27),
-            (
-                len(model.points),
-                len(model.generators),
-                len(model.sub_segres),
-                len(model.ambient_flats),
-                len(model.z_flats),
-                len(model.tangents),
-            ),
-        )
-    )
-    tangent_examples = (
-        model.tangents[1] == frozenset(map(parse_point, ("1", "246", "1246")))
-        and model.tangents[128] == frozenset(map(parse_point, ("8", "8357", "357")))
-        and model.tangents[UNIT] == frozenset(map(parse_point, ("u", "1357", "2468")))
-    )
-    checks.append(
-        _check("orbits/tangent-examples", "frozen tangent lines through e1, e8, u", True, tangent_examples)
-    )
-    return checks
+def suite_orbits(run: Run) -> list[Result]:
+    return run.suite("orbits")
 
 
-def suite_table1() -> list[Check]:
-    checks = []
-    partition = point_orbits(cube_group())
-    checks.append(
-        _check(
-            "table1/count",
-            "cube-group orbit count matches the census",
-            len(CUBE_ORBIT_CENSUS),
-            len(partition.classes),
-        )
-    )
-    labels = cube_orbit_labels()
-    checks.append(_check("table1/coverage", "census labels cover all points", 255, len(labels)))
-    for gs_label in ("O1", "O2", "O3", "O4", "O5"):
-        rows = [row for row in CUBE_ORBIT_CENSUS if row[0] == gs_label]
-        ok = True
-        for _, w, size, rep, label in rows:
-            p = parse_point(rep)
-            cls = partition.class_of(p)
-            ok = ok and cls.size == size and all(weight(q) == w for q in cls.points)
-            ok = ok and classify_point(p) == gs_label and labels[p] == label
-        checks.append(
-            _check(
-                f"table1/{gs_label}",
-                f"census rows for {gs_label} (weight, size, representative)",
-                True,
-                ok,
-            )
-        )
-    return checks
+def suite_table1(run: Run) -> list[Result]:
+    return run.suite("table1")
 
 
-def suite_polys(seed: int) -> list[Check]:
-    checks = []
-    p = named_P_basis()
-    q = named_Q()
-    checks.append(_check("polys/P-catalog", "fifteen orbit-sum polynomials validate", 15, len(p)))
-    checks.append(_check("polys/Q-catalog", "five invariants built two ways", 5, len(q)))
-    checks.append(
-        _check("polys/P5-product", "quintic factors through the linear form", p["P1"] * p["P4'''"], p["P5"])
-    )
-    orbs = definitional_orbits()
-    checks.append(
-        _check(
-            "polys/Q2-geometric",
-            "quadric equals the equation of its point set",
-            anf_from_pointset(orbit_mask(orbs, "O2", "O4", "O5")),
-            q["Q2"],
-        )
-    )
-    for name, degree in (("Q2", 2), ("Q4", 4), ("Q4'", 4), ("Q6", 6)):
-        checks.append(
-            _check(f"polys/degree/{name}", f"coefficient degree of {name}", degree, q[name].degree)
-        )
-    for name, psi_labels, degree in (
-        ("Q2", ("O2", "O4", "O5"), 2),
-        ("Q4", ("O2", "O5"), 4),
-        ("Q4'", ("O3", "O4", "O5"), 4),
-        ("Q6", ("O5",), 6),
-    ):
-        actual = degree_by_incidence(orbit_mask(orbs, *psi_labels))
-        checks.append(
-            _check(
-                f"polys/incidence/{name}",
-                f"incidence degree of the zero set of {name}",
-                degree,
-                actual,
-            )
-        )
-    for cid, description, expected, actual, _passed in verify_seven_table():
-        checks.append(_check(f"polys/{cid}", description, expected, actual))
-
-    gens = (element("M"), element("N"))
-    basis7 = invariant_subspace(gens, 7)
-    elements = {0}
-    for b in basis7:
-        elements |= {x ^ b.coeffs for x in elements}
-    elements.discard(0)
-    checks.append(_check("polys/invariant-count", "invariants of degree below 8", 15, len(elements)))
-    census: dict[int, int] = {}
-    for c in elements:
-        d = Anf(c).degree
-        census[d] = census.get(d, 0) + 1
-    checks.append(
-        _check("polys/degree-census", "degree census of the fifteen invariants", {2: 1, 4: 6, 6: 8}, census)
-    )
-    checks.append(
-        _check("polys/dim/GB-4", "cube-group invariant dimension at degree 4", 13,
-               len(invariant_subspace((element("M"), element("K12")), 4)))
-    )
-    checks.append(_check("polys/dim/GS-2", "invariant dimension at degree 2", 1, len(invariant_subspace(gens, 2))))
-    checks.append(_check("polys/dim/GS-4", "invariant dimension at degree 4", 3, len(invariant_subspace(gens, 4))))
-    checks.append(_check("polys/dim/GS-7", "invariant dimension at degree 7", 4, len(basis7)))
-    nested = True
-    prev: list[Anf] = []
-    for d in range(2, 8):
-        basis = invariant_subspace(gens, d)
-        spanned = {0}
-        for b in basis:
-            spanned |= {x ^ b.coeffs for x in spanned}
-        nested = nested and all(f.coeffs in spanned for f in prev)
-        prev = basis
-    checks.append(_check("polys/nesting", "invariant spaces nest by degree", True, nested))
-    checks.append(
-        _check(
-            "polys/afterthought",
-            "product identity recovers the sextic",
-            q["Q6"],
-            q["Q2"] * q["Q4'"] + q["Q4"] + q["Q4'"],
-        )
-    )
-
-    rng = random.Random(seed)
-    roundtrip = all(
-        pointset_of(anf_from_pointset(m)) == m
-        for m in (rng.getrandbits(256) & ~1 for _ in range(1000))
-    )
-    checks.append(
-        _check("polys/roundtrip", "equation/point-set roundtrip on 1000 seeded sets", True, roundtrip)
-    )
-    preserved = True
-    produced = 0
-    while produced < 100:
-        mat = GFMatrix([rng.randrange(256) for _ in range(8)])
-        if not mat.is_invertible():
-            continue
-        produced += 1
-        f = Anf(rng.getrandbits(256))
-        preserved = preserved and substitute(f, mat).degree == f.degree
-    checks.append(
-        _check("polys/degree-preserved", "degree stable under 100 seeded coordinate changes", True, preserved)
-    )
-
-    alternating = all(symplectic_form(x, x) == 0 for x in range(1, 256))
-    checks.append(_check("polys/form/alternating", "polar form is alternating", True, alternating))
-    bilinear = all(
-        symplectic_form(x ^ y, z) == (symplectic_form(x, z) ^ symplectic_form(y, z))
-        for x, y, z in ((rng.randrange(256) for _ in range(3)) for _ in range(300))
-    )
-    checks.append(_check("polys/form/bilinear", "polar form additive on 300 seeded triples", True, bilinear))
-    gram = []
-    for i in range(8):
-        row = 0
-        for jj in range(8):
-            row |= symplectic_form(1 << i, 1 << jj) << jj
-        gram.append(row)
-    checks.append(_check("polys/form/rank", "polar form has full rank", 8, GFMatrix.from_rows(gram).rank()))
-    invariant = all(
-        symplectic_form(g(x), g(y)) == symplectic_form(x, y)
-        for g in gens
-        for x in range(0, 256, 3)
-        for y in range(0, 256, 5)
-    )
-    checks.append(_check("polys/form/invariant", "polar form invariant under both generators", True, invariant))
-    return checks
+def suite_polys(run: Run) -> list[Result]:
+    return run.suite("polys")
 
 
-SUITES = {
-    "groups": lambda seed, cap: suite_groups(cap),
-    "orbits": lambda seed, cap: suite_orbits(),
-    "spread": lambda seed, cap: suite_spread(),
-    "polys": lambda seed, cap: suite_polys(seed),
-    "table1": lambda seed, cap: suite_table1(),
-}
-
-SUITE_ORDER = ("groups", "spread", "orbits", "table1", "polys")
-
-
-def run_suite(name: str, seed: int, cap: int) -> list[Check]:
-    if name == "all":
-        checks = []
-        for part in SUITE_ORDER:
-            checks.extend(SUITES[part](seed, cap))
-        return checks
-    return SUITES[name](seed, cap)
+def run_suite(name: str, seed: int, cap: int) -> list[Result]:
+    """Results of one suite, or of every suite in report order for "all"."""
+    run = Run(seed, cap)
+    names = SUITES if name == "all" else (name,)
+    # looked up by name so that wrappers set on this module (bench/spans.py) are called
+    return [r for part in names for r in globals()[f"suite_{part}"](run)]
 
 
 # ---------------------------------------------------------------------------
 # Reports.
 
 
-def report_payload(suite: str, seed: int, checks: list[Check]) -> dict:
+def report_payload(suite: str, seed: int, checks: list[Result]) -> dict:
     failed = sum(1 for c in checks if not c.passed)
     return {
         "suite": suite,
@@ -563,7 +90,7 @@ def report_payload(suite: str, seed: int, checks: list[Check]) -> dict:
     }
 
 
-def report_text(suite: str, seed: int, checks: list[Check]) -> str:
+def report_text(suite: str, seed: int, checks: list[Result]) -> str:
     lines = []
     for c in checks:
         if c.passed:
@@ -757,6 +284,13 @@ def _resolve_gens(names: str) -> list[GFMatrix]:
     return gens
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segre-pg72",
@@ -767,12 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument(
-        "suite", choices=("all",) + tuple(SUITES), help="which suite to run"
+        "suite", choices=("all",) + SUITES, help="which suite to run"
     )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="write the report to a file")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
-    p_verify.add_argument("--cap", type=int, default=1 << 21, help="closure size guard")
+    p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help="closure size guard")
 
     p_eval = sub.add_parser("eval", help="evaluate a named polynomial at a point")
     p_eval.add_argument("poly", help="polynomial name (Q2, P4', Q2+Q4, ...) or 64-hex mask")

@@ -32,10 +32,11 @@ def weight(v: int) -> int:
 
 
 def parse_point(text: str) -> int:
-    """Parse shorthand such as "1", "246" or "18u" into a vector.
+    """Parse shorthand such as "1", "246" or "18u" into a point.
 
     Digits 1-8 name basis vectors and 'u' names the all-ones vector; the
-    result is their XOR.  Repeated symbols are rejected.
+    result is their XOR.  Repeated symbols, and symbols cancelling to the
+    zero vector (which is no point), are rejected.
     """
     if not text:
         raise ValueError("empty point string")
@@ -51,6 +52,8 @@ def parse_point(text: str) -> int:
             v ^= 1 << (int(ch) - 1)
         else:
             raise ValueError(f"bad symbol {ch!r} in point {text!r}")
+    if not v:
+        raise ValueError(f"point {text!r} is the zero vector")
     return v
 
 
@@ -62,18 +65,6 @@ def format_point(v: int) -> str:
         return "".join(str(i) for i in range(1, 9) if v >> (i - 1) & 1)
     c = v ^ UNIT
     return "".join(str(i) for i in range(1, 9) if c >> (i - 1) & 1) + "u"
-
-
-def point_to_hex(v: int) -> str:
-    if not 0 <= v <= UNIT:
-        raise ValueError(f"not an 8-bit vector: {v!r}")
-    return f"{v:02x}"
-
-
-def point_from_hex(text: str) -> int:
-    if len(text) != 2:
-        raise ValueError(f"expected two hex digits, got {text!r}")
-    return int(text, 16)
 
 
 def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
@@ -229,11 +220,6 @@ class GFMatrix:
         return cls(tuple(1 << j for j in range(DIM)))
 
     @classmethod
-    def from_images(cls, images: Iterable[int]) -> "GFMatrix":
-        """Matrix sending e_(j+1) to images[j]."""
-        return cls(images)
-
-    @classmethod
     def from_cycles(cls, cycles: Iterable[tuple[int, ...]]) -> "GFMatrix":
         """Permutation matrix from disjoint cycles on basis indices 1..8."""
         images = [1 << j for j in range(DIM)]
@@ -332,13 +318,6 @@ class GFMatrix:
             base = base * base
             n >>= 1
         return result
-
-    def to_hex_rows(self) -> list[str]:
-        return [f"{r:02x}" for r in self.rows()]
-
-    @classmethod
-    def from_hex_rows(cls, rows: Iterable[str]) -> "GFMatrix":
-        return cls.from_rows(tuple(int(r, 16) for r in rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GFMatrix) and self.cols == other.cols

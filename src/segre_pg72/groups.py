@@ -32,16 +32,6 @@ SWAP2 = (0b10, 0b01)  # interchanges the two frame points
 ROT2 = (0b10, 0b11)   # order-3 rotation of the 3-point projective line
 
 
-def gl2_elements() -> list[tuple[int, int]]:
-    """The six invertible 2x2 matrices over GF(2)."""
-    return [
-        (c0, c1)
-        for c0 in (1, 2, 3)
-        for c1 in (1, 2, 3)
-        if c0 != c1
-    ]
-
-
 def _is_invertible_2x2(a: tuple[int, int]) -> bool:
     c0, c1 = a
     return 0 < c0 <= 3 and 0 < c1 <= 3 and c0 != c1
@@ -147,7 +137,7 @@ def named_elements() -> dict[str, NamedElement]:
     m = jx * b
     n = ax * k12
     mp = j * m
-    w = GFMatrix.from_images(
+    w = GFMatrix(
         [parse_point(s) for s in
          ("246", "1235", "248", "1347", "268", "1567", "468", "3578")]
     )

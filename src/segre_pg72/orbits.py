@@ -176,7 +176,10 @@ def spread_from_w() -> Spread:
 
 
 def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozenset[int], ...], ...]:
-    """Orbits of the group on the spread lines, sorted by minimal point."""
+    """Orbits of the group on the spread lines, sorted by minimal point.
+
+    Raises ValueError if the group does not map the spread to itself.
+    """
     gens = group.generators
     remaining = {line: min(line) for line in spread.lines}
     classes = []
@@ -188,6 +191,8 @@ def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozense
             line = queue.pop()
             for g in gens:
                 img = frozenset(g(p) for p in line)
+                if img not in remaining:
+                    raise ValueError("the group does not preserve the spread")
                 if img not in orbit:
                     orbit.add(img)
                     queue.append(img)

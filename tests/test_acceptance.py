@@ -1,50 +1,19 @@
 """Acceptance gate: every quantitative claim, one test per criterion.
 
-Each test prints a single PASS line on success; runtime bounds are asserted
-with fresh (uncached) computations where a bound is part of the criterion.
+Each criterion runs its checks from the registry in ``segre_pg72.checks``
+by id and requires them to pass; a direct assertion remains only for a fact
+no registry check or other test covers.  Runtime bounds are asserted around
+fresh (uncached) computations where a bound is part of the criterion.  Each
+test prints a single PASS line on success.
 """
 
-import random
 import subprocess
 import sys
 import time
 
-from segre_pg72.anf import (
-    Anf,
-    anf_from_pointset,
-    degree_by_incidence,
-    invariant_subspace,
-    named_Q,
-    pointset_of,
-    substitute,
-    symplectic_form,
-    verify_seven_table,
-)
-from segre_pg72.gf2 import Flat, GFMatrix, parse_point, weight
-from segre_pg72.groups import (
-    centralizer_in_gl,
-    closure,
-    commutant_basis,
-    cube_group,
-    element,
-    fix_subspace,
-    schreier_sims,
-    segre_group,
-    segre_group_even,
-)
-from segre_pg72.orbits import (
-    CUBE_ORBIT_CENSUS,
-    TETRAD_LINES,
-    classify_point,
-    cube_orbit_labels,
-    definitional_orbits,
-    line_orbit_split,
-    orbit_mask,
-    parity_class,
-    point_orbits,
-    segre_triplet,
-    spread_from_w,
-)
+from segre_pg72.anf import SEVEN_TABLE, named_Q
+from segre_pg72.checks import Run
+from segre_pg72.orbits import CUBE_ORBIT_CENSUS, definitional_orbits, orbit_mask
 
 
 def _report(cid, detail=""):
@@ -52,168 +21,82 @@ def _report(cid, detail=""):
     print(f"criterion {cid}: PASS{suffix}")
 
 
+def _assert_pass(ids, run=None):
+    """Run the checks whose whitespace-separated ids are given; all must pass."""
+    results = (run or Run()).ids(ids.split())
+    assert [r for r in results if not r.passed] == []
+
+
 def test_criterion_1_group_orders():
-    m, n, k12 = element("M"), element("N"), element("K12")
     start = time.perf_counter()
-    for gens, size in (((m, n), 1296), ((element("M'"), n), 648), ((m, k12), 48)):
-        assert len(closure(gens)) == size
-        assert schreier_sims(gens) == size
+    _assert_pass("groups/closure/M,N groups/chain/M,N groups/closure/M',N groups/chain/M',N"
+                 " groups/closure/M,K12 groups/chain/M,K12")
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, f"orders 1296/648/48 both routes in {elapsed:.3f}s")
 
 
 def test_criterion_2_orthogonal_orders():
-    m, n = element("M"), element("N")
     start = time.perf_counter()
-    assert schreier_sims((m, n, element("K"))) == 348_364_800
-    assert schreier_sims((m, n, element("K'"))) == 174_182_400
+    _assert_pass("groups/chain/M,N,K groups/chain/M,N,K'")
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(2, f"348364800 and 174182400 in {elapsed:.3f}s")
 
 
 def test_criterion_3_centralizer():
-    mp, n = element("M'"), element("N")
-    w = element("W")
-    ident = GFMatrix.identity()
-    assert len(commutant_basis((mp, n))) == 2
-    assert set(centralizer_in_gl((mp, n)).elements) == {ident, w, w * w}
-    expected = [parse_point(s) for s in
-                ("246", "2135", "248", "4137", "268", "6157", "468", "8357")]
-    assert list(w.cols) == expected
-    assert w * w * w == ident
-    assert fix_subspace(w) == Flat.empty()
-    conjugates = {a * w * a.inverse() for a in segre_group().elements}
-    assert conjugates == {w, w * w}
+    # normalized: every conjugate is W or W^2; conj-J and the kernel {I, J}
+    # of the diagonal action show both occur
+    _assert_pass("groups/commutant/dim groups/centralizer groups/W/images groups/W/order"
+                 " groups/W/fix groups/W/normalized groups/W/conj-J groups/diagonal-action/kernel")
     _report(3, "commutant dim 2, centralizer {I,W,W^2}, W normalized by all 1296")
 
 
 def test_criterion_4_spread():
-    spread = spread_from_w()
-    assert len(spread.lines) == 85
-    covered = set()
-    for line in spread.lines:
-        a, b, c = sorted(line)
-        assert a ^ b == c
-        assert not (covered & line)
-        covered |= line
-    assert covered == set(range(1, 256))
-    split = line_orbit_split(spread, segre_group())
-    assert sorted(len(c) for c in split) == [4, 18, 27, 36]
-    four = next(c for c in split if len(c) == 4)
-    assert set(four) == set(TETRAD_LINES)
+    # 85 lines of 3 points covering 255 points are pairwise disjoint
+    _assert_pass("spread/count spread/cover spread/lines spread/orbit-sizes spread/tetrad")
     _report(4, "85 disjoint lines cover the space; orbit sizes 4/18/36/27")
 
 
 def test_criterion_5_orbits():
-    partition = point_orbits(segre_group())
-    assert sorted(partition.sizes()) == [12, 27, 54, 54, 108]
-    orbs = definitional_orbits()
-    for p in range(1, 256):
-        cls = partition.class_of(p)
-        assert set(cls.points) == set(orbs[classify_point(p)])
-    assert len(point_orbits(segre_group_even()).classes) == 6
-
-    cube_partition = point_orbits(cube_group())
     # Table data: the census below carries 21 rows; the prose count of 19
     # in the planning notes undercounted the primed rows.
-    assert len(cube_partition.classes) == len(CUBE_ORBIT_CENSUS) == 21
-    labels = cube_orbit_labels()
-    for gs_label, w, size, rep, label in CUBE_ORBIT_CENSUS:
-        p = parse_point(rep)
-        cls = cube_partition.class_of(p)
-        assert cls.size == size
-        assert all(weight(q) == w for q in cls.points)
-        assert classify_point(p) == gs_label
-        assert labels[p] == label
-
-    s, s1, s2 = segre_triplet()
-    assert not (s1 & s2)
-    assert s1 | s2 == set(orbs["O4"])
-    first = {3: "even", 4: "odd", 5: "odd", 6: "even"}
-    assert all(parity_class(p) == first[weight(p)] for p in s1)
-    assert all(parity_class(p) != first[weight(p)] for p in s2)
+    assert len(CUBE_ORBIT_CENSUS) == 21
+    _assert_pass("orbits/sizes orbits/classifier orbits/even-count table1/count table1/coverage"
+                 " table1/O1 table1/O2 table1/O3 table1/O4 table1/O5"
+                 " orbits/triplet-disjoint orbits/triplet-union orbits/parity-split")
     _report(5, "orbit sizes, classifier agreement, census, triplet parity split")
 
 
 def test_criterion_6_polynomials():
     q = named_Q()  # construction asserts geometric == closed-form for each
-    assert {name: q[name].degree for name in ("Q2", "Q4", "Q4'", "Q6")} == {
-        "Q2": 2, "Q4": 4, "Q4'": 4, "Q6": 6,
-    }
+    run = Run()
+    _assert_pass("polys/Q-catalog polys/Q2-geometric polys/degree/Q2 polys/degree/Q4"
+                 " polys/degree/Q4' polys/degree/Q6", run)
     orbs = definitional_orbits()
     start = time.perf_counter()
-    scans = {
-        "Q2": (("O2", "O4", "O5"), 2),
-        "Q4": (("O2", "O5"), 4),
-        "Q4'": (("O3", "O4", "O5"), 4),
-        "Q6": (("O5",), 6),
-    }
-    for name, (labels, degree) in scans.items():
-        psi = orbit_mask(orbs, *labels)
-        assert pointset_of(q[name]) == psi
-        assert degree_by_incidence(psi) == degree
+    # Q2's zero set is covered by polys/Q2-geometric
+    for name, labels in (("Q4", ("O2", "O5")), ("Q4'", ("O3", "O4", "O5")), ("Q6", ("O5",))):
+        assert q[name].pointset() == orbit_mask(orbs, *labels)
+    _assert_pass("polys/incidence/Q2 polys/incidence/Q4 polys/incidence/Q4' polys/incidence/Q6", run)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
 
-    rows = verify_seven_table()
-    assert all(row[-1] for row in rows)
-    sizes = [row[3] for row in rows if row[0].endswith("/zeros")]
-    assert sizes == [135, 81, 189, 39, 201, 93, 135]
-
-    basis = invariant_subspace((element("M"), element("N")), 7)
-    members = {0}
-    for b in basis:
-        members |= {x ^ b.coeffs for x in members}
-    members.discard(0)
-    assert len(members) == 15
-    census: dict[int, int] = {}
-    for c in members:
-        census[Anf(c).degree] = census.get(Anf(c).degree, 0) + 1
-    assert census == {2: 1, 4: 6, 6: 8}
-    assert q["Q2"] * q["Q4'"] + q["Q4"] + q["Q4'"] == q["Q6"]
+    _assert_pass(" ".join(f"polys/seven-table/{name}/{part}"
+                          for name, _values, _size in SEVEN_TABLE for part in ("values", "zeros")), run)
+    _assert_pass("polys/invariant-count polys/degree-census polys/afterthought", run)
     _report(6, f"dual-route equality, degrees via flats in {elapsed:.2f}s, census 1/6/8")
 
 
 def test_criterion_7_invariant_dimensions():
-    assert len(invariant_subspace((element("M"), element("K12")), 4)) == 13
-    gens = (element("M"), element("N"))
-    assert len(invariant_subspace(gens, 2)) == 1
-    assert len(invariant_subspace(gens, 4)) == 3
-    assert len(invariant_subspace(gens, 7)) == 4
+    _assert_pass("polys/dim/GB-4 polys/dim/GS-2 polys/dim/GS-4 polys/dim/GS-7")
     _report(7, "dimensions 13 and 1/3/4")
 
 
 def test_criterion_8_seeded_properties():
-    rng = random.Random(0)
-    for _ in range(1000):
-        psi = rng.getrandbits(256) & ~1
-        assert pointset_of(anf_from_pointset(psi)) == psi
-    done = 0
-    while done < 100:
-        mat = GFMatrix([rng.randrange(256) for _ in range(8)])
-        if not mat.is_invertible():
-            continue
-        done += 1
-        f = Anf(rng.getrandbits(256))
-        assert substitute(f, mat).degree == f.degree
-    for x in range(1, 256):
-        assert symplectic_form(x, x) == 0
-    for _ in range(300):
-        x, y, z = rng.randrange(256), rng.randrange(256), rng.randrange(256)
-        assert symplectic_form(x ^ y, z) == symplectic_form(x, z) ^ symplectic_form(y, z)
-    gram = []
-    for i in range(8):
-        row = 0
-        for j in range(8):
-            row |= symplectic_form(1 << i, 1 << j) << j
-        gram.append(row)
-    assert GFMatrix.from_rows(gram).rank() == 8
-    for g in (element("M"), element("N")):
-        for x in range(0, 256, 3):
-            for y in range(0, 256, 5):
-                assert symplectic_form(g(x), g(y)) == symplectic_form(x, y)
+    # one generator seeded with 0, drawn from in this order
+    _assert_pass("polys/roundtrip polys/degree-preserved polys/form/alternating"
+                 " polys/form/bilinear polys/form/rank polys/form/invariant")
     _report(8, "roundtrip x1000, degree x100, form bilinear/alternating/rank 8/invariant")
 
 

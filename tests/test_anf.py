@@ -14,12 +14,11 @@ from segre_pg72.anf import (
     monomial_orbit_poly,
     named_P_basis,
     named_Q,
-    pointset_of,
     resolve_poly_name,
     substitute,
     symplectic_form,
-    verify_seven_table,
 )
+from segre_pg72.checks import REGISTRY, Run
 from segre_pg72.gf2 import Flat, GFMatrix, UNIT, span
 from segre_pg72.groups import closure, element
 from segre_pg72.orbits import definitional_orbits, orbit_mask
@@ -83,13 +82,13 @@ class TestPointsetEquation:
         for r in range(1, 6):
             for chosen in combinations(labels, r):
                 psi = orbit_mask(orbs, *chosen)
-                assert pointset_of(anf_from_pointset(psi)) == psi
+                assert anf_from_pointset(psi).pointset() == psi
 
     def test_roundtrip_on_seeded_random_sets(self):
         rng = random.Random(2024)
         for _ in range(1000):
             psi = rng.getrandbits(256) & ~1
-            assert pointset_of(anf_from_pointset(psi)) == psi
+            assert anf_from_pointset(psi).pointset() == psi
 
     def test_degree_law_on_random_sets(self):
         # odd sets have degree at most 7; even proper sets have degree 8
@@ -139,6 +138,16 @@ class TestArithmetic:
         q = named_Q()
         assert q["Q2"] * q["Q4'"] + q["Q4"] + q["Q4'"] == q["Q6"]
 
+    @pytest.mark.parametrize("indices", [(0,), (9,), (1, 1)])
+    def test_bad_monomial_indices(self, indices):
+        with pytest.raises(ValueError, match="bad monomial"):
+            Anf.monomial(indices)
+
+    @pytest.mark.parametrize("term", ["10", "9", "11"])
+    def test_bad_monomial_string(self, term):
+        with pytest.raises(ValueError, match="bad monomial"):
+            Anf.from_monomial_strings([term])
+
     def test_monomial_string_roundtrip(self):
         q = named_Q()["Q6"]
         assert Anf.from_monomial_strings(q.monomial_strings()) == q
@@ -159,7 +168,7 @@ class TestFlatEquation:
         line = Flat(build_model().generators[(0, 0, 3)])
         eq = flat_equation(line)
         assert eq.degree == 6
-        assert pointset_of(eq) == mask_of(line.points())
+        assert eq.pointset() == mask_of(line.points())
 
     def test_ambient_3_flats_have_degree_four(self):
         for fl in build_model().ambient_flats.values():
@@ -173,7 +182,7 @@ class TestFlatEquation:
                 continue
             eq = flat_equation(fl)
             assert eq.degree == 7 - fl.dim_projective
-            assert pointset_of(eq) == mask_of(fl.points())
+            assert eq.pointset() == mask_of(fl.points())
 
     def test_whole_space_rejected(self):
         with pytest.raises(ValueError):
@@ -314,7 +323,7 @@ class TestNamedQ:
     def test_q2_vanishes_on_the_quadric_classes(self):
         orbs = definitional_orbits()
         q2 = named_Q()["Q2"]
-        assert pointset_of(q2) == orbit_mask(orbs, "O2", "O4", "O5")
+        assert q2.pointset() == orbit_mask(orbs, "O2", "O4", "O5")
         assert q2.evaluate(E[1]) == 0
         assert q2.evaluate(E[1] ^ E[8]) == 1
 
@@ -335,12 +344,12 @@ class TestNamedQ:
 
     def test_q6_cuts_out_the_variety(self):
         q6 = named_Q()["Q6"]
-        assert pointset_of(q6) == mask_of(build_model().point_set)
+        assert q6.pointset() == mask_of(build_model().point_set)
         assert q6.degree == 6
 
     def test_q6p_vanishes_off_o1(self):
         orbs = definitional_orbits()
-        assert pointset_of(named_Q()["Q6'"]) == orbit_mask(
+        assert named_Q()["Q6'"].pointset() == orbit_mask(
             orbs, "O2", "O3", "O4", "O5"
         )
 
@@ -353,10 +362,10 @@ class TestNamedQ:
 
 class TestSevenTable:
     def test_every_row_passes(self):
-        rows = verify_seven_table()
-        assert len(rows) == 14
-        for row in rows:
-            assert row[-1], row
+        results = Run().ids(cid for cid in REGISTRY if "/seven-table/" in cid)
+        assert len(results) == 14
+        for result in results:
+            assert result.passed, result
 
     def test_zero_set_sizes(self):
         sizes = [size for _, _, size in SEVEN_TABLE]

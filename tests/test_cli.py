@@ -65,6 +65,25 @@ class TestVerify:
         assert code == 1
         assert "cannot write" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_a_usage_error(self, capsys, cap):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "groups", "--cap", cap])
+        assert exc.value.code == 2
+        assert "--cap" in capsys.readouterr().err
+
+    def test_raising_checks_are_reported_as_failures(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "groups", "--cap", "1", "--format", "json")
+        assert code == 1
+        payload = json.loads(out)
+        jsonschema.validate(payload, json.loads(SCHEMA_PATH.read_text()))
+        failed = [c for c in payload["checks"] if not c["pass"]]
+        assert [c["id"] for c in failed] == [
+            "groups/closure/M,N", "groups/closure/M',N", "groups/closure/M,K12",
+        ]
+        assert all(c["actual"].startswith("raised ClosureOverflowError: ") for c in failed)
+        assert payload["summary"] == {"total": 25, "passed": 22, "failed": 3}
+
     def test_seed_is_recorded(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "polys", "--format", "json", "--seed", "7"
@@ -105,6 +124,12 @@ class TestEval:
     def test_bad_point(self, capsys):
         code, _, err = run_cli(capsys, "eval", "Q2", "19")
         assert code == 2
+
+    def test_zero_vector_is_not_a_point(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "Q2", "12345678u")
+        assert code == 2
+        assert out == ""
+        assert "zero vector" in err
 
 
 class TestExport:

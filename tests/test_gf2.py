@@ -14,8 +14,6 @@ from segre_pg72.gf2 import (
     nullspace,
     orthogonal_complement,
     parse_point,
-    point_from_hex,
-    point_to_hex,
     span,
 )
 
@@ -53,7 +51,7 @@ class TestParsePoint:
     def test_digit_order_is_irrelevant(self):
         assert parse_point("8357") == parse_point("3578")
 
-    @pytest.mark.parametrize("bad", ["", "11", "19", "x2", "1uu", "0"])
+    @pytest.mark.parametrize("bad", ["", "11", "19", "x2", "1uu", "0", "12345678u"])
     def test_malformed_input(self, bad):
         with pytest.raises(ValueError):
             parse_point(bad)
@@ -66,10 +64,6 @@ class TestParsePoint:
         assert format_point(parse_point("18u")) == "18u"
         assert format_point(UNIT) == "u"
         assert format_point(parse_point("1357")) == "1357"
-
-    def test_hex_roundtrip(self):
-        for v in range(256):
-            assert point_from_hex(point_to_hex(v)) == v
 
 
 class TestSpan:
@@ -204,12 +198,6 @@ class TestGFMatrix:
         assert jx**2 == GFMatrix.identity()
         assert jx**-1 == jx
         assert jx**0 == GFMatrix.identity()
-
-    def test_hex_rows_roundtrip(self):
-        rng = random.Random(9)
-        for _ in range(50):
-            m = GFMatrix([rng.randrange(256) for _ in range(8)])
-            assert GFMatrix.from_hex_rows(m.to_hex_rows()) == m
 
     def test_rows_transpose_convention(self):
         m = GFMatrix.from_rows([E[2], E[1], E[4], E[3], E[6], E[5], E[8], E[7]])

@@ -14,7 +14,6 @@ from segre_pg72.groups import (
     cube_group,
     element,
     fix_subspace,
-    gl2_elements,
     named_elements,
     schreier_sims,
     segre_group,
@@ -26,6 +25,11 @@ from segre_pg72.groups import (
 from segre_pg72.segre import build_model
 
 E = [0] + [1 << i for i in range(8)]
+
+
+def gl2_elements() -> list[tuple[int, int]]:
+    """The six invertible 2x2 matrices over GF(2)."""
+    return [(c0, c1) for c0 in (1, 2, 3) for c1 in (1, 2, 3) if c0 != c1]
 
 
 def perm_images(mat):

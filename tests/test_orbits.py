@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from segre_pg72.gf2 import UNIT, parse_point, weight
-from segre_pg72.groups import cube_group, element, segre_group, segre_group_even
+from segre_pg72.groups import MatrixGroup, cube_group, element, segre_group, segre_group_even
 from segre_pg72.orbits import (
     CUBE_ORBIT_CENSUS,
     TETRAD_LINES,
@@ -152,6 +152,11 @@ class TestLineOrbitSplit:
         tangents = set(build_model().tangents.values())
         c27 = next(c for c in split if len(c) == 27)
         assert set(c27) == tangents
+
+    def test_group_not_preserving_the_spread_is_rejected(self):
+        # K swaps e1 and e8, which takes 63 of the 85 spread lines off the spread
+        with pytest.raises(ValueError, match="does not preserve the spread"):
+            line_orbit_split(spread_from_w(), MatrixGroup([element("M"), element("K")]))
 
     def test_c_cycles_the_tetrad(self):
         c = element("C")
