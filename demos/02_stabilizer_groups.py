@@ -21,8 +21,8 @@ from segre_pg72 import (
 )
 
 print("Named elements and their orders:")
-for name, entry in named_elements().items():
-    print(f"  {name:>3}: order {entry.matrix.order()}")
+for name, mat in named_elements().items():
+    print(f"  {name:>3}: order {mat.order()}")
 
 m, n = element("M"), element("N")
 print("\nClosure sizes (and stabilizer-chain cross-checks):")

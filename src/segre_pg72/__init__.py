@@ -39,7 +39,6 @@ from .segre import (
 from .groups import (
     ClosureOverflowError,
     MatrixGroup,
-    NamedElement,
     centralizer_in_gl,
     closure,
     commutant_basis,
@@ -98,7 +97,7 @@ __all__ = [
     "BASIS_INDEX", "MULTI_INDICES", "SegreModel", "build_model",
     "distinguished_tangent", "segre_point",
     # groups
-    "ClosureOverflowError", "MatrixGroup", "NamedElement", "centralizer_in_gl",
+    "ClosureOverflowError", "MatrixGroup", "centralizer_in_gl",
     "closure", "commutant_basis", "cube_group", "element", "fix_subspace",
     "named_elements", "schreier_sims", "segre_group", "segre_group_even",
     "stabilizer_of_point", "sym3_operator", "tensor_operator",

@@ -217,19 +217,6 @@ def _gray_sequence(k: int) -> tuple[int, ...]:
     return tuple((m & -m).bit_length() - 1 for m in range(1, 1 << k))
 
 
-def _all_flats_odd(d: int, table: list[int]) -> bool:
-    seq = _gray_sequence(d + 1)
-    for rows in _echelon_bases(d + 1):
-        v = 0
-        parity = 0
-        for r in seq:
-            v ^= rows[r]
-            parity ^= table[v]
-        if not parity:
-            return False
-    return True
-
-
 def _exists_even_flat(d: int, table: list[int]) -> bool:
     seq = _gray_sequence(d + 1)
     for rows in _echelon_bases(d + 1):
@@ -256,7 +243,7 @@ def degree_by_incidence(psi: int) -> int:
         raise ValueError("incidence criterion requires an odd point count")
     table = [psi >> v & 1 for v in range(256)]
     for d in range(8):
-        if _all_flats_odd(d, table):
+        if not _exists_even_flat(d, table):
             if d > 0 and not _exists_even_flat(d - 1, table):
                 raise ConstructionError("no even witness flat below the degree")
             return d
@@ -269,8 +256,8 @@ def substitute(f: Anf, mat: GFMatrix) -> Anf:
         raise ValueError("substitution requires an invertible matrix")
     t = f.truth_table()
     out = 0
-    for x in range(256):
-        if t >> mat(x) & 1:
+    for x, y in enumerate(mat.perm):
+        if t >> y & 1:
             out |= 1 << x
     g = Anf(mobius(out))
     if g.degree != f.degree:

@@ -8,11 +8,13 @@ and the 255 nonzero vectors double as the points of PG(7,2).
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 DIM = 8
 UNIT = 0xFF  # the unit point u = e1 + ... + e8
 POINTS = range(1, 256)
+_COLUMNS_OF = itemgetter(*(1 << j for j in range(DIM)))  # point table -> cols
 
 
 class ConstructionError(RuntimeError):
@@ -67,12 +69,13 @@ def format_point(v: int) -> str:
     return "".join(str(i) for i in range(1, 9) if c >> (i - 1) & 1) + "u"
 
 
-def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row echelon form; pivots are lowest set bits, rows sorted by pivot."""
+def _reduce(vectors: Iterable[int]) -> dict[int, int]:
+    """Gauss-Jordan elimination over GF(2): {pivot: row}, fully reduced.
+
+    Each row's pivot is its lowest set bit, and no other row has that bit.
+    """
     rows: dict[int, int] = {}
     for v in vectors:
-        if not 0 <= v <= UNIT:
-            raise ValueError(f"not an 8-bit vector: {v!r}")
         for p, r in rows.items():
             if v & p:
                 v ^= r
@@ -82,6 +85,16 @@ def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
                 if rows[p] & low:
                     rows[p] ^= v
             rows[low] = v
+    return rows
+
+
+def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
+    """Reduced row echelon form; pivots are lowest set bits, rows sorted by pivot."""
+    vectors = tuple(vectors)
+    for v in vectors:
+        if not 0 <= v <= UNIT:
+            raise ValueError(f"not an 8-bit vector: {v!r}")
+    rows = _reduce(vectors)
     return tuple(rows[p] for p in sorted(rows))
 
 
@@ -201,19 +214,34 @@ def flats_of_dimension(d: int) -> Iterator[Flat]:
 
 
 class GFMatrix:
-    """An 8x8 matrix over GF(2), stored as the images of the basis vectors.
+    """An 8x8 matrix over GF(2): its column images plus its point permutation.
 
-    cols[j] is the image of e_(j+1); application is XOR of the columns
-    selected by the argument's bits, so (A*B)(v) == A(B(v)).
+    cols[j] is the image of e_(j+1) and serves the linear algebra (rank,
+    inverse, kernel, commutant).  perm is the 256-byte table with
+    perm[v] == A v for every vector v, so applying the matrix is one index and
+    (A*B)(v) == A(B(v)) is one bytes.translate.  For an invertible matrix perm
+    is the permutation of the 255 points of PG(7,2) (and fixes 0).
     """
 
-    __slots__ = ("cols",)
+    __slots__ = ("cols", "perm")
 
     def __init__(self, cols: Iterable[int]):
         cols = tuple(cols)
         if len(cols) != DIM or any(not 0 <= c <= UNIT for c in cols):
             raise ValueError("need 8 column vectors in 0..255")
         self.cols = cols
+        images = [0]
+        for c in cols:
+            images += [x ^ c for x in images]
+        self.perm = bytes(images)
+
+    @classmethod
+    def _from_perm(cls, perm: bytes) -> "GFMatrix":
+        # trusted constructor: perm must be the point table of a linear map
+        mat = object.__new__(cls)
+        mat.cols = _COLUMNS_OF(perm)
+        mat.perm = perm
+        return mat
 
     @classmethod
     def identity(cls) -> "GFMatrix":
@@ -248,16 +276,10 @@ class GFMatrix:
         )
 
     def __call__(self, v: int) -> int:
-        r = 0
-        cols = self.cols
-        while v:
-            low = v & -v
-            r ^= cols[low.bit_length() - 1]
-            v ^= low
-        return r
+        return self.perm[v]
 
     def __mul__(self, other: "GFMatrix") -> "GFMatrix":
-        return GFMatrix(tuple(self(c) for c in other.cols))
+        return GFMatrix._from_perm(other.perm.translate(self.perm))
 
     def __xor__(self, other: "GFMatrix") -> "GFMatrix":
         """Entrywise sum over GF(2)."""
@@ -270,30 +292,12 @@ class GFMatrix:
         return self.rank() == DIM
 
     def inverse(self) -> "GFMatrix":
-        # forward elimination over (image, preimage) pairs, then back-substitute
-        pivots: dict[int, tuple[int, int]] = {}
-        for j, img in enumerate(self.cols):
-            pre = 1 << j
-            while img:
-                low = img & -img
-                if low in pivots:
-                    pi, pp = pivots[low]
-                    img ^= pi
-                    pre ^= pp
-                else:
-                    pivots[low] = (img, pre)
-                    break
-            else:
-                raise ValueError("matrix is singular")
-        for low in sorted(pivots, reverse=True):
-            img, pre = pivots[low]
-            while img ^ low:
-                l2 = (img ^ low) & -(img ^ low)
-                i2, p2 = pivots[l2]
-                img ^= i2
-                pre ^= p2
-            pivots[low] = (img, pre)
-        return GFMatrix(tuple(pivots[1 << i][1] for i in range(DIM)))
+        # reduce the (image, preimage) pairs; the row with pivot e_i then
+        # carries the preimage of e_i in its high byte
+        rows = _reduce(c | 1 << (j + DIM) for j, c in enumerate(self.cols))
+        if any(p > UNIT for p in rows):
+            raise ValueError("matrix is singular")
+        return GFMatrix(tuple(rows[1 << i] >> DIM for i in range(DIM)))
 
     def order(self) -> int:
         if not self.is_invertible():
@@ -319,6 +323,8 @@ class GFMatrix:
             n >>= 1
         return result
 
+    # equality and hashing stay on cols: bytes hashes are salted per process,
+    # and set semantics must not change
     def __eq__(self, other) -> bool:
         return isinstance(other, GFMatrix) and self.cols == other.cols
 
@@ -331,22 +337,7 @@ class GFMatrix:
 
 def kernel(mat: GFMatrix) -> Flat:
     """The flat of solutions of mat(x) = 0; the empty flat if only 0 solves."""
-    pivots: dict[int, tuple[int, int]] = {}
-    kern = []
-    for j, img in enumerate(mat.cols):
-        pre = 1 << j
-        while img:
-            low = img & -img
-            if low in pivots:
-                pi, pp = pivots[low]
-                img ^= pi
-                pre ^= pp
-            else:
-                pivots[low] = (img, pre)
-                break
-        if img == 0:
-            kern.append(pre)
-    return Flat(kern) if kern else Flat.empty()
+    return Flat(nullspace(list(mat.rows()), DIM))
 
 
 def nullspace(rows: list[int], nvars: int) -> list[int]:
@@ -355,17 +346,7 @@ def nullspace(rows: list[int], nvars: int) -> list[int]:
     Rows are parity-check constraints over nvars bit positions; the basis is
     returned in ascending free-variable order, so the output is deterministic.
     """
-    pivots: dict[int, int] = {}
-    for r in rows:
-        for p, q in pivots.items():
-            if r & p:
-                r ^= q
-        if r:
-            low = r & -r
-            for p in pivots:
-                if pivots[p] & low:
-                    pivots[p] ^= r
-            pivots[low] = r
+    pivots = _reduce(rows)
     basis = []
     for j in range(nvars):
         bj = 1 << j

@@ -8,7 +8,6 @@ commutants and centralizers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import prod
 
@@ -81,12 +80,6 @@ def sym3_operator(rho: tuple[int, int, int]) -> GFMatrix:
     return GFMatrix(cols)
 
 
-@dataclass(frozen=True)
-class NamedElement:
-    name: str
-    matrix: GFMatrix
-
-
 def _expected_images(images: dict[int, str]) -> dict[int, int]:
     return {i: parse_point(s) for i, s in images.items()}
 
@@ -120,7 +113,7 @@ _EXPECTED_ORDERS = {
 
 
 @cache
-def named_elements() -> dict[str, NamedElement]:
+def named_elements() -> dict[str, GFMatrix]:
     """Catalog of the named collineations, validated against their actions."""
     jx = tensor_operator(SWAP2, I2, I2)
     jy = tensor_operator(I2, SWAP2, I2)
@@ -145,28 +138,25 @@ def named_elements() -> dict[str, NamedElement]:
     kp = GFMatrix.from_cycles([(1, 8), (2, 7)])
 
     catalog = {
-        name: NamedElement(name, mat)
-        for name, mat in (
-            ("J", j), ("Jx", jx), ("Jy", jy), ("Jz", jz),
-            ("Ax", ax), ("Ay", ay), ("Az", az),
-            ("K12", k12), ("K13", k13), ("K23", k23),
-            ("C", c), ("B", b), ("M", m), ("N", n), ("M'", mp),
-            ("W", w), ("K", k), ("K'", kp),
-        )
+        "J": j, "Jx": jx, "Jy": jy, "Jz": jz,
+        "Ax": ax, "Ay": ay, "Az": az,
+        "K12": k12, "K13": k13, "K23": k23,
+        "C": c, "B": b, "M": m, "N": n, "M'": mp,
+        "W": w, "K": k, "K'": kp,
     }
 
     for name, images in _VALIDATION.items():
-        mat = catalog[name].matrix
+        mat = catalog[name]
         for i, img in _expected_images(images).items():
             if mat(basis_vector(i)) != img:
                 raise ConstructionError(
                     f"{name} maps e{i} to {mat(basis_vector(i))}, expected {img}"
                 )
-    for name, entry in catalog.items():
-        if not entry.matrix.is_invertible():
+    for name, mat in catalog.items():
+        if not mat.is_invertible():
             raise ConstructionError(f"{name} is singular")
         expected = _EXPECTED_ORDERS.get(name)
-        if expected is not None and entry.matrix.order() != expected:
+        if expected is not None and mat.order() != expected:
             raise ConstructionError(f"{name} has wrong order")
     if jx * jy * jz != j:
         raise ConstructionError("product of the three axis involutions is not J")
@@ -178,7 +168,7 @@ def element(name: str) -> GFMatrix:
     catalog = named_elements()
     if name not in catalog:
         raise KeyError(f"unknown element {name!r}; known: {', '.join(catalog)}")
-    return catalog[name].matrix
+    return catalog[name]
 
 
 class MatrixGroup:
@@ -241,14 +231,10 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
 
 
 # ---------------------------------------------------------------------------
-# Stabilizer chain on the 255 points.  Group elements become permutations of
-# 0..255 stored as bytes, so composition is a single bytes.translate call.
+# Stabilizer chain on the 255 points.  Group elements are their point
+# permutations (GFMatrix.perm), so composition is a single bytes.translate call.
 
 _IDPERM = bytes(range(256))
-
-
-def _to_perm(mat: GFMatrix) -> bytes:
-    return bytes(map(mat, range(256)))
 
 
 def _compose(a: bytes, b: bytes) -> bytes:
@@ -285,9 +271,8 @@ def schreier_sims(generators) -> int:
     for m in generators:
         if not m.is_invertible():
             raise ValueError("schreier_sims requires invertible generators")
-        p = _to_perm(m)
-        if p != _IDPERM:
-            perms.append(p)
+        if m.perm != _IDPERM:
+            perms.append(m.perm)
 
     levels: list[_Level] = []
 

@@ -29,16 +29,6 @@ class OrbitClass:
     def size(self) -> int:
         return len(self.points)
 
-    @property
-    def mask(self) -> int:
-        m = 0
-        for p in self.points:
-            m |= 1 << p
-        return m
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.points
-
 
 @dataclass(frozen=True)
 class OrbitPartition:

@@ -16,8 +16,23 @@ from segre_pg72.gf2 import (
     parse_point,
     span,
 )
+from segre_pg72.groups import segre_group
 
 E = [0] + [1 << i for i in range(8)]  # E[i] = e_i, 1-indexed
+
+
+def ref_apply(mat, v):
+    """Reference point action: XOR of the columns selected by v's bits."""
+    r = 0
+    while v:
+        low = v & -v
+        r ^= mat.cols[low.bit_length() - 1]
+        v ^= low
+    return r
+
+
+def random_matrix(rng):
+    return GFMatrix([rng.randrange(256) for _ in range(8)])
 
 
 def gaussian_binomial_oracle(n, k):
@@ -102,6 +117,10 @@ class TestSpan:
             span([])
         with pytest.raises(ValueError):
             span([0])
+
+    def test_non_8_bit_vector_rejected(self):
+        with pytest.raises(ValueError, match="not an 8-bit vector: 256"):
+            Flat([1, 256])
 
     def test_empty_flat_sentinel(self):
         fl = Flat.empty()
@@ -204,6 +223,41 @@ class TestGFMatrix:
         # row i holds the coefficients producing coordinate i of the image
         assert m(E[1]) == E[2]
         assert m.rows()[0] == E[2]
+
+
+class TestPointPermutation:
+    """The point table against the column-XOR reference it replaced."""
+
+    def test_apply_matches_column_xor_on_the_stabilizer(self):
+        for mat in segre_group().elements:
+            assert [mat(v) for v in range(256)] == [ref_apply(mat, v) for v in range(256)]
+
+    def test_apply_matches_column_xor_on_random_matrices(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            m = random_matrix(rng)
+            assert list(m.perm) == [ref_apply(m, v) for v in range(256)]
+
+    def test_product_matches_column_images(self):
+        rng = random.Random(11)
+        for _ in range(2000):
+            a, b = random_matrix(rng), random_matrix(rng)
+            ref = GFMatrix(ref_apply(a, c) for c in b.cols)
+            ab = a * b
+            assert ab == ref
+            assert hash(ab) == hash(ref)
+            assert ab.perm == ref.perm
+
+    def test_inverse_exists_exactly_for_bijections(self):
+        rng = random.Random(29)
+        ident = GFMatrix.identity()
+        for _ in range(300):
+            m = random_matrix(rng)
+            if len({ref_apply(m, v) for v in range(256)}) == 256:
+                assert m.inverse() * m == ident
+            else:
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    m.inverse()
 
 
 class TestKernelAndDuality:

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -221,6 +222,13 @@ class TestSchreierSims:
         assert schreier_sims([GFMatrix.identity()]) == 1
         assert schreier_sims([element("J")]) == 2
         assert schreier_sims([element("W")]) == 3
+
+    def test_agrees_with_closure_on_random_subgroups_of_the_stabilizer(self):
+        rng = random.Random(31)
+        elements = segre_group().elements
+        for _ in range(50):
+            gens = rng.sample(elements, rng.randint(1, 3))
+            assert schreier_sims(gens) == len(closure(gens))
 
 
 class TestFixSubspace:
