@@ -16,7 +16,7 @@ from .gf2 import (
     DIM,
     Flat,
     GFMatrix,
-    _echelon_bases,
+    _echelon_layouts,
     nullspace,
     orthogonal_complement,
 )
@@ -56,6 +56,9 @@ for _x in range(1, 256):
     _low = _x & -_x
     _rest = _SUBSETS[_x ^ _low]
     _SUBSETS[_x] = _rest | (_rest << _low)
+
+# _COORDINATE_TABLES[j] is the truth table of x_(j+1): the vectors with bit j set
+_COORDINATE_TABLES = [TABLE_FULL ^ m for m in _MOBIUS_MASKS]
 
 # _BY_DEGREE[d] has bit T set exactly when T has popcount d
 _BY_DEGREE = [0] * 9
@@ -211,23 +214,42 @@ def flat_equation(x: Flat) -> Anf:
     return result
 
 
-@cache
-def _gray_sequence(k: int) -> tuple[int, ...]:
-    # index of the basis row to XOR at each step of a rank-k subspace walk
-    return tuple((m & -m).bit_length() - 1 for m in range(1, 1 << k))
+# _FLIP[b] maps each byte v to v ^ 1 << b, for bytes.translate
+_FLIP = [bytes(v ^ 1 << b for v in range(256)) for b in range(DIM)]
 
 
-def _exists_even_flat(d: int, table: list[int]) -> bool:
-    seq = _gray_sequence(d + 1)
-    for rows in _echelon_bases(d + 1):
-        v = 0
-        parity = 0
-        for r in seq:
-            v ^= rows[r]
-            parity ^= table[v]
-        if not parity:
-            return True
-    return False
+def _flat_parities(layout, table: bytes) -> bytes:
+    """Parity of the meet with the set of table (0/1 per vector), per flat.
+
+    layout is one reduced-echelon layout (base_rows, slots) of the flats; the
+    result holds one byte per fill of the free slots, in the order of
+    gf2._echelon_bases.  One buffer per nonzero coefficient vector c holds
+    the point c . rows for every fill (the same fill at the same offset,
+    built by doubling over the slots), and XORing the parities of all
+    2^k - 1 buffers leaves the parity of each flat.
+    """
+    base_rows, slots = layout
+    points = [0]  # points[c] = c . base_rows
+    for row in base_rows:
+        points += [p ^ row for p in points]
+    acc = 0
+    for c in range(1, len(points)):
+        buf = bytes((points[c],))
+        # the last slot doubles first, so the first slot is the top bit of a fill
+        for i, b in reversed(slots):
+            buf += buf.translate(_FLIP[b]) if c >> i & 1 else buf
+        acc ^= int.from_bytes(buf.translate(table), "little")
+    return acc.to_bytes(1 << len(slots), "little")
+
+
+def _exists_even_flat(d: int, table: bytes) -> bool:
+    """Whether some d-flat meets the set of table (0/1 per vector) evenly.
+
+    Layouts with the fewest free slots go first: their buffers are the
+    smallest, which keeps the early exit cheap.
+    """
+    layouts = sorted(_echelon_layouts(d + 1), key=lambda layout: len(layout[1]))
+    return any(b"\x00" in _flat_parities(layout, table) for layout in layouts)
 
 
 def degree_by_incidence(psi: int) -> int:
@@ -236,12 +258,15 @@ def degree_by_incidence(psi: int) -> int:
     Returns the minimal d such that every d-flat meets psi in an odd number
     of points, after certifying that some (d-1)-flat meets it evenly.  This
     route never touches the coefficient algebra, so it can cross-check it.
+    Each scan reads only the 0/1 parity table of psi, through per-layout
+    byte buffers of flat points (see _flat_parities); a buffer lives for
+    one layout, at most 64 KB, and none is cached.
     """
     if not 0 <= psi <= TABLE_FULL or psi & 1:
         raise ValueError("point-set mask must cover bits 1..255 only")
     if psi.bit_count() % 2 == 0:
         raise ValueError("incidence criterion requires an odd point count")
-    table = [psi >> v & 1 for v in range(256)]
+    table = bytes(psi >> v & 1 for v in range(256))
     for d in range(8):
         if not _exists_even_flat(d, table):
             if d > 0 and not _exists_even_flat(d - 1, table):
@@ -391,27 +416,42 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
 
     Substitution by each generator acts linearly on the coefficient space of
     the monomials of size 1..max_degree; the basis of the common fixed space
-    is solved exactly.
+    is solved exactly.  The images of all monomials under one generator come
+    from one truth-table recurrence: the image of x_T is the product of the
+    coordinate forms (A x)_i for i in T, built from T minus its lowest index.
     """
     if not 1 <= max_degree <= 8:
         raise ValueError("degree must be between 1 and 8")
     monos = [t for t in range(1, 256) if t.bit_count() <= max_degree]
     position = {t: i for i, t in enumerate(monos)}
+    space = sum(1 << t for t in monos)
     rows = []
     for mat in generators:
-        images = []
-        for t in monos:
-            g = substitute(Anf(1 << t), mat)
-            if g.coeffs & 1 or any(
-                c not in position for c in _set_bits(g.coeffs)
-            ):
+        if not mat.is_invertible():
+            raise ValueError("substitution requires an invertible matrix")
+        # lin[i]: truth table of x -> bit i of A x, a sum of coordinate tables
+        lin = [0] * DIM
+        for j, col in enumerate(mat.cols):
+            for i in _set_bits(col):
+                lin[i] ^= _COORDINATE_TABLES[j]
+        tt = [TABLE_FULL] * 256
+        # row_of[u]: generator images containing monomial u, by position
+        row_of = [0] * 256
+        for t in range(1, 256):
+            low = t & -t
+            tt[t] = tt[t ^ low] & lin[low.bit_length() - 1]
+            if t not in position:
+                continue
+            img = mobius(tt[t])
+            if Anf(img).degree != t.bit_count():
+                raise ConstructionError("invertible substitution changed the degree")
+            if img & ~space:
                 raise ConstructionError("substitution left the coefficient space")
-            images.append(g.coeffs)
+            bit = 1 << position[t]
+            for u in _set_bits(img):
+                row_of[u] ^= bit
         for u in monos:
-            mask = 1 << position[u]
-            for i, img in enumerate(images):
-                if img >> u & 1:
-                    mask ^= 1 << i
+            mask = row_of[u] ^ 1 << position[u]
             if mask:
                 rows.append(mask)
     basis = []

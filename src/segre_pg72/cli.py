@@ -328,6 +328,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(exc: Exception) -> int:
+    # str() of a KeyError quotes its message; print the message itself
+    print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -351,8 +357,7 @@ def main(argv=None) -> int:
                 poly = resolve_poly_name(args.poly)
             point = parse_point(args.point)
         except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(exc)
         print(poly.evaluate(point))
         return 0
 
@@ -375,8 +380,7 @@ def main(argv=None) -> int:
         try:
             gens = _resolve_gens(args.gens)
         except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(exc)
         print(schreier_sims(gens))
         return 0
 

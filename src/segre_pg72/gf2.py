@@ -7,6 +7,7 @@ and the 255 nonzero vectors double as the points of PG(7,2).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -174,31 +175,37 @@ def gaussian_binomial(n: int, k: int) -> int:
     return num // den
 
 
-def _echelon_bases(k: int) -> Iterator[tuple[int, ...]]:
-    """All canonical reduced-echelon bases of k-dim subspaces, lexicographically.
+@cache
+def _echelon_layouts(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
+    """The reduced-echelon layouts of k-dim subspaces, pivot sets ascending.
 
-    Pivot columns run through ascending combinations; for a fixed pivot set
-    the free entries are filled so that successive bases ascend in the lex
-    order of their row tuples.
+    A layout is (base_rows, slots): base_rows[i] is the unit vector of row i's
+    pivot, and each free slot (i, b) lets row i carry column b, a non-pivot
+    column above its own pivot.  Slots are listed row by row, columns
+    descending, so filling them as the bits of a counter (first slot highest)
+    ascends in the lex order of the row tuples.
     """
+    layouts = []
     for pivots in combinations(range(DIM), k):
-        pivot_set = set(pivots)
-        # free slots: row i may use any non-pivot column above its own pivot
-        slots = []
-        for i, p in enumerate(pivots):
-            for b in range(DIM - 1, p, -1):
-                if b not in pivot_set:
-                    slots.append((i, 1 << b))
-        base_rows = tuple(1 << p for p in pivots)
-        nslots = len(slots)
-        if nslots == 0:
-            yield base_rows
-            continue
-        top = 1 << (nslots - 1)
-        for fill in range(1 << nslots):
+        slots = tuple(
+            (i, b)
+            for i, p in enumerate(pivots)
+            for b in range(DIM - 1, p, -1)
+            if b not in pivots
+        )
+        layouts.append((tuple(1 << p for p in pivots), slots))
+    return tuple(layouts)
+
+
+def _echelon_bases(k: int) -> Iterator[tuple[int, ...]]:
+    """All canonical reduced-echelon bases of k-dim subspaces, lexicographically."""
+    for base_rows, slots in _echelon_layouts(k):
+        masks = [(i, 1 << b) for i, b in slots]
+        top = 1 << len(slots) >> 1
+        for fill in range(1 << len(slots)):
             rows = list(base_rows)
             bit = top
-            for i, mask in slots:
+            for i, mask in masks:
                 if fill & bit:
                     rows[i] |= mask
                 bit >>= 1

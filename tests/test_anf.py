@@ -1,4 +1,5 @@
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,9 @@ import pytest
 from segre_pg72.anf import (
     Anf,
     SEVEN_TABLE,
+    _BY_DEGREE,
+    _exists_even_flat,
+    _flat_parities,
     anf_from_pointset,
     degree_by_incidence,
     flat_equation,
@@ -19,8 +23,16 @@ from segre_pg72.anf import (
     symplectic_form,
 )
 from segre_pg72.checks import REGISTRY, Run
-from segre_pg72.gf2 import Flat, GFMatrix, UNIT, span
-from segre_pg72.groups import closure, element
+from segre_pg72.gf2 import (
+    Flat,
+    GFMatrix,
+    UNIT,
+    _echelon_bases,
+    _echelon_layouts,
+    nullspace,
+    span,
+)
+from segre_pg72.groups import closure, element, segre_group
 from segre_pg72.orbits import definitional_orbits, orbit_mask
 from segre_pg72.segre import build_model
 
@@ -41,6 +53,69 @@ def brute_evaluate(coeffs: int, x: int) -> int:
         if coeffs >> t & 1 and t & x == t:
             total ^= 1
     return total
+
+
+def ref_flat_parities(d: int, table):
+    # the slower route: a Gray-code walk over the points of every d-flat,
+    # yielding each flat's parity in enumeration order
+    seq = [(m & -m).bit_length() - 1 for m in range(1, 1 << (d + 1))]
+    for rows in _echelon_bases(d + 1):
+        v = parity = 0
+        for r in seq:
+            v ^= rows[r]
+            parity ^= table[v]
+        yield parity
+
+
+def ref_exists_even_flat(d: int, table) -> bool:
+    return 0 in ref_flat_parities(d, table)
+
+
+def ref_invariant_subspace(generators, max_degree: int) -> list[Anf]:
+    # the slower route: one substitute per monomial, transpose, then nullspace
+    monos = [t for t in range(1, 256) if t.bit_count() <= max_degree]
+    rows = []
+    for mat in generators:
+        images = [substitute(Anf(1 << t), mat).coeffs for t in monos]
+        for pos, u in enumerate(monos):
+            mask = 1 << pos
+            for i, img in enumerate(images):
+                if img >> u & 1:
+                    mask ^= 1 << i
+            if mask:
+                rows.append(mask)
+    return [
+        Anf(sum(1 << t for i, t in enumerate(monos) if sol >> i & 1))
+        for sol in nullspace(rows, len(monos))
+    ]
+
+
+INVARIANT_SET_CLASSES = [
+    ("O5",) + extra for r in range(4) for extra in combinations(("O1", "O2", "O3", "O4"), r)
+]
+INCIDENCE_CASES = (
+    [f"random-degree-{degree}" for degree in range(1, 8)]
+    + ["all-points", "single-point"]
+    + ["invariant-" + "+".join(classes) for classes in INVARIANT_SET_CLASSES]
+)
+
+
+@cache
+def incidence_cases() -> dict[str, int]:
+    """Point-set masks for the scan's differential test, by name."""
+    rng = random.Random(11)
+    cases = {}
+    for degree in range(1, 8):
+        # no constant term, so the set's indicator is the polynomial itself
+        lower = sum(_BY_DEGREE[e] for e in range(1, degree))
+        top = rng.choice([t for t in range(256) if t.bit_count() == degree])
+        cases[f"random-degree-{degree}"] = Anf(rng.getrandbits(256) & lower | 1 << top).truth_table()
+    cases["all-points"] = (1 << 256) - 2
+    cases["single-point"] = 1 << UNIT
+    orbs = definitional_orbits()
+    for classes in INVARIANT_SET_CLASSES:
+        cases["invariant-" + "+".join(classes)] = orbit_mask(orbs, *classes)
+    return cases
 
 
 class TestMobius:
@@ -247,6 +322,33 @@ class TestDegreeByIncidence:
         with pytest.raises(ValueError):
             degree_by_incidence(0b110)
 
+    @pytest.mark.parametrize("name", INCIDENCE_CASES)
+    def test_scan_agrees_with_the_gray_code_walk(self, name):
+        psi = incidence_cases()[name]
+        table = bytes(psi >> v & 1 for v in range(256))
+        for d in range(8):
+            assert _exists_even_flat(d, table) == ref_exists_even_flat(d, table), d
+
+    @pytest.mark.parametrize("name", ["random-degree-3", "invariant-O5+O2+O4"])
+    def test_every_flat_parity_agrees_with_the_gray_code_walk(self, name):
+        psi = incidence_cases()[name]
+        table = bytes(psi >> v & 1 for v in range(256))
+        for d in range(8):
+            scanned = b"".join(_flat_parities(lay, table) for lay in _echelon_layouts(d + 1))
+            assert scanned == bytes(ref_flat_parities(d, table)), d
+
+    def test_random_sets_have_their_exact_degree(self):
+        for degree in range(1, 8):
+            psi = incidence_cases()[f"random-degree-{degree}"]
+            assert not psi & 1
+            assert Anf(mobius(psi)).degree == degree
+
+    def test_scanned_invariant_sets_are_the_fifteen_proper_ones(self):
+        # O5 with any three of O1..O4 still misses a class; all four would be every point
+        sets = [psi for name, psi in incidence_cases().items() if name.startswith("invariant-")]
+        assert len(set(sets)) == 15
+        assert all(psi.bit_count() < 255 for psi in sets)
+
 
 class TestSubstitute:
     def test_coordinate_swap(self):
@@ -433,6 +535,28 @@ class TestInvariantSubspace:
         for b in invariant_subspace(gens, 7):
             for g in gens:
                 assert substitute(b, g) == b
+
+    @pytest.mark.parametrize("names", [("M", "N"), ("M'", "N"), ("M", "K12")], ids=",".join)
+    def test_agrees_with_substitution_route_on_named_groups(self, names):
+        gens = [element(n) for n in names]
+        for d in range(1, 9):
+            assert invariant_subspace(gens, d) == ref_invariant_subspace(gens, d), d
+
+    def test_agrees_with_substitution_route_on_seeded_pairs(self):
+        rng = random.Random(12)
+        pairs = [rng.sample(segre_group().elements, 2) for _ in range(2)]
+        while len(pairs) < 4:
+            pair = [GFMatrix([rng.randrange(256) for _ in range(8)]) for _ in range(2)]
+            if all(m.is_invertible() for m in pair):
+                pairs.append(pair)
+        for gens in pairs:
+            for d in range(1, 9):
+                assert invariant_subspace(gens, d) == ref_invariant_subspace(gens, d), d
+
+    def test_singular_generator_rejected(self):
+        singular = GFMatrix([1, 2, 4, 8, 16, 32, 64, 64])
+        with pytest.raises(ValueError, match="^substitution requires an invertible matrix$"):
+            invariant_subspace([element("M"), singular], 4)
 
 
 class TestSymplecticForm:

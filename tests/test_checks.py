@@ -29,8 +29,8 @@ def test_registry_ids_and_report_order():
 def test_importing_the_cli_computes_nothing():
     code = """
 import segre_pg72.cli
-from segre_pg72 import anf, groups, orbits, segre
-cached = (groups.named_elements, groups.segre_group, groups.segre_group_even, groups.cube_group,
+from segre_pg72 import anf, gf2, groups, orbits, segre
+cached = (gf2._echelon_layouts, groups.named_elements, groups.segre_group, groups.segre_group_even, groups.cube_group,
           segre.build_model, orbits.definitional_orbits, orbits.spread_from_w,
           anf.named_P_basis, anf.named_Q)
 print(sum(fn.cache_info().currsize for fn in cached))

@@ -121,6 +121,10 @@ class TestEval:
         assert code == 2
         assert "unknown polynomial" in err
 
+    def test_unknown_name_message_is_printed_without_quotes(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "Q3", "18")
+        assert (code, out, err) == (2, "", "error: unknown polynomial 'Q3'\n")
+
     def test_bad_point(self, capsys):
         code, _, err = run_cli(capsys, "eval", "Q2", "19")
         assert code == 2
@@ -227,6 +231,12 @@ class TestGroupCommand:
     def test_unknown_generator(self, capsys):
         code, _, err = run_cli(capsys, "group", "order", "--gens", "M,Zz")
         assert code == 2
+
+    def test_unknown_generator_message_is_printed_without_quotes(self, capsys):
+        code, out, err = run_cli(capsys, "group", "order", "--gens", "M,Zz")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown element 'Zz'; known: ")
+        assert err.endswith("\n") and '"' not in err
 
 
 class TestReportPayload:
