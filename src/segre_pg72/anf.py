@@ -17,7 +17,7 @@ from .gf2 import (
     Flat,
     GFMatrix,
     _echelon_layouts,
-    nullspace,
+    _reduce,
     orthogonal_complement,
 )
 from .groups import MatrixGroup, cube_group
@@ -232,6 +232,9 @@ def _flat_parities(layout, table: bytes) -> bytes:
     points = [0]  # points[c] = c . base_rows
     for row in base_rows:
         points += [p ^ row for p in points]
+    if not slots:
+        # a single flat: no buffers, just the parity of its points
+        return bytes((bytes(points[1:]).translate(table).count(1) & 1,))
     acc = 0
     for c in range(1, len(points)):
         buf = bytes((points[c],))
@@ -415,17 +418,26 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
     """Basis of the invariant polynomials of degree <= max_degree, no constant.
 
     Substitution by each generator acts linearly on the coefficient space of
-    the monomials of size 1..max_degree; the basis of the common fixed space
-    is solved exactly.  The images of all monomials under one generator come
-    from one truth-table recurrence: the image of x_T is the product of the
-    coordinate forms (A x)_i for i in T, built from T minus its lowest index.
+    the monomials of size 1..max_degree, and the invariants are the kernel
+    of the map sending x_T to image(x_T) + x_T under every generator.  The
+    images of all monomials under one generator come from one truth-table
+    recurrence: the image of x_T is the product of the coordinate forms
+    (A x)_i for i in T, built from T minus its lowest index.
+
+    The kernel comes from one tagged elimination.  Monomial T contributes
+    one vector: image(x_T) + x_T of generator k at bits 256k..256k+255, and
+    a tag at bit 256G + 255 - T for G generators.  After gf2._reduce, the
+    rows whose pivot is a tag carry nothing below the tags: they are the
+    kernel, fully reduced.  The tags run in reverse, so each row's pivot is
+    its highest monomial; the basis lists the rows by that monomial,
+    ascending.
     """
     if not 1 <= max_degree <= 8:
         raise ValueError("degree must be between 1 and 8")
-    monos = [t for t in range(1, 256) if t.bit_count() <= max_degree]
-    position = {t: i for i, t in enumerate(monos)}
-    space = sum(1 << t for t in monos)
-    rows = []
+    # vectors[T]: the images of x_T plus x_T so far, one 256-bit block each
+    vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
+    space = sum(1 << t for t in vectors)
+    offset = 0
     for mat in generators:
         if not mat.is_invertible():
             raise ValueError("substitution requires an invertible matrix")
@@ -435,36 +447,24 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
             for i in _set_bits(col):
                 lin[i] ^= _COORDINATE_TABLES[j]
         tt = [TABLE_FULL] * 256
-        # row_of[u]: generator images containing monomial u, by position
-        row_of = [0] * 256
         for t in range(1, 256):
             low = t & -t
             tt[t] = tt[t ^ low] & lin[low.bit_length() - 1]
-            if t not in position:
+            if t not in vectors:
                 continue
             img = mobius(tt[t])
             if Anf(img).degree != t.bit_count():
                 raise ConstructionError("invertible substitution changed the degree")
             if img & ~space:
                 raise ConstructionError("substitution left the coefficient space")
-            bit = 1 << position[t]
-            for u in _set_bits(img):
-                row_of[u] ^= bit
-        for u in monos:
-            mask = row_of[u] ^ 1 << position[u]
-            if mask:
-                rows.append(mask)
-    basis = []
-    for sol in nullspace(rows, len(monos)):
-        coeffs = 0
-        i = 0
-        while sol:
-            if sol & 1:
-                coeffs |= 1 << monos[i]
-            sol >>= 1
-            i += 1
-        basis.append(Anf(coeffs))
-    return basis
+            vectors[t] |= (img ^ 1 << t) << offset
+        offset += 256
+    rows = _reduce(v | 1 << offset + 255 - t for t, v in vectors.items())
+    # reversing the 256 tag bits turns tag 255 - T back into coefficient T
+    return [
+        Anf(int(f"{rows[p] >> offset:0256b}"[::-1], 2))
+        for p in sorted((p for p in rows if p >> offset), reverse=True)
+    ]
 
 
 def _set_bits(mask: int):

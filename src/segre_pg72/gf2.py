@@ -74,18 +74,31 @@ def _reduce(vectors: Iterable[int]) -> dict[int, int]:
     """Gauss-Jordan elimination over GF(2): {pivot: row}, fully reduced.
 
     Each row's pivot is its lowest set bit, and no other row has that bit.
+    Each incoming vector is first brought to echelon form: while its lowest
+    bit is a pivot, that pivot's row is added.  One back-substitution pass
+    over the pivots in descending order then clears, from each row, only the
+    higher pivot bits it carries; those rows are already fully reduced.  The
+    fully reduced form of a row space is unique, so any Gauss-Jordan route
+    gives the same rows.
     """
     rows: dict[int, int] = {}
     for v in vectors:
-        for p, r in rows.items():
-            if v & p:
-                v ^= r
-        if v:
+        while v:
             low = v & -v
-            for p in rows:
-                if rows[p] & low:
-                    rows[p] ^= v
-            rows[low] = v
+            r = rows.get(low)
+            if r is None:
+                rows[low] = v
+                break
+            v ^= r
+    pivots = sum(rows)
+    for p in sorted(rows, reverse=True):
+        r = rows[p]
+        m = r & pivots ^ p
+        while m:
+            q = m & -m
+            r ^= rows[q]
+            m ^= q
+        rows[p] = r
     return rows
 
 

@@ -29,12 +29,12 @@ from segre_pg72.gf2 import (
     UNIT,
     _echelon_bases,
     _echelon_layouts,
-    nullspace,
     span,
 )
 from segre_pg72.groups import closure, element, segre_group
 from segre_pg72.orbits import definitional_orbits, orbit_mask
 from segre_pg72.segre import build_model
+from test_gf2 import ref_nullspace
 
 E = [0] + [1 << i for i in range(8)]
 
@@ -72,7 +72,8 @@ def ref_exists_even_flat(d: int, table) -> bool:
 
 
 def ref_invariant_subspace(generators, max_degree: int) -> list[Anf]:
-    # the slower route: one substitute per monomial, transpose, then nullspace
+    # the slower route: one substitute per monomial, transpose, then a null
+    # space on the pivot-scanning reference elimination
     monos = [t for t in range(1, 256) if t.bit_count() <= max_degree]
     rows = []
     for mat in generators:
@@ -86,7 +87,7 @@ def ref_invariant_subspace(generators, max_degree: int) -> list[Anf]:
                 rows.append(mask)
     return [
         Anf(sum(1 << t for i, t in enumerate(monos) if sol >> i & 1))
-        for sol in nullspace(rows, len(monos))
+        for sol in ref_nullspace(rows, len(monos))
     ]
 
 
@@ -536,7 +537,11 @@ class TestInvariantSubspace:
             for g in gens:
                 assert substitute(b, g) == b
 
-    @pytest.mark.parametrize("names", [("M", "N"), ("M'", "N"), ("M", "K12")], ids=",".join)
+    @pytest.mark.parametrize(
+        "names",
+        [("M", "N"), ("M'", "N"), ("M", "K12"), ("M",), ("W",), ("M", "N", "K12"), ("M'", "N", "K")],
+        ids=",".join,
+    )
     def test_agrees_with_substitution_route_on_named_groups(self, names):
         gens = [element(n) for n in names]
         for d in range(1, 9):
@@ -553,10 +558,36 @@ class TestInvariantSubspace:
             for d in range(1, 9):
                 assert invariant_subspace(gens, d) == ref_invariant_subspace(gens, d), d
 
+    def test_agrees_with_substitution_route_on_seeded_singles_and_triples(self):
+        rng = random.Random(13)
+        elements = segre_group().elements
+        sets = [rng.sample(elements, 1), rng.sample(elements, 3)]
+        for size in (1, 3):
+            gens = []
+            while not gens or not all(m.is_invertible() for m in gens):
+                gens = [GFMatrix([rng.randrange(256) for _ in range(8)]) for _ in range(size)]
+            sets.append(gens)
+        for gens in sets:
+            for d in range(1, 9):
+                assert invariant_subspace(gens, d) == ref_invariant_subspace(gens, d), (len(gens), d)
+
+    @pytest.mark.parametrize("gens", [[], [GFMatrix.identity()]], ids=["no-generators", "identity"])
+    def test_trivial_groups_fix_every_monomial(self, gens):
+        for d in range(1, 9):
+            every = [Anf(1 << t) for t in range(1, 256) if t.bit_count() <= d]
+            assert invariant_subspace(gens, d) == every, d
+            assert ref_invariant_subspace(gens, d) == every, d
+
+    @pytest.mark.parametrize("degree", [0, 9, -1])
+    def test_degree_out_of_range_rejected(self, degree):
+        with pytest.raises(ValueError, match="^degree must be between 1 and 8$"):
+            invariant_subspace([element("M")], degree)
+
     def test_singular_generator_rejected(self):
         singular = GFMatrix([1, 2, 4, 8, 16, 32, 64, 64])
-        with pytest.raises(ValueError, match="^substitution requires an invertible matrix$"):
-            invariant_subspace([element("M"), singular], 4)
+        for gens in ([element("M"), singular], [singular], [singular, element("M")]):
+            with pytest.raises(ValueError, match="^substitution requires an invertible matrix$"):
+                invariant_subspace(gens, 4)
 
 
 class TestSymplecticForm:

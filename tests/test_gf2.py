@@ -7,6 +7,7 @@ from segre_pg72.gf2 import (
     UNIT,
     Flat,
     GFMatrix,
+    _reduce,
     flats_of_dimension,
     format_point,
     gaussian_binomial,
@@ -29,6 +30,33 @@ def ref_apply(mat, v):
         r ^= mat.cols[low.bit_length() - 1]
         v ^= low
     return r
+
+
+def ref_reduce(vectors):
+    """Reference elimination: every pivot checked against every incoming row."""
+    rows = {}
+    for v in vectors:
+        for p, r in rows.items():
+            if v & p:
+                v ^= r
+        if v:
+            low = v & -v
+            for p in rows:
+                if rows[p] & low:
+                    rows[p] ^= v
+            rows[low] = v
+    return rows
+
+
+def ref_nullspace(rows, nvars):
+    """Reference null space on ref_reduce, free variables ascending."""
+    pivots = ref_reduce(rows)
+    basis = []
+    for j in range(nvars):
+        if 1 << j in pivots:
+            continue
+        basis.append(sum((p for p, r in pivots.items() if r >> j & 1), 1 << j))
+    return basis
 
 
 def random_matrix(rng):
@@ -290,3 +318,62 @@ class TestKernelAndDuality:
         for x in basis:
             for r in rows:
                 assert (x & r).bit_count() % 2 == 0
+
+
+def random_rows(rng, count, width, weight=None, rank=None):
+    """count seeded rows over width bits: uniform, of a given weight, or from a rank-dim span."""
+    if rank is not None:
+        gens = [rng.getrandbits(width) for _ in range(rank)]
+        return [sum(g for g in gens if rng.random() < 0.5) for _ in range(count)]
+    if weight is None:
+        return [rng.getrandbits(width) for _ in range(count)]
+    return [sum(1 << b for b in rng.sample(range(width), weight)) for _ in range(count)]
+
+
+def tagged_rows(rng, width):
+    """One vector per monomial t in 1..255: sparse values, a tag at bit width - 1 - t."""
+    return [
+        random_rows(rng, 1, width - 256, weight=rng.randrange(1, 30))[0] | 1 << (width - 1 - t)
+        for t in range(1, 256)
+    ]
+
+
+def reduce_cases():
+    """Seeded systems by name, each a list of vector lists for _reduce."""
+    rng = random.Random(31)
+    return {
+        "empty": [[]],
+        "zero-rows": [[0], [0, 0, 0]],
+        "duplicate-rows": [[0b1011, 0b1011, 0, 0b0110, 0b1011, 0b0110]],
+        "rank-shape": [[rng.randrange(256) for _ in range(8)] for _ in range(200)],
+        "inverse-shape": [
+            [rng.randrange(256) | 1 << (j + 8) for j in range(8)] for _ in range(200)
+        ],
+        "commutant-shape": [
+            random_rows(rng, 64 * k, 64, weight=rng.randrange(1, 9)) for k in (1, 2, 3)
+        ],
+        "commutant-low-rank": [random_rows(rng, 128, 64, rank=r) for r in (0, 5, 40)],
+        "constraint-rows-255": [
+            random_rows(rng, n, 255, weight=12) for n in (10, 100, 255, 510, 600)
+        ],
+        "constraint-rows-255-dense": [random_rows(rng, n, 255) for n in (255, 600)],
+        "constraint-rows-255-low-rank": [random_rows(rng, 600, 255, rank=r) for r in (7, 120)],
+        "tagged-up-to-1024": [tagged_rows(rng, w) for w in (512, 768, 1024)],
+    }
+
+
+REDUCE_CASES = reduce_cases()
+
+
+class TestReduce:
+    """The echelon-then-back-substitution _reduce against the pivot-scanning reference."""
+
+    @pytest.mark.parametrize("name", list(REDUCE_CASES))
+    def test_agrees_with_pivot_scanning_reference(self, name):
+        for vectors in REDUCE_CASES[name]:
+            assert _reduce(vectors) == ref_reduce(vectors)
+
+    @pytest.mark.parametrize("name, nvars", [("commutant-shape", 64), ("constraint-rows-255", 255)])
+    def test_nullspace_agrees_with_reference(self, name, nvars):
+        for rows in REDUCE_CASES[name]:
+            assert nullspace(rows, nvars) == ref_nullspace(rows, nvars)
