@@ -291,6 +291,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    # random.Random seeds with the absolute value, so -n would replay n
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="segre-pg72",
@@ -305,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="write the report to a file")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
+    p_verify.add_argument("--seed", type=_non_negative_int, default=0, help="seed for randomized property checks")
     p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help="closure size guard")
 
     p_eval = sub.add_parser("eval", help="evaluate a named polynomial at a point")

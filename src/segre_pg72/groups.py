@@ -204,49 +204,47 @@ class ClosureOverflowError(RuntimeError):
 
 
 def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
-    """Breadth-first product closure with deterministic element order."""
+    """Breadth-first product closure with deterministic element order.
+
+    The search runs on the point permutations (GFMatrix.perm): the product
+    g * f is f.perm.translate(g.perm), and a matrix is built once per element.
+    """
     gens = sorted(set(generators), key=lambda g: g.cols)
     for g in gens:
         if not g.is_invertible():
             raise ValueError("closure requires invertible generators")
+    perms = [g.perm for g in gens]
     ident = GFMatrix.identity()
     elements = [ident]
-    seen = {ident}
-    frontier = [ident]
+    seen = {ident.perm}
+    frontier = [ident.perm]
     while frontier:
         new = []
         for f in frontier:
-            for g in gens:
-                h = g * f
+            for g in perms:
+                h = f.translate(g)
                 if h not in seen:
                     if len(seen) >= cap:
                         raise ClosureOverflowError(
                             f"closure exceeded cap of {cap} elements"
                         )
                     seen.add(h)
-                    elements.append(h)
                     new.append(h)
+        elements += map(GFMatrix._from_perm, new)
         frontier = new
     return MatrixGroup(tuple(generators), tuple(elements))
 
 
 # ---------------------------------------------------------------------------
 # Stabilizer chain on the 255 points.  Group elements are their point
-# permutations (GFMatrix.perm), so composition is a single bytes.translate call.
+# permutations (GFMatrix.perm): the product a*b (b first) is b.translate(a).
 
 _IDPERM = bytes(range(256))
 
 
-def _compose(a: bytes, b: bytes) -> bytes:
-    # apply b first: result[v] = a[b[v]]
-    return b.translate(a)
-
-
 def _invert_perm(p: bytes) -> bytes:
-    inv = bytearray(256)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return bytes(inv)
+    # the table sending p[i] to i
+    return bytes.maketrans(p, _IDPERM)
 
 
 class _Level:
@@ -254,7 +252,7 @@ class _Level:
 
     def __init__(self, base: int):
         self.base = base
-        self.gens: list[bytes] = []
+        self.gens: list[tuple[bytes, bytes]] = []  # (generator, its inverse)
         self.transversal = {base: _IDPERM}
         self.inv_transversal = {base: _IDPERM}
         self.pending: list[tuple[int, bytes]] = []
@@ -264,8 +262,13 @@ def schreier_sims(generators) -> int:
     """Order of the generated group via a stabilizer chain on the 255 points.
 
     Base points are picked greedily as the smallest point (integer order)
-    moved by the stabilizer being extended.  Transversal entries are never
-    rerouted once written, so every Schreier pair is checked exactly once.
+    moved by the stabilizer being extended.  Each strong generator g is
+    inverted once; when g extends the orbit from pt to g(pt), the new
+    transversal entry is g t_pt and its inverse t_pt^-1 g^-1, one translate
+    each.  Transversal entries are never rerouted once written, so every
+    Schreier pair (pt, s) is checked exactly once, except the tree edges: the
+    pair that first reached s(pt) gives the identity by construction and is
+    never queued.
     """
     perms = []
     for m in generators:
@@ -285,62 +288,60 @@ def schreier_sims(generators) -> int:
             t_inv = lv.inv_transversal.get(img)
             if t_inv is None:
                 return g, idx
-            g = _compose(t_inv, g)
+            g = g.translate(t_inv)
         return g, len(levels)
 
-    def attach(lv: _Level, g: bytes) -> None:
-        lv.gens.append(g)
-        fresh = []
-        for pt in list(lv.transversal):
-            lv.pending.append((pt, g))
-            img = g[pt]
-            if img not in lv.transversal:
-                t = _compose(g, lv.transversal[pt])
-                lv.transversal[img] = t
-                lv.inv_transversal[img] = _invert_perm(t)
-                fresh.append(img)
-        qi = 0
-        while qi < len(fresh):
-            pt = fresh[qi]
-            qi += 1
-            for s in lv.gens:
-                lv.pending.append((pt, s))
+    def attach(lv: _Level, g: bytes, g_inv: bytes) -> None:
+        lv.gens.append((g, g_inv))
+        trans, inv_trans = lv.transversal, lv.inv_transversal
+        # points already in the orbit meet only g; the points it adds meet
+        # every generator
+        orbit = list(trans)
+        old, only_g = len(orbit), [(g, g_inv)]
+        for i, pt in enumerate(orbit):
+            for s, s_inv in only_g if i < old else lv.gens:
                 img = s[pt]
-                if img not in lv.transversal:
-                    t = _compose(s, lv.transversal[pt])
-                    lv.transversal[img] = t
-                    lv.inv_transversal[img] = _invert_perm(t)
-                    fresh.append(img)
+                if img in trans:
+                    lv.pending.append((pt, s))
+                else:
+                    trans[img] = trans[pt].translate(s)
+                    inv_trans[img] = s_inv.translate(inv_trans[pt])
+                    orbit.append(img)
 
     def add_generator(k: int, g: bytes) -> None:
         # g fixes the bases of levels 0..k-1, so it generates at every level
-        # up to and including its stick level k.
+        # up to and including its stick level k.  A wrong inverse transversal
+        # entry breaks this, and would otherwise add strong generators forever.
+        if any(g[lv.base] != lv.base for lv in levels[:k]):
+            raise ConstructionError("sifted residue moves a base point of a higher level")
         if k == len(levels):
             base = next(v for v in range(1, 256) if g[v] != v)
             levels.append(_Level(base))
+        g_inv = _invert_perm(g)
         for idx in range(k, -1, -1):
-            attach(levels[idx], g)
+            attach(levels[idx], g, g_inv)
 
     for p in perms:
         residue, k = sift(p, 0)
         if residue != _IDPERM:
             add_generator(k, residue)
 
-    while True:
-        for k in range(len(levels) - 1, -1, -1):
-            if levels[k].pending:
-                break
-        else:
-            break
+    # levels above k have no pending pairs; a new generator that sticks at
+    # level j queues pairs on levels j..0 only
+    k = len(levels) - 1
+    while k >= 0:
         lv = levels[k]
+        if not lv.pending:
+            k -= 1
+            continue
         pt, s = lv.pending.pop()
-        u = _compose(s, lv.transversal[pt])
-        schreier_gen = _compose(lv.inv_transversal[s[pt]], u)
+        schreier_gen = lv.transversal[pt].translate(s).translate(lv.inv_transversal[s[pt]])
         if schreier_gen == _IDPERM:
             continue
         residue, j = sift(schreier_gen, k + 1)
         if residue != _IDPERM:
             add_generator(j, residue)
+            k = j
 
     return prod(len(lv.transversal) for lv in levels) if levels else 1
 

@@ -50,7 +50,7 @@ def point_orbits(group: MatrixGroup) -> OrbitPartition:
     Classes come out sorted by their minimal point, which doubles as the
     representative.
     """
-    gens = group.generators
+    perms = [g.perm for g in group.generators]
     seen = bytearray(256)
     classes = []
     for p in range(1, 256):
@@ -62,8 +62,8 @@ def point_orbits(group: MatrixGroup) -> OrbitPartition:
         while qi < len(orbit):
             v = orbit[qi]
             qi += 1
-            for g in gens:
-                w = g(v)
+            for g in perms:
+                w = g[v]
                 if not seen[w]:
                     seen[w] = 1
                     orbit.append(w)
@@ -170,7 +170,7 @@ def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozense
 
     Raises ValueError if the group does not map the spread to itself.
     """
-    gens = group.generators
+    perms = [g.perm for g in group.generators]
     remaining = {line: min(line) for line in spread.lines}
     classes = []
     while remaining:
@@ -179,8 +179,8 @@ def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozense
         queue = [start]
         while queue:
             line = queue.pop()
-            for g in gens:
-                img = frozenset(g(p) for p in line)
+            for g in perms:
+                img = frozenset([g[p] for p in line])
                 if img not in remaining:
                     raise ValueError("the group does not preserve the spread")
                 if img not in orbit:

@@ -72,6 +72,13 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_is_a_usage_error(self, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "groups", "--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed: must be at least 0" in capsys.readouterr().err
+
     def test_raising_checks_are_reported_as_failures(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "groups", "--cap", "1", "--format", "json")
         assert code == 1

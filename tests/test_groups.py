@@ -1,10 +1,12 @@
 import random
 from itertools import permutations, product
+from math import prod
 
 import pytest
 
 from segre_pg72.gf2 import Flat, GFMatrix, UNIT, parse_point, span, weight
 from segre_pg72.groups import (
+    DEFAULT_CAP,
     ClosureOverflowError,
     I2,
     ROT2,
@@ -35,6 +37,145 @@ def gl2_elements() -> list[tuple[int, int]]:
 
 def perm_images(mat):
     return {i: mat(E[i]) for i in range(1, 9)}
+
+
+GL82_ORDER = prod((1 << 8) - (1 << i) for i in range(8))  # 5,348,063,769,211,699,200
+
+
+def ref_closure(generators, cap=DEFAULT_CAP):
+    """Reference closure: the breadth-first search on GFMatrix products."""
+    gens = sorted(set(generators), key=lambda g: g.cols)
+    ident = GFMatrix.identity()
+    elements = [ident]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in gens:
+                h = g * f
+                if h not in seen:
+                    if len(seen) >= cap:
+                        raise ClosureOverflowError(f"closure exceeded cap of {cap} elements")
+                    seen.add(h)
+                    elements.append(h)
+                    new.append(h)
+        frontier = new
+    return tuple(elements)
+
+
+_IDPERM = bytes(range(256))
+
+
+def ref_compose(a, b):
+    # apply b first
+    return b.translate(a)
+
+
+def ref_invert_perm(p):
+    inv = bytearray(256)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return bytes(inv)
+
+
+class RefLevel:
+    def __init__(self, base):
+        self.base = base
+        self.gens = []
+        self.transversal = {base: _IDPERM}
+        self.inv_transversal = {base: _IDPERM}
+        self.pending = []
+
+
+def ref_schreier_sims(generators):
+    """Reference stabilizer chain: every transversal entry inverted in full,
+    every Schreier pair (tree edges included) queued and sifted."""
+    perms = [m.perm for m in generators if m.perm != _IDPERM]
+    levels = []
+
+    def sift(g, start):
+        for idx in range(start, len(levels)):
+            lv = levels[idx]
+            img = g[lv.base]
+            if img == lv.base:
+                continue
+            t_inv = lv.inv_transversal.get(img)
+            if t_inv is None:
+                return g, idx
+            g = ref_compose(t_inv, g)
+        return g, len(levels)
+
+    def attach(lv, g):
+        lv.gens.append(g)
+        fresh = []
+        for pt in list(lv.transversal):
+            lv.pending.append((pt, g))
+            img = g[pt]
+            if img not in lv.transversal:
+                t = ref_compose(g, lv.transversal[pt])
+                lv.transversal[img] = t
+                lv.inv_transversal[img] = ref_invert_perm(t)
+                fresh.append(img)
+        qi = 0
+        while qi < len(fresh):
+            pt = fresh[qi]
+            qi += 1
+            for s in lv.gens:
+                lv.pending.append((pt, s))
+                img = s[pt]
+                if img not in lv.transversal:
+                    t = ref_compose(s, lv.transversal[pt])
+                    lv.transversal[img] = t
+                    lv.inv_transversal[img] = ref_invert_perm(t)
+                    fresh.append(img)
+
+    def add_generator(k, g):
+        if k == len(levels):
+            base = next(v for v in range(1, 256) if g[v] != v)
+            levels.append(RefLevel(base))
+        for idx in range(k, -1, -1):
+            attach(levels[idx], g)
+
+    for p in perms:
+        residue, k = sift(p, 0)
+        if residue != _IDPERM:
+            add_generator(k, residue)
+
+    while True:
+        for k in range(len(levels) - 1, -1, -1):
+            if levels[k].pending:
+                break
+        else:
+            break
+        lv = levels[k]
+        pt, s = lv.pending.pop()
+        u = ref_compose(s, lv.transversal[pt])
+        schreier_gen = ref_compose(lv.inv_transversal[s[pt]], u)
+        if schreier_gen == _IDPERM:
+            continue
+        residue, j = sift(schreier_gen, k + 1)
+        if residue != _IDPERM:
+            add_generator(j, residue)
+
+    return prod(len(lv.transversal) for lv in levels)
+
+
+def random_invertible(rng):
+    while True:
+        mat = GFMatrix([rng.randrange(256) for _ in range(8)])
+        if mat.is_invertible():
+            return mat
+
+
+def seeded_subsets(seed, count):
+    """count subsets of 1-3 elements of <M,N>, drawn with a seeded generator."""
+    rng = random.Random(seed)
+    elements = segre_group().elements
+    return [rng.sample(elements, rng.randint(1, 3)) for _ in range(count)]
+
+
+NAMED_GROUPS = {"M,N": ("M", "N"), "M',N": ("M'", "N"), "M,K12": ("M", "K12")}
 
 
 class TestTensorOperator:
@@ -201,6 +342,28 @@ class TestClosure:
             closure([element("M"), element("N")], cap=100)
 
 
+    @pytest.mark.parametrize("names", NAMED_GROUPS, ids=str)
+    def test_element_order_agrees_with_product_reference_on_named_groups(self, names):
+        gens = [element(n) for n in NAMED_GROUPS[names]]
+        assert closure(gens).elements == ref_closure(gens)
+
+    def test_element_order_agrees_with_product_reference_on_seeded_subsets(self):
+        for gens in seeded_subsets(37, 50):
+            assert closure(gens).elements == ref_closure(gens)
+
+    @pytest.mark.parametrize("names", NAMED_GROUPS, ids=str)
+    def test_cap_boundary_agrees_with_product_reference(self, names):
+        gens = [element(n) for n in NAMED_GROUPS[names]]
+        order = len(ref_closure(gens))
+        assert len(closure(gens, cap=order)) == order
+        messages = []
+        for route in (closure, ref_closure):
+            with pytest.raises(ClosureOverflowError) as exc:
+                route(gens, cap=order - 1)
+            messages.append(str(exc.value))
+        assert messages == [f"closure exceeded cap of {order - 1} elements"] * 2
+
+
 class TestSchreierSims:
     def test_agrees_with_closure_on_explicit_groups(self):
         for gens, size in [
@@ -229,6 +392,19 @@ class TestSchreierSims:
         for _ in range(50):
             gens = rng.sample(elements, rng.randint(1, 3))
             assert schreier_sims(gens) == len(closure(gens))
+
+    def test_agrees_with_reference_chain_on_extended_subsets(self):
+        rng = random.Random(41)
+        extensions = (element("K"), element("K'"))
+        for gens in seeded_subsets(43, 30):
+            gens = [*gens, rng.choice(extensions)]
+            assert schreier_sims(gens) == ref_schreier_sims(gens)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_invertible_pairs_generate_gl82(self, seed):
+        rng = random.Random(seed)
+        gens = [random_invertible(rng), random_invertible(rng)]
+        assert schreier_sims(gens) == ref_schreier_sims(gens) == GL82_ORDER
 
 
 class TestFixSubspace:

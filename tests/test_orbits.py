@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations
 
@@ -7,6 +8,7 @@ from segre_pg72.gf2 import UNIT, parse_point, weight
 from segre_pg72.groups import MatrixGroup, cube_group, element, segre_group, segre_group_even
 from segre_pg72.orbits import (
     CUBE_ORBIT_CENSUS,
+    OrbitClass,
     TETRAD_LINES,
     classify_point,
     cube_orbit_labels,
@@ -22,6 +24,61 @@ from segre_pg72.orbits import (
 from segre_pg72.segre import build_model
 
 E = [0] + [1 << i for i in range(8)]
+
+
+def ref_point_orbits(group):
+    """Reference point orbits: each image through GFMatrix.__call__."""
+    seen = set()
+    classes = []
+    for p in range(1, 256):
+        if p in seen:
+            continue
+        orbit = [p]
+        seen.add(p)
+        qi = 0
+        while qi < len(orbit):
+            v = orbit[qi]
+            qi += 1
+            for g in group.generators:
+                w = g(v)
+                if w not in seen:
+                    seen.add(w)
+                    orbit.append(w)
+        classes.append(OrbitClass(tuple(sorted(orbit))))
+    return tuple(classes)
+
+
+def ref_line_orbit_split(spread, group):
+    """Reference line orbits: each line image through GFMatrix.__call__."""
+    remaining = {line: min(line) for line in spread.lines}
+    classes = []
+    while remaining:
+        start = min(remaining, key=remaining.get)
+        orbit = {start}
+        queue = [start]
+        while queue:
+            line = queue.pop()
+            for g in group.generators:
+                img = frozenset(g(p) for p in line)
+                if img not in remaining:
+                    raise ValueError("the group does not preserve the spread")
+                if img not in orbit:
+                    orbit.add(img)
+                    queue.append(img)
+        for line in orbit:
+            del remaining[line]
+        classes.append(tuple(sorted(orbit, key=min)))
+    return tuple(classes)
+
+
+def seeded_groups():
+    """Named groups, 50 seeded subsets of <M,N>, and 10 of them extended by K or K'."""
+    rng = random.Random(53)
+    elements = segre_group().elements
+    subsets = [rng.sample(elements, rng.randint(1, 3)) for _ in range(50)]
+    extended = [[*gens, element(rng.choice(("K", "K'")))] for gens in subsets[:10]]
+    named = [segre_group(), segre_group_even(), cube_group()]
+    return named + [MatrixGroup(gens) for gens in subsets + extended]
 
 
 class TestPointOrbits:
@@ -54,6 +111,11 @@ class TestPointOrbits:
         partition = point_orbits(segre_group())
         for cls in partition.classes:
             assert cls.rep == min(cls.points)
+
+
+    def test_agrees_with_call_reference_on_seeded_groups(self):
+        for group in seeded_groups():
+            assert point_orbits(group).classes == ref_point_orbits(group)
 
 
 class TestClassifier:
@@ -157,6 +219,21 @@ class TestLineOrbitSplit:
         # K swaps e1 and e8, which takes 63 of the 85 spread lines off the spread
         with pytest.raises(ValueError, match="does not preserve the spread"):
             line_orbit_split(spread_from_w(), MatrixGroup([element("M"), element("K")]))
+
+    def test_agrees_with_call_reference_on_seeded_groups(self):
+        spread = spread_from_w()
+        preserving = rejected = 0
+        for group in seeded_groups():
+            try:
+                expected = ref_line_orbit_split(spread, group)
+            except ValueError:
+                rejected += 1
+                with pytest.raises(ValueError, match="does not preserve the spread"):
+                    line_orbit_split(spread, group)
+            else:
+                preserving += 1
+                assert line_orbit_split(spread, group) == expected
+        assert preserving > 0 and rejected > 0
 
     def test_c_cycles_the_tetrad(self):
         c = element("C")
