@@ -222,11 +222,12 @@ def _flat_parities(layout, table: bytes) -> bytes:
     """Parity of the meet with the set of table (0/1 per vector), per flat.
 
     layout is one reduced-echelon layout (base_rows, slots) of the flats; the
-    result holds one byte per fill of the free slots, in the order of
-    gf2._echelon_bases.  One buffer per nonzero coefficient vector c holds
-    the point c . rows for every fill (the same fill at the same offset,
-    built by doubling over the slots), and XORing the parities of all
-    2^k - 1 buffers leaves the parity of each flat.
+    result holds one byte per fill of the free slots, fills counted upward
+    with the first slot as the top bit (the lex order of the flats' rows that
+    gf2._echelon_layouts describes).  One buffer per nonzero coefficient
+    vector c holds the point c . rows for every fill (the same fill at the
+    same offset, built by doubling over the slots), and XORing the parities
+    of all 2^k - 1 buffers leaves the parity of each flat.
     """
     base_rows, slots = layout
     points = [0]  # points[c] = c . base_rows

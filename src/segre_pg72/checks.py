@@ -16,10 +16,9 @@ from itertools import combinations
 from operator import or_
 from typing import Callable, Iterable, NamedTuple
 
-from . import anf, groups, orbits, segre
+from . import SUITES, anf, groups, orbits, segre
 from .gf2 import Flat, GFMatrix, UNIT, format_point, parse_point, weight
 
-SUITES = ("groups", "spread", "orbits", "table1", "polys")  # report order
 RAISED_EXPECTED = "no exception"  # the expected value reported for a check that raised
 
 

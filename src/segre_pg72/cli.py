@@ -8,31 +8,20 @@ are defined in ``checks``.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import __version__
-from .anf import Anf, named_P_basis, named_Q, resolve_poly_name
-from .checks import SUITES, Result, Run
-from .gf2 import GFMatrix, format_point, parse_point, weight
-from .groups import (
-    DEFAULT_CAP,
-    cube_group,
-    element,
-    schreier_sims,
-    segre_group,
-    segre_group_even,
-)
-from .orbits import (
-    classify_point,
-    cube_orbit_labels,
-    point_orbits,
-    segre_triplet,
-    spread_from_w,
-)
-from .segre import build_model
+from . import SUITES, __version__
+
+if TYPE_CHECKING:
+    from .checks import Result, Run
+    from .gf2 import GFMatrix
+
+# Each command imports the modules it runs inside the function that runs it,
+# so a cold process compiles only those (``verify`` alone loads ``checks``;
+# ``eval`` and ``export polys`` alone load ``anf``).  A name imported at call
+# time is read from its module then, so wrappers set on the module's
+# attributes (bench/spans.py) see the call.
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +50,8 @@ def suite_polys(run: Run) -> list[Result]:
 
 def run_suite(name: str, seed: int, cap: int) -> list[Result]:
     """Results of one suite, or of every suite in report order for "all"."""
+    from .checks import Run
+
     run = Run(seed, cap)
     names = SUITES if name == "all" else (name,)
     # looked up by name so that wrappers set on this module (bench/spans.py) are called
@@ -120,6 +111,8 @@ def _emit(text: str, out_path: str | None) -> int:
 
 
 def _to_json(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -128,6 +121,9 @@ def _to_json(payload) -> str:
 
 
 def export_orbits_payload() -> list[dict]:
+    from .gf2 import format_point, weight
+    from .orbits import classify_point, cube_orbit_labels
+
     labels = cube_orbit_labels()
     return [
         {
@@ -141,11 +137,16 @@ def export_orbits_payload() -> list[dict]:
 
 
 def export_spread_payload() -> list[list[str]]:
+    from .gf2 import format_point
+    from .orbits import spread_from_w
+
     lines = sorted(spread_from_w().lines, key=min)
     return [[format_point(p) for p in sorted(line)] for line in lines]
 
 
 def export_polys_payload() -> list[dict]:
+    from .anf import named_P_basis, named_Q
+
     rows = []
     for name, poly in {**named_P_basis(), **named_Q()}.items():
         rows.append(
@@ -160,6 +161,9 @@ def export_polys_payload() -> list[dict]:
 
 
 def export_model_payload() -> dict:
+    from .gf2 import format_point
+    from .segre import build_model
+
     model = build_model()
     fmt = format_point
     fmt_line = lambda pts: sorted(fmt(p) for p in pts)
@@ -185,6 +189,9 @@ def export_model_payload() -> dict:
 
 
 def _csv_text(rows) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -229,6 +236,10 @@ def export_text(what: str, fmt: str) -> str:
 
 
 def orbits_document(group_name: str) -> list[dict]:
+    from .gf2 import format_point, weight
+    from .groups import cube_group, segre_group, segre_group_even
+    from .orbits import classify_point, cube_orbit_labels, point_orbits, segre_triplet
+
     groups = {
         "GS": segre_group,
         "GS0": segre_group_even,
@@ -276,6 +287,8 @@ _GEN_ALIASES = {"Mp": "M'", "Kp": "K'"}
 
 
 def _resolve_gens(names: str) -> list[GFMatrix]:
+    from .groups import element
+
     gens = []
     for raw in names.split(","):
         name = raw.strip()
@@ -284,22 +297,23 @@ def _resolve_gens(names: str) -> list[GFMatrix]:
     return gens
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    # random.Random seeds with the absolute value, so -n would replay n
+def _int_at_least(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    # random.Random seeds with the absolute value, so -n would replay n
+    return _int_at_least(text, 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -317,7 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", default=None, help="write the report to a file")
     p_verify.add_argument("--seed", type=_non_negative_int, default=0, help="seed for randomized property checks")
-    p_verify.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP, help="closure size guard")
+    # default None: the closure's own default cap, read when verify runs
+    p_verify.add_argument("--cap", type=_positive_int, default=None, help="closure size guard")
 
     p_eval = sub.add_parser("eval", help="evaluate a named polynomial at a point")
     p_eval.add_argument("poly", help="polynomial name (Q2, P4', Q2+Q4, ...) or 64-hex mask")
@@ -350,7 +365,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "verify":
-        checks = run_suite(args.suite, args.seed, args.cap)
+        from .groups import DEFAULT_CAP
+
+        cap = DEFAULT_CAP if args.cap is None else args.cap
+        checks = run_suite(args.suite, args.seed, cap)
         if args.format == "json":
             text = _to_json(report_payload(args.suite, args.seed, checks))
         else:
@@ -361,6 +379,9 @@ def main(argv=None) -> int:
         return 0 if all(c.passed for c in checks) else 1
 
     if args.command == "eval":
+        from .anf import Anf, resolve_poly_name
+        from .gf2 import parse_point
+
         try:
             if len(args.poly) == 64 and all(c in "0123456789abcdefABCDEF" for c in args.poly):
                 poly = Anf.from_hex(args.poly.lower())
@@ -392,6 +413,8 @@ def main(argv=None) -> int:
             gens = _resolve_gens(args.gens)
         except KeyError as exc:
             return _usage_error(exc)
+        from .groups import schreier_sims
+
         print(schreier_sims(gens))
         return 0
 

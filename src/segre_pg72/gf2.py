@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 DIM = 8
 UNIT = 0xFF  # the unit point u = e1 + ... + e8
@@ -126,7 +126,7 @@ class Flat:
 
     @classmethod
     def _from_rref(cls, rows: tuple[int, ...]) -> "Flat":
-        # trusted constructor for enumeration hot paths
+        # trusted constructor: rows already in canonical reduced-echelon form
         flat = object.__new__(cls)
         flat.basis = rows
         return flat
@@ -138,10 +138,6 @@ class Flat:
     @property
     def dim_projective(self) -> int:
         return len(self.basis) - 1
-
-    @property
-    def point_count(self) -> int:
-        return (1 << len(self.basis)) - 1
 
     def points(self) -> list[int]:
         """All nonzero vectors of the subspace, in deterministic order."""
@@ -177,17 +173,6 @@ def span(points: Iterable[int]) -> Flat:
     return Flat(pts)
 
 
-def gaussian_binomial(n: int, k: int) -> int:
-    """Number of k-dimensional subspaces of an n-dimensional GF(2) space."""
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= (1 << n - i) - 1
-        den *= (1 << k - i) - 1
-    return num // den
-
-
 @cache
 def _echelon_layouts(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
     """The reduced-echelon layouts of k-dim subspaces, pivot sets ascending.
@@ -208,29 +193,6 @@ def _echelon_layouts(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, in
         )
         layouts.append((tuple(1 << p for p in pivots), slots))
     return tuple(layouts)
-
-
-def _echelon_bases(k: int) -> Iterator[tuple[int, ...]]:
-    """All canonical reduced-echelon bases of k-dim subspaces, lexicographically."""
-    for base_rows, slots in _echelon_layouts(k):
-        masks = [(i, 1 << b) for i, b in slots]
-        top = 1 << len(slots) >> 1
-        for fill in range(1 << len(slots)):
-            rows = list(base_rows)
-            bit = top
-            for i, mask in masks:
-                if fill & bit:
-                    rows[i] |= mask
-                bit >>= 1
-            yield tuple(rows)
-
-
-def flats_of_dimension(d: int) -> Iterator[Flat]:
-    """Every d-flat of PG(7,2) exactly once, in canonical enumeration order."""
-    if not 0 <= d <= 7:
-        raise ValueError(f"projective dimension out of range: {d}")
-    for rows in _echelon_bases(d + 1):
-        yield Flat._from_rref(rows)
 
 
 class GFMatrix:

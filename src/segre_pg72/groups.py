@@ -179,11 +179,13 @@ class MatrixGroup:
     def __init__(self, generators, elements=None):
         self.generators = tuple(generators)
         self.elements = tuple(elements) if elements is not None else None
-        self._element_set = frozenset(self.elements) if elements is not None else None
+        self._element_set = None  # built on the first membership test
 
     def __contains__(self, mat: GFMatrix) -> bool:
-        if self._element_set is None:
+        if self.elements is None:
             raise ValueError("group has no explicit element list")
+        if self._element_set is None:
+            self._element_set = frozenset(self.elements)
         return mat in self._element_set
 
     def __len__(self) -> int:

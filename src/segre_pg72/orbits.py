@@ -8,17 +8,16 @@ part of the verification surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .gf2 import ConstructionError, Flat, parse_point, span, weight
 from .groups import MatrixGroup, element, segre_group_even
 from .segre import build_model
 
 
-@dataclass(frozen=True)
-class OrbitClass:
+class OrbitClass(NamedTuple):
     points: tuple[int, ...]  # sorted ascending; the first entry is the representative
 
     @property
@@ -30,8 +29,7 @@ class OrbitClass:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     classes: tuple[OrbitClass, ...]
 
     def class_of(self, v: int) -> OrbitClass:
@@ -139,8 +137,7 @@ def orbit_mask(label_sets: dict[str, frozenset[int]], *labels: str) -> int:
 # The invariant spread of 85 lines and its orbit split.
 
 
-@dataclass(frozen=True)
-class Spread:
+class Spread(NamedTuple):
     lines: tuple[frozenset[int], ...]
 
 

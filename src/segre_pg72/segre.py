@@ -7,9 +7,9 @@ by linearity into the sum of the 0- and 1-indexed tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .gf2 import ConstructionError, Flat, span
 
@@ -37,8 +37,7 @@ def segre_point(m: tuple[int, int, int]) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class SegreModel:
+class SegreModel(NamedTuple):
     """All attribute families of the variety, immutable after construction.
 
     generators maps (i, j, r) to the line varying slot r with the other two

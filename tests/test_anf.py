@@ -27,14 +27,13 @@ from segre_pg72.gf2 import (
     Flat,
     GFMatrix,
     UNIT,
-    _echelon_bases,
     _echelon_layouts,
     span,
 )
 from segre_pg72.groups import closure, element, segre_group
 from segre_pg72.orbits import definitional_orbits, orbit_mask
 from segre_pg72.segre import build_model
-from test_gf2 import ref_nullspace
+from test_gf2 import echelon_bases, flats_of_dimension, ref_nullspace
 
 E = [0] + [1 << i for i in range(8)]
 
@@ -59,7 +58,7 @@ def ref_flat_parities(d: int, table):
     # the slower route: a Gray-code walk over the points of every d-flat,
     # yielding each flat's parity in enumeration order
     seq = [(m & -m).bit_length() - 1 for m in range(1, 1 << (d + 1))]
-    for rows in _echelon_bases(d + 1):
+    for rows in echelon_bases(d + 1):
         v = parity = 0
         for r in seq:
             v ^= rows[r]
@@ -276,8 +275,6 @@ class TestDegreeByIncidence:
         hits = [p for p in witness.points() if p in model.point_set]
         assert sorted(hits) == sorted([E[1], E[3], E[5], E[7]])
         # and a full even 5-flat exists, as the degree certificate requires
-        from segre_pg72.gf2 import flats_of_dimension
-
         even5 = next(
             fl
             for fl in flats_of_dimension(5)
@@ -289,8 +286,6 @@ class TestDegreeByIncidence:
         orbs = definitional_orbits()
         psi = orbit_mask(orbs, "O2", "O5")
         assert degree_by_incidence(psi) == 4
-        from segre_pg72.gf2 import flats_of_dimension
-
         even3 = next(
             fl
             for fl in flats_of_dimension(3)

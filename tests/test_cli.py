@@ -72,6 +72,13 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--cap", "--seed"])
+    def test_non_integer_is_an_invalid_int(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "groups", option, "abc"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument {option}: invalid int value: 'abc'\n")
+
     @pytest.mark.parametrize("seed", ["-1", "-5"])
     def test_negative_seed_is_a_usage_error(self, capsys, seed):
         with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from segre_pg72.groups import (
     DEFAULT_CAP,
     ClosureOverflowError,
     I2,
+    MatrixGroup,
     ROT2,
     SWAP2,
     closure,
@@ -340,6 +341,15 @@ class TestClosure:
     def test_cap_overflow(self):
         with pytest.raises(ClosureOverflowError):
             closure([element("M"), element("N")], cap=100)
+
+    def test_membership_needs_an_element_list(self):
+        gens = [element("M"), element("N")]
+        listed = MatrixGroup(gens, closure(gens).elements)
+        assert element("M") * element("N") in listed
+        assert element("K") not in listed
+        for ask in (lambda g: element("M") in g, len):
+            with pytest.raises(ValueError, match="no explicit element list"):
+                ask(MatrixGroup(gens))
 
 
     @pytest.mark.parametrize("names", NAMED_GROUPS, ids=str)
