@@ -27,7 +27,7 @@ _HOME = {
     name: module
     for module, names in (
         ("gf2", (
-            "DIM", "UNIT", "POINTS", "ConstructionError", "Flat", "GFMatrix",
+            "DIM", "UNIT", "ConstructionError", "Flat", "GFMatrix",
             "basis_vector", "format_point", "kernel", "nullspace",
             "orthogonal_complement", "parse_point", "span", "weight",
         )),
@@ -37,7 +37,7 @@ _HOME = {
         )),
         ("groups", (
             "ClosureOverflowError", "MatrixGroup", "centralizer_in_gl",
-            "closure", "commutant_basis", "cube_group", "element", "fix_subspace",
+            "closure", "commutant_basis", "cube_group", "element", "elements", "fix_subspace",
             "named_elements", "schreier_sims", "segre_group", "segre_group_even",
             "stabilizer_of_point", "sym3_operator", "tensor_operator",
         )),

@@ -24,11 +24,13 @@ from .groups import MatrixGroup, cube_group
 from .orbits import (
     definitional_orbits,
     orbit_mask,
+    point_orbit,
     tetrad_three_flats,
 )
 from .segre import build_model
 
 TABLE_FULL = (1 << 256) - 1
+_UNIT_VECTORS = [1 << j for j in range(DIM)]  # the sorted columns of a permutation matrix
 
 # butterfly masks: positions whose index has bit i clear
 _MOBIUS_MASKS = []
@@ -297,35 +299,19 @@ def substitute(f: Anf, mat: GFMatrix) -> Anf:
 def monomial_orbit_poly(rep, group: MatrixGroup) -> Anf:
     """Sum of the monomials in the orbit of rep under coordinate permutations.
 
-    rep is an iterable of indices in 1..8; every generator of the group must
-    be a permutation matrix.
+    rep is an iterable of distinct indices in 1..8; every generator of the
+    group must be a permutation matrix.  Such a matrix maps the index set T,
+    read as a vector, to the index set of the image monomial, so the orbit of
+    the monomial is the point orbit of T.
     """
-    index_maps = []
+    start = Anf.monomial(rep).coeffs.bit_length() - 1
+    perms = []
     for g in group.generators:
-        images = [g(1 << j) for j in range(8)]
-        if any(img.bit_count() != 1 for img in images):
+        if sorted(g.cols) != _UNIT_VECTORS:
             raise ValueError("group contains a non-permutation matrix")
-        index_maps.append([img.bit_length() - 1 for img in images])
-
-    start = 0
-    for i in rep:
-        start |= 1 << (i - 1)
-    orbit = {start}
-    queue = [start]
-    while queue:
-        t = queue.pop()
-        for pmap in index_maps:
-            img = 0
-            rest = t
-            while rest:
-                low = rest & -rest
-                img |= 1 << pmap[low.bit_length() - 1]
-                rest ^= low
-            if img not in orbit:
-                orbit.add(img)
-                queue.append(img)
+        perms.append(g.perm)
     coeffs = 0
-    for t in orbit:
+    for t in point_orbit(start, perms, bytearray(256)):
         coeffs |= 1 << t
     return Anf(coeffs)
 

@@ -85,11 +85,6 @@ class Run:
         return [self.check(REGISTRY[cid]) for cid in ids]
 
 
-def _gens(label: str) -> tuple[GFMatrix, ...]:
-    """Named elements from a comma-separated label such as "M',N"."""
-    return tuple(groups.element(name) for name in label.split(","))
-
-
 def _w() -> GFMatrix:
     return groups.element("W")
 
@@ -103,12 +98,13 @@ def _points(shorthand: str) -> list[int]:
 
 
 def _chain_order(label: str, size: int):
-    return lambda run: (size, groups.schreier_sims(_gens(label)))
+    return lambda run: (size, groups.schreier_sims(groups.elements(label)))
 
 
 for _label, _size in (("M,N", 1296), ("M',N", 648), ("M,K12", 48)):
     check(f"groups/closure/{_label}", f"|<{_label}>| by closure",
-          lambda run, label=_label, size=_size: (size, len(groups.closure(_gens(label), cap=run.cap))))
+          lambda run, label=_label, size=_size: (
+              size, len(groups.closure(groups.elements(label), cap=run.cap))))
     check(f"groups/chain/{_label}", f"|<{_label}>| by stabilizer chain", _chain_order(_label, _size))
 check("groups/chain/M,N,K", "|<M,N,K>|", _chain_order("M,N,K", 348_364_800))
 check("groups/chain/M,N,K'", "|<M,N,K'>|", _chain_order("M,N,K'", 174_182_400))
@@ -116,10 +112,10 @@ check("groups/catalog", "named catalog validates", lambda run: (18, len(groups.n
 check("groups/J-product", "Jx*Jy*Jz equals J", lambda run: (
     True, groups.element("Jx") * groups.element("Jy") * groups.element("Jz") == groups.element("J")))
 check("groups/commutant/dim", "commutant dimension of <M',N>",
-      lambda run: (2, len(groups.commutant_basis(_gens("M',N")))))
+      lambda run: (2, len(groups.commutant_basis(groups.elements("M',N")))))
 check("groups/centralizer", "invertible commutant elements", lambda run: (
     sorted(x.cols for x in (GFMatrix.identity(), _w(), _w() * _w())),
-    sorted(x.cols for x in groups.centralizer_in_gl(_gens("M',N")).elements)))
+    sorted(x.cols for x in groups.centralizer_in_gl(groups.elements("M',N")).elements)))
 check("groups/W/images", "W basis images",
       lambda run: (tuple(_points("246 1235 248 1347 268 1567 468 3578")), _w().cols))
 check("groups/W/order", "W cubes to identity", lambda run: (GFMatrix.identity(), _w() * _w() * _w()))
@@ -137,7 +133,8 @@ def _(run):
 
 
 check("groups/parity/in", "paired involutions lie in the even subgroup", lambda run: (
-    True, all(a * b in groups.segre_group_even() for a, b in combinations(_gens("Jx,Jy,Jz"), 2))))
+    True, all(a * b in groups.segre_group_even()
+              for a, b in combinations(groups.elements("Jx,Jy,Jz"), 2))))
 check("groups/parity/out", "J lies outside the even subgroup",
       lambda run: (False, groups.element("J") in groups.segre_group_even()))
 for _a, _b, _fixed in (("Jx", "Jy", "13 24 57 68"), ("Jx", "Jz", "15 26 37 48")):
@@ -352,7 +349,7 @@ def _class_values(name: str, values: tuple[int, ...], run: Run):
 
 
 def _invariants(run: Run, label: str, degree: int) -> list[anf.Anf]:
-    return run.shared(anf.invariant_subspace, _gens(label), degree)
+    return run.shared(anf.invariant_subspace, groups.elements(label), degree)
 
 
 def _span(basis: list[anf.Anf]) -> set[int]:
@@ -477,4 +474,4 @@ check("polys/form/rank", "polar form has full rank", lambda run: (8, GFMatrix.fr
 
 check("polys/form/invariant", "polar form invariant under both generators", lambda run: (True, all(
     anf.symplectic_form(g(x), g(y)) == anf.symplectic_form(x, y)
-    for g in _gens("M,N") for x in range(0, 256, 3) for y in range(0, 256, 5))))
+    for g in groups.elements("M,N") for x in range(0, 256, 3) for y in range(0, 256, 5))))

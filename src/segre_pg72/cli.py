@@ -15,7 +15,6 @@ from . import SUITES, __version__
 
 if TYPE_CHECKING:
     from .checks import Result, Run
-    from .gf2 import GFMatrix
 
 # Each command imports the modules it runs inside the function that runs it,
 # so a cold process compiles only those (``verify`` alone loads ``checks``;
@@ -117,15 +116,19 @@ def _to_json(payload) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exports.
+# Exports.  Each returns its JSON payload and its CSV rows, header first.
 
 
-def export_orbits_payload() -> list[dict]:
+def _dict_rows(rows: list[dict]) -> list[tuple]:
+    return [tuple(rows[0]), *(tuple(r.values()) for r in rows)]
+
+
+def export_orbits() -> tuple[list[dict], list[tuple]]:
     from .gf2 import format_point, weight
     from .orbits import classify_point, cube_orbit_labels
 
     labels = cube_orbit_labels()
-    return [
+    rows = [
         {
             "point": format_point(v),
             "GS_orbit": classify_point(v),
@@ -134,40 +137,41 @@ def export_orbits_payload() -> list[dict]:
         }
         for v in range(1, 256)
     ]
+    return rows, _dict_rows(rows)
 
 
-def export_spread_payload() -> list[list[str]]:
+def export_spread() -> tuple[dict, list[tuple]]:
     from .gf2 import format_point
     from .orbits import spread_from_w
 
-    lines = sorted(spread_from_w().lines, key=min)
-    return [[format_point(p) for p in sorted(line)] for line in lines]
+    lines = [[format_point(p) for p in sorted(line)] for line in spread_from_w().lines]
+    rows = [("index", "p1", "p2", "p3"), *((i, *line) for i, line in enumerate(lines))]
+    return {"lines": lines}, rows
 
 
-def export_polys_payload() -> list[dict]:
+def export_polys() -> tuple[list[dict], list[tuple]]:
     from .anf import named_P_basis, named_Q
 
-    rows = []
-    for name, poly in {**named_P_basis(), **named_Q()}.items():
-        rows.append(
-            {
-                "name": name,
-                "degree": poly.degree,
-                "terms": poly.coeffs.bit_count(),
-                "mask": poly.to_hex(),
-            }
-        )
-    return rows
+    rows = [
+        {
+            "name": name,
+            "degree": poly.degree,
+            "terms": poly.coeffs.bit_count(),
+            "mask": poly.to_hex(),
+        }
+        for name, poly in {**named_P_basis(), **named_Q()}.items()
+    ]
+    return rows, _dict_rows(rows)
 
 
-def export_model_payload() -> dict:
+def export_model() -> tuple[dict, list[tuple]]:
     from .gf2 import format_point
     from .segre import build_model
 
     model = build_model()
     fmt = format_point
     fmt_line = lambda pts: sorted(fmt(p) for p in pts)
-    return {
+    payload = {
         "points": [fmt(p) for p in model.points],
         "generators": {
             f"{i},{j},{r}": fmt_line(line)
@@ -186,53 +190,28 @@ def export_model_payload() -> dict:
         },
         "tangents": {fmt(p): fmt_line(line) for p, line in sorted(model.tangents.items())},
     }
+    rows = [("family", "label", "points"), ("points", "all", " ".join(payload["points"]))]
+    for family in ("generators", "sub_segres", "ambient_flats", "z_flats", "tangents"):
+        for label, pts in payload[family].items():
+            rows.append((family, label, " ".join(pts)))
+    return payload, rows
 
 
-def _csv_text(rows) -> str:
+EXPORTS = {
+    "orbits": export_orbits, "spread": export_spread, "polys": export_polys, "model": export_model,
+}
+
+
+def export_text(what: str, fmt: str) -> str:
+    payload, rows = EXPORTS[what]()
+    if fmt != "csv":
+        return _to_json(payload)
     import csv
     import io
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
-
-
-def export_text(what: str, fmt: str) -> str:
-    if what == "orbits":
-        rows = export_orbits_payload()
-        if fmt == "csv":
-            return _csv_text(
-                [("point", "GS_orbit", "GB_orbit", "weight")]
-                + [(r["point"], r["GS_orbit"], r["GB_orbit"], r["weight"]) for r in rows]
-            )
-        return _to_json(rows)
-    if what == "spread":
-        lines = export_spread_payload()
-        if fmt == "csv":
-            return _csv_text(
-                [("index", "p1", "p2", "p3")]
-                + [(i, *line) for i, line in enumerate(lines)]
-            )
-        return _to_json({"lines": lines})
-    if what == "polys":
-        rows = export_polys_payload()
-        if fmt == "csv":
-            return _csv_text(
-                [("name", "degree", "terms", "mask")]
-                + [(r["name"], r["degree"], r["terms"], r["mask"]) for r in rows]
-            )
-        return _to_json(rows)
-    if what == "model":
-        payload = export_model_payload()
-        if fmt == "csv":
-            rows = [("family", "label", "points"), ("points", "all", " ".join(payload["points"]))]
-            for family in ("generators", "sub_segres", "ambient_flats", "z_flats", "tangents"):
-                for label, pts in payload[family].items():
-                    rows.append((family, label, " ".join(pts)))
-            return _csv_text(rows)
-        return _to_json(payload)
-    raise ValueError(f"unknown export {what!r}")
 
 
 def orbits_document(group_name: str) -> list[dict]:
@@ -283,20 +262,6 @@ def orbits_document(group_name: str) -> list[dict]:
 # ---------------------------------------------------------------------------
 # Entry point.
 
-_GEN_ALIASES = {"Mp": "M'", "Kp": "K'"}
-
-
-def _resolve_gens(names: str) -> list[GFMatrix]:
-    from .groups import element
-
-    gens = []
-    for raw in names.split(","):
-        name = raw.strip()
-        name = _GEN_ALIASES.get(name, name)
-        gens.append(element(name))
-    return gens
-
-
 def _int_at_least(text: str, least: int) -> int:
     try:
         value = int(text)
@@ -339,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("point", help="point in shorthand, e.g. 18u")
 
     p_export = sub.add_parser("export", help="export tables deterministically")
-    p_export.add_argument("what", choices=("orbits", "spread", "polys", "model"))
+    p_export.add_argument("what", choices=EXPORTS)
     p_export.add_argument("--format", choices=("json", "csv"), default="json")
     p_export.add_argument("--out", default=None)
 
@@ -409,12 +374,12 @@ def main(argv=None) -> int:
         return _emit(text, args.out)
 
     if args.command == "group":
+        from .groups import elements, schreier_sims
+
         try:
-            gens = _resolve_gens(args.gens)
+            gens = elements(args.gens)
         except KeyError as exc:
             return _usage_error(exc)
-        from .groups import schreier_sims
-
         print(schreier_sims(gens))
         return 0
 

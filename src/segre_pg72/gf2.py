@@ -14,7 +14,6 @@ from typing import Iterable
 
 DIM = 8
 UNIT = 0xFF  # the unit point u = e1 + ... + e8
-POINTS = range(1, 256)
 _COLUMNS_OF = itemgetter(*(1 << j for j in range(DIM)))  # point table -> cols
 
 
@@ -292,18 +291,6 @@ class GFMatrix:
             if n > 256:  # element orders in GL(8,2) are at most 255
                 raise ConstructionError("order computation did not terminate")
         return n
-
-    def __pow__(self, n: int) -> "GFMatrix":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = GFMatrix.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     # equality and hashing stay on cols: bytes hashes are salted per process,
     # and set semantics must not change

@@ -21,7 +21,7 @@ from .gf2 import (
     nullspace,
     parse_point,
 )
-from .segre import BASIS_INDEX
+from .segre import BASIS_INDEX, segre_point
 
 # 2x2 matrices over GF(2) as column pairs of 2-bit masks; bit 0 is the
 # coefficient of the first frame point of the projective line, bit 1 the
@@ -39,26 +39,16 @@ def _is_invertible_2x2(a: tuple[int, int]) -> bool:
 def tensor_operator(a0, a1, a2) -> GFMatrix:
     """The 8x8 matrix of a0 (x) a1 (x) a2 in the cube basis.
 
-    Each factor acts on one tensor slot; the image of a basis tensor is
-    expanded multilinearly and re-expressed through the basis labeling.
+    Each factor acts on one tensor slot, so a basis tensor maps to the
+    decomposable tensor of the factors' column images.  A column mask 1, 2 or
+    3 is u_0, u_1 or u_0 + u_1, the multi-index entry 0, 1 or 2.
     """
     for a in (a0, a1, a2):
         if not _is_invertible_2x2(a):
             raise ValueError(f"singular 2x2 factor: {a!r}")
     cols = [0] * DIM
     for (i, j, k), idx in BASIS_INDEX.items():
-        x, y, z = a0[i], a1[j], a2[k]
-        img = 0
-        for a in (0, 1):
-            if not x >> a & 1:
-                continue
-            for b in (0, 1):
-                if not y >> b & 1:
-                    continue
-                for c in (0, 1):
-                    if z >> c & 1:
-                        img ^= 1 << (BASIS_INDEX[(a, b, c)] - 1)
-        cols[idx - 1] = img
+        cols[idx - 1] = segre_point((a0[i] - 1, a1[j] - 1, a2[k] - 1))
     return GFMatrix(cols)
 
 
@@ -163,12 +153,21 @@ def named_elements() -> dict[str, GFMatrix]:
     return catalog
 
 
+_ALIASES = {"Mp": "M'", "Kp": "K'"}
+
+
 def element(name: str) -> GFMatrix:
-    """Look up a named collineation matrix."""
+    """Look up a named collineation matrix; Mp and Kp name M' and K'."""
     catalog = named_elements()
+    name = _ALIASES.get(name, name)
     if name not in catalog:
         raise KeyError(f"unknown element {name!r}; known: {', '.join(catalog)}")
     return catalog[name]
+
+
+def elements(label: str) -> tuple[GFMatrix, ...]:
+    """The named elements of a comma-separated label such as "M', N"."""
+    return tuple(element(name.strip()) for name in label.split(","))
 
 
 class MatrixGroup:

@@ -42,6 +42,23 @@ class OrbitPartition(NamedTuple):
         return [cls.size for cls in self.classes]
 
 
+def point_orbit(start: int, perms, seen: bytearray) -> list[int]:
+    """The orbit of start under the 256-byte point tables perms, breadth first.
+
+    Marks every point of the orbit in seen, the caller's bytearray(256), so a
+    loop over start points skips the ones an earlier orbit reached.
+    """
+    orbit = [start]
+    seen[start] = 1
+    for v in orbit:
+        for g in perms:
+            w = g[v]
+            if not seen[w]:
+                seen[w] = 1
+                orbit.append(w)
+    return orbit
+
+
 def point_orbits(group: MatrixGroup) -> OrbitPartition:
     """Orbit partition of the 255 points under the group's generators.
 
@@ -52,20 +69,8 @@ def point_orbits(group: MatrixGroup) -> OrbitPartition:
     seen = bytearray(256)
     classes = []
     for p in range(1, 256):
-        if seen[p]:
-            continue
-        orbit = [p]
-        seen[p] = 1
-        qi = 0
-        while qi < len(orbit):
-            v = orbit[qi]
-            qi += 1
-            for g in perms:
-                w = g[v]
-                if not seen[w]:
-                    seen[w] = 1
-                    orbit.append(w)
-        classes.append(OrbitClass(tuple(sorted(orbit))))
+        if not seen[p]:
+            classes.append(OrbitClass(tuple(sorted(point_orbit(p, perms, seen)))))
     return OrbitPartition(tuple(classes))
 
 
@@ -143,23 +148,14 @@ class Spread(NamedTuple):
 
 @cache
 def spread_from_w() -> Spread:
-    """The 85 orbits of W on the points, each certified to be a line."""
-    w = element("W")
-    seen = bytearray(256)
-    lines = []
-    for p in range(1, 256):
-        if seen[p]:
-            continue
-        q = w(p)
-        r = w(q)
-        if len({p, q, r}) != 3 or p ^ q != r:
+    """The 85 point orbits of Z = <W>, each certified to be a line."""
+    classes = point_orbits(MatrixGroup((element("W"),))).classes
+    for cls in classes:
+        if cls.size != 3 or cls.points[0] ^ cls.points[1] != cls.points[2]:
             raise ConstructionError("W-orbit is not a projective line")
-        lines.append(frozenset((p, q, r)))
-        for v in (p, q, r):
-            seen[v] = 1
-    if len(lines) != 85:
-        raise ConstructionError(f"expected 85 lines, found {len(lines)}")
-    return Spread(tuple(lines))
+    if len(classes) != 85:
+        raise ConstructionError(f"expected 85 lines, found {len(classes)}")
+    return Spread(tuple(frozenset(cls.points) for cls in classes))
 
 
 def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozenset[int], ...], ...]:

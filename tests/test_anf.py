@@ -30,7 +30,7 @@ from segre_pg72.gf2 import (
     _echelon_layouts,
     span,
 )
-from segre_pg72.groups import closure, element, segre_group
+from segre_pg72.groups import MatrixGroup, closure, cube_group, element, elements, segre_group
 from segre_pg72.orbits import definitional_orbits, orbit_mask
 from segre_pg72.segre import build_model
 from test_gf2 import echelon_bases, flats_of_dimension, ref_nullspace
@@ -88,6 +88,35 @@ def ref_invariant_subspace(generators, max_degree: int) -> list[Anf]:
         Anf(sum(1 << t for i, t in enumerate(monos) if sol >> i & 1))
         for sol in ref_nullspace(rows, len(monos))
     ]
+
+
+def ref_monomial_orbit_poly(rep, group) -> Anf:
+    """Reference monomial orbit: each generator as a map on the indices 1..8,
+    applied to the index set bit by bit."""
+    index_maps = []
+    for g in group.generators:
+        images = [g(1 << j) for j in range(8)]
+        if any(img.bit_count() != 1 for img in images):
+            raise ValueError("group contains a non-permutation matrix")
+        index_maps.append([img.bit_length() - 1 for img in images])
+    start = 0
+    for i in rep:
+        start |= 1 << (i - 1)
+    orbit = {start}
+    queue = [start]
+    while queue:
+        t = queue.pop()
+        for pmap in index_maps:
+            img = 0
+            rest = t
+            while rest:
+                low = rest & -rest
+                img |= 1 << pmap[low.bit_length() - 1]
+                rest ^= low
+            if img not in orbit:
+                orbit.add(img)
+                queue.append(img)
+    return Anf(sum(1 << t for t in orbit))
 
 
 INVARIANT_SET_CLASSES = [
@@ -415,6 +444,21 @@ class TestNamedPolynomials:
         grp = closure([element("Ax")])
         with pytest.raises(ValueError):
             monomial_orbit_poly((1, 8), grp)
+        # every column a unit vector, but not a permutation: perm[T] is no index set
+        with pytest.raises(ValueError):
+            monomial_orbit_poly((1, 8), MatrixGroup([GFMatrix([E[1]] * 8)]))
+
+    @pytest.mark.parametrize("rep", [(9,), (0,), (1, 1)], ids=["9", "0", "1,1"])
+    def test_monomial_orbit_rejects_bad_indices(self, rep):
+        with pytest.raises(ValueError, match="^bad monomial indices"):
+            monomial_orbit_poly(rep, cube_group())
+
+    @pytest.mark.parametrize("label", ["M,K12", "K12,K13", "C"])
+    def test_monomial_orbit_agrees_with_index_map_reference(self, label):
+        group = cube_group() if label == "M,K12" else MatrixGroup(elements(label))
+        for t in range(1, 256):
+            rep = [i + 1 for i in range(8) if t >> i & 1]
+            assert monomial_orbit_poly(rep, group) == ref_monomial_orbit_poly(rep, group), rep
 
 
 class TestNamedQ:

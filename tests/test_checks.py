@@ -8,7 +8,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from segre_pg72 import anf, groups, orbits
+from segre_pg72 import anf, checks, groups, orbits
 from segre_pg72.checks import REGISTRY, SUITES, Check, Run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,6 +24,10 @@ def test_registry_ids_and_report_order():
     assert [(c.id, c.description) for c in REGISTRY.values()] == [
         (c["id"], c["description"]) for c in reference
     ]
+
+
+def test_generator_labels_are_parsed_by_groups_alone():
+    assert not hasattr(checks, "_gens")
 
 
 def test_importing_the_cli_computes_nothing():

@@ -6,9 +6,21 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from segre_pg72.cli import main, report_payload, run_suite
+from segre_pg72.cli import EXPORTS, main, report_payload, run_suite
 
-SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report-schema.json"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_PATH = ROOT / "docs" / "report-schema.json"
+# committed outputs of the benchmark's cold CLI workload; read here, never written
+REFERENCE_DIR = ROOT / "bench" / "reference"
+REFERENCE_DOCUMENTS = {
+    "verify_all.json": ["verify", "all", "--format", "json"],
+    **{
+        f"export_{what}.{fmt}": ["export", what, "--format", fmt]
+        for what in ("orbits", "spread", "polys", "model")
+        for fmt in ("json", "csv")
+    },
+    **{f"orbits_{group}.json": ["orbits", "--group", group] for group in ("GS", "GS0", "GB")},
+}
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +206,16 @@ class TestExport:
             _, second, _ = run_cli(capsys, "export", what)
             assert first == second
 
+    def test_unknown_export_is_a_usage_error_offering_the_table(self, capsys):
+        assert list(EXPORTS) == ["orbits", "spread", "polys", "model"]
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        offered = err.split("choose from ", 1)[1]
+        assert all(name in offered for name in EXPORTS)
+
     def test_export_to_file(self, capsys, tmp_path):
         target = tmp_path / "spread.csv"
         code, _, _ = run_cli(
@@ -260,3 +282,10 @@ class TestReportPayload:
         assert payload["summary"]["total"] == len(checks)
         assert payload["summary"]["passed"] + payload["summary"]["failed"] == len(checks)
         assert all(c["pass"] for c in payload["checks"])
+
+
+@pytest.mark.parametrize("filename", REFERENCE_DOCUMENTS)
+def test_output_matches_the_committed_reference(capsys, filename):
+    code, out, err = run_cli(capsys, *REFERENCE_DOCUMENTS[filename])
+    assert (code, err) == (0, "")
+    assert out.encode() == (REFERENCE_DIR / filename).read_bytes()

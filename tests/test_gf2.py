@@ -258,12 +258,6 @@ class TestGFMatrix:
         with pytest.raises(ValueError):
             m.inverse()
 
-    def test_pow(self):
-        jx = GFMatrix.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)])
-        assert jx**2 == GFMatrix.identity()
-        assert jx**-1 == jx
-        assert jx**0 == GFMatrix.identity()
-
     def test_rows_transpose_convention(self):
         m = GFMatrix.from_rows([E[2], E[1], E[4], E[3], E[6], E[5], E[8], E[7]])
         # row i holds the coefficients producing coordinate i of the image

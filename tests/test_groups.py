@@ -17,6 +17,7 @@ from segre_pg72.groups import (
     centralizer_in_gl,
     cube_group,
     element,
+    elements,
     fix_subspace,
     named_elements,
     schreier_sims,
@@ -26,7 +27,7 @@ from segre_pg72.groups import (
     sym3_operator,
     tensor_operator,
 )
-from segre_pg72.segre import build_model
+from segre_pg72.segre import BASIS_INDEX, build_model
 
 E = [0] + [1 << i for i in range(8)]
 
@@ -34,6 +35,26 @@ E = [0] + [1 << i for i in range(8)]
 def gl2_elements() -> list[tuple[int, int]]:
     """The six invertible 2x2 matrices over GF(2)."""
     return [(c0, c1) for c0 in (1, 2, 3) for c1 in (1, 2, 3) if c0 != c1]
+
+
+def ref_tensor_operator(a0, a1, a2) -> GFMatrix:
+    """Reference tensor product: each basis tensor's image expanded over the
+    set bits of the three factor columns."""
+    cols = [0] * 8
+    for (i, j, k), idx in BASIS_INDEX.items():
+        x, y, z = a0[i], a1[j], a2[k]
+        img = 0
+        for a in (0, 1):
+            if not x >> a & 1:
+                continue
+            for b in (0, 1):
+                if not y >> b & 1:
+                    continue
+                for c in (0, 1):
+                    if z >> c & 1:
+                        img ^= 1 << (BASIS_INDEX[(a, b, c)] - 1)
+        cols[idx - 1] = img
+    return GFMatrix(cols)
 
 
 def perm_images(mat):
@@ -212,6 +233,12 @@ class TestTensorOperator:
         assert tensor_operator(a, I2, I2) * tensor_operator(b, I2, I2) == \
             tensor_operator(ab, I2, I2)
 
+    def test_agrees_with_expansion_reference_on_all_factor_triples(self):
+        triples = list(product(gl2_elements(), repeat=3))
+        assert len(triples) == 216
+        for a0, a1, a2 in triples:
+            assert tensor_operator(a0, a1, a2) == ref_tensor_operator(a0, a1, a2)
+
     def test_all_tensor_operators_stabilize_variety(self):
         pts = build_model().point_set
         for a0, a1, a2 in product(gl2_elements(), repeat=3):
@@ -298,6 +325,24 @@ class TestNamedElements:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             element("Q")
+
+    def test_ascii_aliases_name_the_primed_elements(self):
+        assert element("Mp") is element("M'")
+        assert element("Kp") is element("K'")
+
+
+class TestElementsLabel:
+    def test_names_are_stripped_and_aliases_resolved(self):
+        assert elements(" Mp , Kp ") == (element("M'"), element("K'"))
+
+    def test_order_and_repeats_are_kept(self):
+        assert elements("N,M,N") == (element("N"), element("M"), element("N"))
+
+    @pytest.mark.parametrize("label, bad", [("M,,N", "''"), ("M,Zz", "'Zz'"), ("", "''")])
+    def test_unknown_name_is_a_key_error_naming_it(self, label, bad):
+        with pytest.raises(KeyError) as exc:
+            elements(label)
+        assert exc.value.args[0].startswith(f"unknown element {bad};")
 
 
 class TestClosure:

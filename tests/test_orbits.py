@@ -9,12 +9,14 @@ from segre_pg72.groups import MatrixGroup, cube_group, element, segre_group, seg
 from segre_pg72.orbits import (
     CUBE_ORBIT_CENSUS,
     OrbitClass,
+    Spread,
     TETRAD_LINES,
     classify_point,
     cube_orbit_labels,
     definitional_orbits,
     line_orbit_split,
     parity_class,
+    point_orbit,
     point_orbits,
     segre_triplet,
     spread_from_w,
@@ -71,6 +73,19 @@ def ref_line_orbit_split(spread, group):
     return tuple(classes)
 
 
+def ref_spread():
+    """Reference spread: the lines {p, Wp, W^2 p} in order of their minimal point."""
+    w = element("W")
+    seen = set()
+    lines = []
+    for p in range(1, 256):
+        if p not in seen:
+            line = frozenset((p, w(p), w(w(p))))
+            seen |= line
+            lines.append(line)
+    return Spread(tuple(lines))
+
+
 def seeded_groups():
     """Named groups, 50 seeded subsets of <M,N>, and 10 of them extended by K or K'."""
     rng = random.Random(53)
@@ -82,6 +97,13 @@ def seeded_groups():
 
 
 class TestPointOrbits:
+    def test_single_orbit_marks_exactly_its_points(self):
+        w = element("W")
+        seen = bytearray(256)
+        assert point_orbit(E[1], [w.perm], seen) == [E[1], w(E[1]), w(w(E[1]))]
+        assert {p for p in range(256) if seen[p]} == {E[1], w(E[1]), w(w(E[1]))}
+        assert point_orbit(0, [w.perm], seen) == [0]
+
     def test_full_group_orbit_sizes(self):
         sizes = sorted(point_orbits(segre_group()).sizes())
         assert sizes == [12, 27, 54, 54, 108]
@@ -153,6 +175,9 @@ class TestClassifier:
 
 
 class TestSpread:
+    def test_agrees_with_w_power_reference(self):
+        assert spread_from_w() == ref_spread()
+
     def test_partitions_the_point_set(self):
         spread = spread_from_w()
         assert len(spread.lines) == 85
