@@ -17,7 +17,8 @@ from .gf2 import (
     Flat,
     GFMatrix,
     _echelon_layouts,
-    _reduce,
+    _kernel,
+    _xor_sums,
     orthogonal_complement,
 )
 from .groups import MatrixGroup, cube_group
@@ -184,14 +185,18 @@ class Anf:
         return f"Anf(degree={self.degree}, terms={n})"
 
 
+def _check_pointset(psi: int) -> None:
+    if not 0 <= psi <= TABLE_FULL or psi & 1:
+        raise ValueError("point-set mask must cover bits 1..255 only")
+
+
 def anf_from_pointset(psi: int) -> Anf:
     """The unique reduced Q with Q(0) = 0 vanishing exactly on psi.
 
     psi is a mask over the nonzero vectors (bit v set means v in psi); the
     returned polynomial is 1 on every nonzero vector outside psi.
     """
-    if not 0 <= psi <= TABLE_FULL or psi & 1:
-        raise ValueError("point-set mask must cover bits 1..255 only")
+    _check_pointset(psi)
     table = ~(psi | 1) & TABLE_FULL
     return Anf(mobius(table))
 
@@ -201,9 +206,8 @@ def flat_equation(x: Flat) -> Anf:
     k = len(x.basis)
     if k == DIM:
         raise ValueError("the whole space has no equation")
-    forms = orthogonal_complement(x.basis) if k else orthogonal_complement([0])
     poly = Anf.one()
-    for g in forms:
+    for g in orthogonal_complement(x.basis):
         poly = poly * (Anf.one() + Anf.linear_form(g))
     result = Anf.one() + poly
     if result.degree != DIM - k:
@@ -232,9 +236,7 @@ def _flat_parities(layout, table: bytes) -> bytes:
     of all 2^k - 1 buffers leaves the parity of each flat.
     """
     base_rows, slots = layout
-    points = [0]  # points[c] = c . base_rows
-    for row in base_rows:
-        points += [p ^ row for p in points]
+    points = _xor_sums(base_rows)  # points[c] = c . base_rows
     if not slots:
         # a single flat: no buffers, just the parity of its points
         return bytes((bytes(points[1:]).translate(table).count(1) & 1,))
@@ -268,8 +270,7 @@ def degree_by_incidence(psi: int) -> int:
     byte buffers of flat points (see _flat_parities); a buffer lives for
     one layout, at most 64 KB, and none is cached.
     """
-    if not 0 <= psi <= TABLE_FULL or psi & 1:
-        raise ValueError("point-set mask must cover bits 1..255 only")
+    _check_pointset(psi)
     if psi.bit_count() % 2 == 0:
         raise ValueError("incidence criterion requires an odd point count")
     table = bytes(psi >> v & 1 for v in range(256))
@@ -411,13 +412,9 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
     recurrence: the image of x_T is the product of the coordinate forms
     (A x)_i for i in T, built from T minus its lowest index.
 
-    The kernel comes from one tagged elimination.  Monomial T contributes
-    one vector: image(x_T) + x_T of generator k at bits 256k..256k+255, and
-    a tag at bit 256G + 255 - T for G generators.  After gf2._reduce, the
-    rows whose pivot is a tag carry nothing below the tags: they are the
-    kernel, fully reduced.  The tags run in reverse, so each row's pivot is
-    its highest monomial; the basis lists the rows by that monomial,
-    ascending.
+    Monomial T is variable T of gf2._kernel, with column image(x_T) + x_T
+    of generator k at bits 256k..256k+255; the basis lists the invariants
+    by their highest monomial, ascending.
     """
     if not 1 <= max_degree <= 8:
         raise ValueError("degree must be between 1 and 8")
@@ -446,12 +443,7 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
                 raise ConstructionError("substitution left the coefficient space")
             vectors[t] |= (img ^ 1 << t) << offset
         offset += 256
-    rows = _reduce(v | 1 << offset + 255 - t for t, v in vectors.items())
-    # reversing the 256 tag bits turns tag 255 - T back into coefficient T
-    return [
-        Anf(int(f"{rows[p] >> offset:0256b}"[::-1], 2))
-        for p in sorted((p for p in rows if p >> offset), reverse=True)
-    ]
+    return [Anf(x) for x in _kernel(vectors, 256)]
 
 
 def _set_bits(mask: int):

@@ -111,6 +111,19 @@ def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
     return tuple(rows[p] for p in sorted(rows))
 
 
+def _transpose(vectors, width: int) -> list[int]:
+    """The width vectors whose bit i is bit j of vectors[i], for j in 0..width-1."""
+    return [sum((v >> j & 1) << i for i, v in enumerate(vectors)) for j in range(width)]
+
+
+def _xor_sums(rows) -> list[int]:
+    """Entry c is the XOR of rows[i] over the bits i of c, built by doubling."""
+    sums = [0]
+    for r in rows:
+        sums += [s ^ r for s in sums]
+    return sums
+
+
 class Flat:
     """A projective subspace of PG(7,2) in canonical reduced-echelon basis form.
 
@@ -140,10 +153,7 @@ class Flat:
 
     def points(self) -> list[int]:
         """All nonzero vectors of the subspace, in deterministic order."""
-        pts = [0]
-        for b in self.basis:
-            pts += [p ^ b for p in pts]
-        return pts[1:]
+        return _xor_sums(self.basis)[1:]
 
     def __contains__(self, v: int) -> bool:
         for r in self.basis:
@@ -211,10 +221,7 @@ class GFMatrix:
         if len(cols) != DIM or any(not 0 <= c <= UNIT for c in cols):
             raise ValueError("need 8 column vectors in 0..255")
         self.cols = cols
-        images = [0]
-        for c in cols:
-            images += [x ^ c for x in images]
-        self.perm = bytes(images)
+        self.perm = bytes(_xor_sums(cols))
 
     @classmethod
     def _from_perm(cls, perm: bytes) -> "GFMatrix":
@@ -243,18 +250,10 @@ class GFMatrix:
         rows = tuple(rows)
         if len(rows) != DIM:
             raise ValueError("need 8 rows")
-        return cls(
-            tuple(
-                sum(((rows[i] >> j) & 1) << i for i in range(DIM))
-                for j in range(DIM)
-            )
-        )
+        return cls(_transpose(rows, DIM))
 
     def rows(self) -> tuple[int, ...]:
-        return tuple(
-            sum(((self.cols[j] >> i) & 1) << j for j in range(DIM))
-            for i in range(DIM)
-        )
+        return tuple(_transpose(self.cols, DIM))
 
     def __call__(self, v: int) -> int:
         return self.perm[v]
@@ -304,9 +303,27 @@ class GFMatrix:
         return f"GFMatrix({list(self.cols)!r})"
 
 
+def _kernel(columns: dict[int, int], nvars: int) -> list[int]:
+    """Basis of the x whose columns (columns[j] for the bits j of x) XOR to 0.
+
+    A variable missing from columns is fixed at 0.  Variable j contributes
+    its column plus a tag at bit width + nvars - 1 - j, above every column
+    bit; after _reduce, the rows whose pivot is a tag are the kernel, fully
+    reduced.  The reversed tags make each pivot a row's highest variable, so
+    the rows by pivot descending, tag bits reversed, are the canonical basis
+    with ascending free variables.
+    """
+    width = max(columns.values(), default=0).bit_length()
+    rows = _reduce(c | 1 << width + nvars - 1 - j for j, c in columns.items())
+    return [
+        int(f"{rows[p] >> width:0{nvars}b}"[::-1], 2)
+        for p in sorted((p for p in rows if p >> width), reverse=True)
+    ]
+
+
 def kernel(mat: GFMatrix) -> Flat:
     """The flat of solutions of mat(x) = 0; the empty flat if only 0 solves."""
-    return Flat(nullspace(list(mat.rows()), DIM))
+    return Flat(_kernel(dict(enumerate(mat.cols)), DIM))
 
 
 def nullspace(rows: list[int], nvars: int) -> list[int]:
@@ -315,18 +332,7 @@ def nullspace(rows: list[int], nvars: int) -> list[int]:
     Rows are parity-check constraints over nvars bit positions; the basis is
     returned in ascending free-variable order, so the output is deterministic.
     """
-    pivots = _reduce(rows)
-    basis = []
-    for j in range(nvars):
-        bj = 1 << j
-        if bj in pivots:
-            continue
-        x = bj
-        for p, r in pivots.items():
-            if r >> j & 1:
-                x |= p
-        basis.append(x)
-    return basis
+    return _kernel(dict(enumerate(_transpose(rows, nvars))), nvars)
 
 
 def orthogonal_complement(vectors: Iterable[int]) -> tuple[int, ...]:

@@ -16,9 +16,10 @@ from .gf2 import (
     DIM,
     Flat,
     GFMatrix,
+    _kernel,
+    _xor_sums,
     basis_vector,
     kernel,
-    nullspace,
     parse_point,
 )
 from .segre import BASIS_INDEX, segre_point
@@ -356,38 +357,29 @@ def fix_subspace(mat: GFMatrix) -> Flat:
     return kernel(mat ^ GFMatrix.identity())
 
 
-def _matrix_entry(mat: GFMatrix, i: int, j: int) -> int:
-    return mat.cols[j] >> i & 1
-
-
-def _matrix_from_mask(mask: int) -> GFMatrix:
-    cols = [0] * DIM
-    for i in range(DIM):
-        for j in range(DIM):
-            if mask >> (8 * i + j) & 1:
-                cols[j] |= 1 << i
-    return GFMatrix(cols)
-
-
 def commutant_basis(generators) -> list[GFMatrix]:
     """Linear basis of the matrices commuting with every generator.
 
-    Solves the stacked GF(2) system XA = AX over the 64 entries of X; the
-    basis may contain non-invertible matrices.
+    The commutant is the kernel of X -> XA + AX over all generators A, with
+    variable 8i + j the entry (i, j) of X; the basis may contain
+    non-invertible matrices.  For X = E_ij the image is row j of A placed in
+    row i plus column i of A placed in column j, one 64-bit block per
+    generator.
     """
-    rows = []
+    columns = dict.fromkeys(range(DIM * DIM), 0)
+    offset = 0
     for a in generators:
+        rows = a.rows()
+        # the bits of column i of A, spread down column 0 of an 8x8 block
+        down = [sum((c >> k & 1) << DIM * k for k in range(DIM)) for c in a.cols]
         for i in range(DIM):
-            for k in range(DIM):
-                mask = 0
-                for j in range(DIM):
-                    if _matrix_entry(a, j, k):
-                        mask ^= 1 << (8 * i + j)
-                    if _matrix_entry(a, i, j):
-                        mask ^= 1 << (8 * j + k)
-                if mask:
-                    rows.append(mask)
-    return [_matrix_from_mask(m) for m in nullspace(rows, 64)]
+            for j in range(DIM):
+                columns[DIM * i + j] |= (rows[j] << DIM * i ^ down[i] << j) << offset
+        offset += DIM * DIM
+    return [
+        GFMatrix.from_rows(x >> DIM * i & 0xFF for i in range(DIM))
+        for x in _kernel(columns, DIM * DIM)
+    ]
 
 
 def centralizer_in_gl(generators) -> MatrixGroup:
@@ -395,13 +387,11 @@ def centralizer_in_gl(generators) -> MatrixGroup:
     basis = commutant_basis(generators)
     if len(basis) > 20:
         raise ValueError("commutant too large to enumerate exhaustively")
-    zero = GFMatrix([0] * DIM)
+    # each sum of basis matrices, its 8 columns packed as the bytes of an int
+    sums = _xor_sums(int.from_bytes(bytes(x.cols), "little") for x in basis)
     elements = []
-    for mask in range(1, 1 << len(basis)):
-        x = zero
-        for idx, mat in enumerate(basis):
-            if mask >> idx & 1:
-                x = x ^ mat
+    for packed in sums[1:]:
+        x = GFMatrix(packed.to_bytes(DIM, "little"))
         if x.is_invertible():
             elements.append(x)
     found = set(elements)
@@ -414,6 +404,8 @@ def centralizer_in_gl(generators) -> MatrixGroup:
 
 def stabilizer_of_point(group: MatrixGroup, p: int) -> MatrixGroup:
     """Subgroup of an explicit group fixing the point p."""
+    if not 0 < p <= 0xFF:
+        raise ValueError(f"not a point: {p!r}")
     if group.elements is None:
         raise ValueError("stabilizer needs a group with explicit elements")
     elems = tuple(a for a in group.elements if a(p) == p)

@@ -163,6 +163,10 @@ def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozense
 
     Raises ValueError if the group does not map the spread to itself.
     """
+    # The classes hold the image frozensets built by this walk, not the
+    # spread's own line objects, and `verify` prints their iteration order
+    # (spread/tangents); a walk over point_orbit builds the lines in another
+    # order and changes the printed reprs, so this walk stays as it is.
     perms = [g.perm for g in group.generators]
     remaining = {line: min(line) for line in spread.lines}
     classes = []

@@ -50,7 +50,6 @@ class SegreModel(NamedTuple):
     """
 
     points: tuple[int, ...]
-    index_of: dict[int, tuple[int, int, int]]
     generators: dict[tuple[int, int, int], frozenset[int]]
     sub_segres: dict[tuple[int, int], frozenset[int]]
     ambient_flats: dict[tuple[int, int], Flat]
@@ -68,10 +67,9 @@ def _generators_through(model_gens, m):
 def build_model() -> SegreModel:
     rng3 = (0, 1, 2)
     points = tuple(segre_point(m) for m in MULTI_INDICES)
-    index_of = {v: m for m, v in zip(MULTI_INDICES, points)}
-    if len(index_of) != 27:
-        raise ConstructionError("expected 27 distinct decomposable points")
     point_set = frozenset(points)
+    if len(point_set) != 27:
+        raise ConstructionError("expected 27 distinct decomposable points")
 
     generators: dict[tuple[int, int, int], frozenset[int]] = {}
     for i in rng3:
@@ -142,7 +140,6 @@ def build_model() -> SegreModel:
 
     return SegreModel(
         points=points,
-        index_of=index_of,
         generators=generators,
         sub_segres=sub_segres,
         ambient_flats=ambient_flats,

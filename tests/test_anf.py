@@ -221,6 +221,13 @@ class TestPointsetEquation:
             anf_from_pointset(1)
 
 
+@pytest.mark.parametrize("route", [anf_from_pointset, degree_by_incidence])
+@pytest.mark.parametrize("psi", [1, 3, -2, 1 << 256])
+def test_point_set_masks_are_checked_alike(route, psi):
+    with pytest.raises(ValueError, match="point-set mask must cover bits 1..255 only"):
+        route(psi)
+
+
 class TestArithmetic:
     def test_idempotent_reduction(self):
         x1 = Anf.variable(1)
@@ -291,6 +298,11 @@ class TestFlatEquation:
     def test_whole_space_rejected(self):
         with pytest.raises(ValueError):
             flat_equation(span([1 << i for i in range(8)]))
+
+    def test_empty_flat_has_the_degree_eight_equation(self):
+        eq = flat_equation(Flat.empty())
+        assert eq.degree == 8
+        assert eq.pointset() == 0
 
 
 class TestDegreeByIncidence:

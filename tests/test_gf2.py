@@ -8,7 +8,10 @@ from segre_pg72.gf2 import (
     Flat,
     GFMatrix,
     _echelon_layouts,
+    _kernel,
     _reduce,
+    _transpose,
+    _xor_sums,
     format_point,
     kernel,
     nullspace,
@@ -389,3 +392,62 @@ class TestReduce:
     def test_nullspace_agrees_with_reference(self, name, nvars):
         for rows in REDUCE_CASES[name]:
             assert nullspace(rows, nvars) == ref_nullspace(rows, nvars)
+
+
+def ref_columns(rows, nvars):
+    """The column of each variable j: bit i set when rows[i] has bit j."""
+    return {j: sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(nvars)}
+
+
+class TestKernel:
+    """The tagged-elimination _kernel against the free-variable reference."""
+
+    @pytest.mark.parametrize("name", list(REDUCE_CASES))
+    def test_agrees_with_free_variable_reference(self, name):
+        for rows in REDUCE_CASES[name]:
+            nvars = max((r.bit_length() for r in rows), default=0) + 3
+            assert _kernel(ref_columns(rows, nvars), nvars) == ref_nullspace(rows, nvars)
+
+    def test_missing_variables_are_fixed_at_zero(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            rows = random_rows(rng, 30, 40, weight=5)
+            columns = ref_columns(rows, 40)
+            missing = rng.sample(range(40), 10)
+            for j in missing:
+                del columns[j]
+            pinned = rows + [1 << j for j in missing]
+            assert _kernel(columns, 40) == ref_nullspace(pinned, 40)
+
+
+class TestTransposeAndXorSums:
+    @pytest.mark.parametrize("count, width", [(0, 8), (8, 8), (3, 8), (8, 3), (40, 64), (255, 130)])
+    def test_transpose_twice_is_the_identity(self, count, width):
+        rng = random.Random(count * 1000 + width)
+        vectors = [rng.getrandbits(width) for _ in range(count)]
+        once = _transpose(vectors, width)
+        assert len(once) == width and all(0 <= v < 1 << count for v in once)
+        assert _transpose(once, count) == vectors
+
+    def test_rows_and_from_rows_transpose_the_columns(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            m = random_matrix(rng)
+            rows = m.rows()
+            assert [rows[i] >> j & 1 for i in range(8) for j in range(8)] == [
+                m.cols[j] >> i & 1 for i in range(8) for j in range(8)
+            ]
+            assert GFMatrix.from_rows(rows) == m
+
+    @pytest.mark.parametrize("count", [0, 1, 5, 8])
+    def test_xor_sums_match_per_mask_sums(self, count):
+        rng = random.Random(count)
+        rows = [rng.getrandbits(64) for _ in range(count)]
+        expected = []
+        for c in range(1 << count):
+            x = 0
+            for i, r in enumerate(rows):
+                if c >> i & 1:
+                    x ^= r
+            expected.append(x)
+        assert _xor_sums(rows) == expected

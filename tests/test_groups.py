@@ -4,7 +4,7 @@ from math import prod
 
 import pytest
 
-from segre_pg72.gf2 import Flat, GFMatrix, UNIT, parse_point, span, weight
+from segre_pg72.gf2 import Flat, GFMatrix, UNIT, _reduce, parse_point, span, weight
 from segre_pg72.groups import (
     DEFAULT_CAP,
     ClosureOverflowError,
@@ -28,6 +28,7 @@ from segre_pg72.groups import (
     tensor_operator,
 )
 from segre_pg72.segre import BASIS_INDEX, build_model
+from test_gf2 import ref_nullspace
 
 E = [0] + [1 << i for i in range(8)]
 
@@ -198,6 +199,59 @@ def seeded_subsets(seed, count):
 
 
 NAMED_GROUPS = {"M,N": ("M", "N"), "M',N": ("M'", "N"), "M,K12": ("M", "K12")}
+
+
+def ref_commutant_basis(generators) -> list[GFMatrix]:
+    """Reference commutant: one parity-check row over the 64 entries of X
+    (bit 8i + j is entry (i, j)) for each entry (i, k) of XA + AX, solved
+    by the free-variable reference null space."""
+    rows = []
+    for a in generators:
+        for i in range(8):
+            for k in range(8):
+                mask = 0
+                for j in range(8):
+                    if a.cols[k] >> j & 1:  # entry (j, k) of A
+                        mask ^= 1 << (8 * i + j)
+                    if a.cols[j] >> i & 1:  # entry (i, j) of A
+                        mask ^= 1 << (8 * j + k)
+                if mask:
+                    rows.append(mask)
+    return [
+        GFMatrix(sum((x >> (8 * i + j) & 1) << i for i in range(8)) for j in range(8))
+        for x in ref_nullspace(rows, 64)
+    ]
+
+
+def ref_centralizer(generators) -> list[GFMatrix]:
+    """Reference centralizer: the invertible sums of the reference commutant
+    basis, each summed matrix by matrix, basis subsets in counter order."""
+    basis = ref_commutant_basis(generators)
+    found = []
+    for mask in range(1, 1 << len(basis)):
+        x = GFMatrix([0] * 8)
+        for idx, mat in enumerate(basis):
+            if mask >> idx & 1:
+                x = x ^ mat
+        if x.is_invertible():
+            found.append(x)
+    return found
+
+
+def commutant_cases():
+    """Generator lists by name: the named groups, seeded subsets of <M,N>
+    alone and with K or K' adjoined, no generators, and a singular matrix."""
+    cases = {names: [element(n) for n in NAMED_GROUPS[names]] for names in NAMED_GROUPS}
+    for n, gens in enumerate(seeded_subsets(43, 20)):
+        cases[f"subset-{n}"] = gens
+        cases[f"subset-{n}+K"] = gens + [element("K")]
+        cases[f"subset-{n}+K'"] = gens + [element("K'")]
+    cases["none"] = []
+    cases["singular"] = [GFMatrix([0b11, 0b11, 0, 0b1000, 0x10, 0x20, 0, 0x80])]
+    return cases
+
+
+COMMUTANT_CASES = commutant_cases()
 
 
 class TestTensorOperator:
@@ -494,6 +548,26 @@ class TestCommutantAndCentralizer:
     def test_commutant_of_identity_is_everything(self):
         assert len(commutant_basis([GFMatrix.identity()])) == 64
 
+    def test_commutant_agrees_with_constraint_row_reference(self):
+        for name, gens in COMMUTANT_CASES.items():
+            assert commutant_basis(gens) == ref_commutant_basis(gens), name
+
+    def test_commutant_basis_commutes_and_is_independent(self):
+        for name, gens in COMMUTANT_CASES.items():
+            basis = commutant_basis(gens)
+            for x in basis:
+                assert all(x * a == a * x for a in gens), name
+            packed = [int.from_bytes(bytes(x.cols), "little") for x in basis]
+            assert len(_reduce(packed)) == len(basis), name
+
+    def test_centralizer_agrees_with_matrix_sum_reference(self):
+        checked = 0
+        for name, gens in COMMUTANT_CASES.items():
+            if len(ref_commutant_basis(gens)) <= 10:
+                assert list(centralizer_in_gl(gens).elements) == ref_centralizer(gens), name
+                checked += 1
+        assert checked >= 20
+
     def test_commutant_of_full_group_is_scalars(self):
         basis = commutant_basis([element("M"), element("N")])
         assert len(basis) == 1
@@ -544,6 +618,11 @@ class TestStabilizer:
         j = element("J")
         for mat in cube_group().elements:
             assert mat * j == j * mat
+
+    @pytest.mark.parametrize("p", [0, -1, 256])
+    def test_non_point_is_rejected(self, p):
+        with pytest.raises(ValueError, match=f"not a point: {p}"):
+            stabilizer_of_point(segre_group(), p)
 
     def test_stabilizer_of_moved_point_is_trivial(self):
         grp = closure([element("J")])
