@@ -16,8 +16,11 @@ from .gf2 import (
     DIM,
     Flat,
     GFMatrix,
+    _digits,
     _echelon_layouts,
     _kernel,
+    _mask_of,
+    _set_bits,
     _xor_sums,
     orthogonal_complement,
 )
@@ -103,12 +106,7 @@ class Anf:
     @classmethod
     def linear_form(cls, v: int) -> "Anf":
         """Sum of the variables named by the bits of v."""
-        coeffs = 0
-        while v:
-            low = v & -v
-            coeffs |= 1 << low
-            v ^= low
-        return cls(coeffs)
+        return cls(_mask_of(1 << i for i in _set_bits(v)))
 
     def __add__(self, other: "Anf") -> "Anf":
         return Anf(self.coeffs ^ other.coeffs)
@@ -136,22 +134,11 @@ class Anf:
                 return d
         return 0
 
-    def monomials(self) -> list[tuple[int, ...]]:
-        """Set monomials as index tuples, sorted by size then lexicographically."""
-        out = []
-        c = self.coeffs
-        while c:
-            low = c & -c
-            t = low.bit_length() - 1
-            out.append(tuple(i for i in range(1, 9) if t >> (i - 1) & 1))
-            c ^= low
-        out.sort(key=lambda t: (len(t), t))
-        return out
-
     def monomial_strings(self) -> list[str]:
+        """Set monomials as digit strings, sorted by size then lexicographically."""
         if self.coeffs & 1:
             raise ValueError("constant term has no digit-string form")
-        return ["".join(map(str, t)) for t in self.monomials()]
+        return sorted(map(_digits, _set_bits(self.coeffs)), key=lambda t: (len(t), t))
 
     @classmethod
     def from_monomial_strings(cls, terms) -> "Anf":
@@ -212,10 +199,7 @@ def flat_equation(x: Flat) -> Anf:
     result = Anf.one() + poly
     if result.degree != DIM - k:
         raise ConstructionError("flat equation has the wrong degree")
-    expected = 0
-    for p in x.points():
-        expected |= 1 << p
-    if result.pointset() != expected:
+    if result.pointset() != _mask_of(x.points()):
         raise ConstructionError("flat equation has the wrong zero set")
     return result
 
@@ -311,10 +295,7 @@ def monomial_orbit_poly(rep, group: MatrixGroup) -> Anf:
         if sorted(g.cols) != _UNIT_VECTORS:
             raise ValueError("group contains a non-permutation matrix")
         perms.append(g.perm)
-    coeffs = 0
-    for t in point_orbit(start, perms, bytearray(256)):
-        coeffs |= 1 << t
-    return Anf(coeffs)
+    return Anf(_mask_of(point_orbit(start, perms, bytearray(256))))
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +425,6 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
             vectors[t] |= (img ^ 1 << t) << offset
         offset += 256
     return [Anf(x) for x in _kernel(vectors, 256)]
-
-
-def _set_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from operator import or_
 from typing import Callable, Iterable, NamedTuple
 
 from . import SUITES, anf, groups, orbits, segre
-from .gf2 import Flat, GFMatrix, UNIT, format_point, parse_point, weight
+from .gf2 import Flat, GFMatrix, UNIT, _xor_sums, format_point, parse_point, weight
 
 RAISED_EXPECTED = "no exception"  # the expected value reported for a check that raised
 
@@ -354,10 +354,7 @@ def _invariants(run: Run, label: str, degree: int) -> list[anf.Anf]:
 
 def _span(basis: list[anf.Anf]) -> set[int]:
     """Coefficient masks of every sum of basis elements, 0 included."""
-    spanned = {0}
-    for b in basis:
-        spanned |= {x ^ b.coeffs for x in spanned}
-    return spanned
+    return set(_xor_sums(b.coeffs for b in basis))
 
 
 def _invariants_below_8(run: Run) -> set[int]:

@@ -33,6 +33,55 @@ def weight(v: int) -> int:
     return v.bit_count()
 
 
+# ---------------------------------------------------------------------------
+# The 8-bit mask routines every module shares: point and vector checks, the
+# set-bit walk, the mask of a set of positions, and permutation inverses.
+
+
+def _check_point(p: int) -> None:
+    if not 0 < p <= UNIT:
+        raise ValueError(f"not a point: {p!r}")
+
+
+def _check_vectors(vectors: Iterable[int], width: int) -> tuple[int, ...]:
+    """The vectors as a tuple, each checked to fit in width bits."""
+    vectors = tuple(vectors)
+    for v in vectors:
+        if v < 0 or v >> width:
+            article = "an" if width in (8, 11, 18) else "a"
+            raise ValueError(f"not {article} {width}-bit vector: {v!r}")
+    return vectors
+
+
+def _set_bits(mask: int):
+    """The positions of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _mask_of(positions: Iterable[int]) -> int:
+    """The mask with exactly the given bit positions set."""
+    mask = 0
+    for p in positions:
+        mask |= 1 << p
+    return mask
+
+
+def _digits(v: int) -> str:
+    """The basis indices 1..8 of the bits of v, ascending, as one digit string."""
+    return "".join(str(i + 1) for i in _set_bits(v))
+
+
+_IDPERM = bytes(range(256))  # the point table of the identity
+
+
+def _invert_perm(p: bytes) -> bytes:
+    # the table sending p[i] to i
+    return bytes.maketrans(p, _IDPERM)
+
+
 def parse_point(text: str) -> int:
     """Parse shorthand such as "1", "246" or "18u" into a point.
 
@@ -61,12 +110,8 @@ def parse_point(text: str) -> int:
 
 def format_point(v: int) -> str:
     """Shorthand for a point: plain digits up to weight 4, complement+'u' above."""
-    if not 0 < v <= UNIT:
-        raise ValueError(f"not a point of PG(7,2): {v!r}")
-    if weight(v) <= 4:
-        return "".join(str(i) for i in range(1, 9) if v >> (i - 1) & 1)
-    c = v ^ UNIT
-    return "".join(str(i) for i in range(1, 9) if c >> (i - 1) & 1) + "u"
+    _check_point(v)
+    return _digits(v) if weight(v) <= 4 else _digits(v ^ UNIT) + "u"
 
 
 def _reduce(vectors: Iterable[int]) -> dict[int, int]:
@@ -103,11 +148,7 @@ def _reduce(vectors: Iterable[int]) -> dict[int, int]:
 
 def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon form; pivots are lowest set bits, rows sorted by pivot."""
-    vectors = tuple(vectors)
-    for v in vectors:
-        if not 0 <= v <= UNIT:
-            raise ValueError(f"not an 8-bit vector: {v!r}")
-    rows = _reduce(vectors)
+    rows = _reduce(_check_vectors(vectors, DIM))
     return tuple(rows[p] for p in sorted(rows))
 
 
@@ -177,8 +218,8 @@ def span(points: Iterable[int]) -> Flat:
     pts = list(points)
     if not pts:
         raise ValueError("span of an empty point set")
-    if any(not 0 < p <= UNIT for p in pts):
-        raise ValueError("span requires nonzero 8-bit vectors")
+    for p in pts:
+        _check_point(p)
     return Flat(pts)
 
 
@@ -208,10 +249,11 @@ class GFMatrix:
     """An 8x8 matrix over GF(2): its column images plus its point permutation.
 
     cols[j] is the image of e_(j+1) and serves the linear algebra (rank,
-    inverse, kernel, commutant).  perm is the 256-byte table with
-    perm[v] == A v for every vector v, so applying the matrix is one index and
-    (A*B)(v) == A(B(v)) is one bytes.translate.  For an invertible matrix perm
-    is the permutation of the 255 points of PG(7,2) (and fixes 0).
+    kernel, commutant).  perm is the 256-byte table with perm[v] == A v for
+    every vector v, so applying the matrix is one index and (A*B)(v) ==
+    A(B(v)) is one bytes.translate.  For an invertible matrix perm is the
+    permutation of the 255 points of PG(7,2) (and fixes 0), and the inverse
+    is the inverse permutation.
     """
 
     __slots__ = ("cols", "perm")
@@ -233,7 +275,7 @@ class GFMatrix:
 
     @classmethod
     def identity(cls) -> "GFMatrix":
-        return cls(tuple(1 << j for j in range(DIM)))
+        return cls._from_perm(_IDPERM)
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[tuple[int, ...]]) -> "GFMatrix":
@@ -272,12 +314,12 @@ class GFMatrix:
         return self.rank() == DIM
 
     def inverse(self) -> "GFMatrix":
-        # reduce the (image, preimage) pairs; the row with pivot e_i then
-        # carries the preimage of e_i in its high byte
-        rows = _reduce(c | 1 << (j + DIM) for j, c in enumerate(self.cols))
-        if any(p > UNIT for p in rows):
+        # the table sending perm[v] to v; it undoes perm only when perm is a
+        # bijection, that is, when the matrix is invertible
+        inv = _invert_perm(self.perm)
+        if self.perm.translate(inv) != _IDPERM:
             raise ValueError("matrix is singular")
-        return GFMatrix(tuple(rows[1 << i] >> DIM for i in range(DIM)))
+        return GFMatrix._from_perm(inv)
 
     def order(self) -> int:
         if not self.is_invertible():
@@ -326,15 +368,15 @@ def kernel(mat: GFMatrix) -> Flat:
     return Flat(_kernel(dict(enumerate(mat.cols)), DIM))
 
 
-def nullspace(rows: list[int], nvars: int) -> list[int]:
+def nullspace(rows: Iterable[int], nvars: int) -> list[int]:
     """Basis of {x : every row has even overlap with x}, as bit masks.
 
     Rows are parity-check constraints over nvars bit positions; the basis is
     returned in ascending free-variable order, so the output is deterministic.
     """
-    return _kernel(dict(enumerate(_transpose(rows, nvars))), nvars)
+    return _kernel(dict(enumerate(_transpose(_check_vectors(rows, nvars), nvars))), nvars)
 
 
 def orthogonal_complement(vectors: Iterable[int]) -> tuple[int, ...]:
     """All-independent dual forms with even overlap against every input vector."""
-    return tuple(nullspace(list(vectors), DIM))
+    return tuple(nullspace(vectors, DIM))

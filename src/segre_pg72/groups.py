@@ -16,6 +16,9 @@ from .gf2 import (
     DIM,
     Flat,
     GFMatrix,
+    _IDPERM,
+    _check_point,
+    _invert_perm,
     _kernel,
     _xor_sums,
     basis_vector,
@@ -61,13 +64,9 @@ def sym3_operator(rho: tuple[int, int, int]) -> GFMatrix:
     """
     if sorted(rho) != [1, 2, 3]:
         raise ValueError(f"not a permutation of (1, 2, 3): {rho!r}")
-    inv = [0, 0, 0]
-    for m, im in enumerate(rho, start=1):
-        inv[im - 1] = m
     cols = [0] * DIM
     for src, idx in BASIS_INDEX.items():
-        dst = tuple(src[inv[m] - 1] for m in range(3))
-        cols[idx - 1] = 1 << (BASIS_INDEX[dst] - 1)
+        cols[idx - 1] = segre_point(tuple(src[rho.index(m)] for m in (1, 2, 3)))
     return GFMatrix(cols)
 
 
@@ -209,44 +208,31 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
     """Breadth-first product closure with deterministic element order.
 
     The search runs on the point permutations (GFMatrix.perm): the product
-    g * f is f.perm.translate(g.perm), and a matrix is built once per element.
+    g * f is f.perm.translate(g.perm), and one walk over the growing list of
+    elements found is the breadth-first order.  A matrix is built once per
+    element, at the end.
     """
     gens = sorted(set(generators), key=lambda g: g.cols)
     for g in gens:
         if not g.is_invertible():
             raise ValueError("closure requires invertible generators")
     perms = [g.perm for g in gens]
-    ident = GFMatrix.identity()
-    elements = [ident]
-    seen = {ident.perm}
-    frontier = [ident.perm]
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in perms:
-                h = f.translate(g)
-                if h not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureOverflowError(
-                            f"closure exceeded cap of {cap} elements"
-                        )
-                    seen.add(h)
-                    new.append(h)
-        elements += map(GFMatrix._from_perm, new)
-        frontier = new
-    return MatrixGroup(tuple(generators), tuple(elements))
+    found = [_IDPERM]
+    seen = {_IDPERM}
+    for f in found:
+        for g in perms:
+            h = f.translate(g)
+            if h not in seen:
+                if len(seen) >= cap:
+                    raise ClosureOverflowError(f"closure exceeded cap of {cap} elements")
+                seen.add(h)
+                found.append(h)
+    return MatrixGroup(tuple(generators), tuple(map(GFMatrix._from_perm, found)))
 
 
 # ---------------------------------------------------------------------------
 # Stabilizer chain on the 255 points.  Group elements are their point
 # permutations (GFMatrix.perm): the product a*b (b first) is b.translate(a).
-
-_IDPERM = bytes(range(256))
-
-
-def _invert_perm(p: bytes) -> bytes:
-    # the table sending p[i] to i
-    return bytes.maketrans(p, _IDPERM)
 
 
 class _Level:
@@ -404,8 +390,7 @@ def centralizer_in_gl(generators) -> MatrixGroup:
 
 def stabilizer_of_point(group: MatrixGroup, p: int) -> MatrixGroup:
     """Subgroup of an explicit group fixing the point p."""
-    if not 0 < p <= 0xFF:
-        raise ValueError(f"not a point: {p!r}")
+    _check_point(p)
     if group.elements is None:
         raise ValueError("stabilizer needs a group with explicit elements")
     elems = tuple(a for a in group.elements if a(p) == p)

@@ -12,8 +12,8 @@ from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .gf2 import ConstructionError, Flat, parse_point, span, weight
-from .groups import MatrixGroup, element, segre_group_even
+from .gf2 import ConstructionError, Flat, _check_point, _mask_of, parse_point, span, weight
+from .groups import MatrixGroup, cube_group, element, segre_group_even
 from .segre import build_model
 
 
@@ -121,8 +121,7 @@ def definitional_orbits() -> dict[str, frozenset[int]]:
 
 def classify_point(p: int) -> str:
     """Definitional orbit label of a point, one of O1..O5."""
-    if not 0 < p <= 0xFF:
-        raise ValueError(f"not a point: {p!r}")
+    _check_point(p)
     orbs = definitional_orbits()
     for label in ("O5", "O2", "O4", "O3", "O1"):
         if p in orbs[label]:
@@ -131,11 +130,7 @@ def classify_point(p: int) -> str:
 
 
 def orbit_mask(label_sets: dict[str, frozenset[int]], *labels: str) -> int:
-    mask = 0
-    for label in labels:
-        for p in label_sets[label]:
-            mask |= 1 << p
-    return mask
+    return _mask_of(p for label in labels for p in label_sets[label])
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +300,6 @@ CUBE_ORBIT_CENSUS = (
 @cache
 def cube_orbit_labels() -> dict[int, str]:
     """Census label for every point under the cube-group refinement."""
-    from .groups import cube_group
-
     partition = point_orbits(cube_group())
     if len(partition.classes) != len(CUBE_ORBIT_CENSUS):
         raise ConstructionError(

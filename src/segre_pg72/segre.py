@@ -58,9 +58,14 @@ class SegreModel(NamedTuple):
     point_set: frozenset[int]
 
 
+def _put(pair, r, x):
+    """The multi-index with x in slot r (1..3) and pair in the other two slots."""
+    return pair[:r - 1] + (x,) + pair[r - 1:]
+
+
 def _generators_through(model_gens, m):
-    i, j, k = m
-    return (model_gens[(j, k, 1)], model_gens[(i, k, 2)], model_gens[(i, j, 3)])
+    # the generator varying slot r is keyed by the other two slots of m
+    return tuple(model_gens[m[:r - 1] + m[r:] + (r,)] for r in (1, 2, 3))
 
 
 @cache
@@ -71,12 +76,10 @@ def build_model() -> SegreModel:
     if len(point_set) != 27:
         raise ConstructionError("expected 27 distinct decomposable points")
 
-    generators: dict[tuple[int, int, int], frozenset[int]] = {}
-    for i in rng3:
-        for j in rng3:
-            generators[(i, j, 1)] = frozenset(segre_point((k, i, j)) for k in rng3)
-            generators[(i, j, 2)] = frozenset(segre_point((i, k, j)) for k in rng3)
-            generators[(i, j, 3)] = frozenset(segre_point((i, j, k)) for k in rng3)
+    generators = {
+        (i, j, r): frozenset(segre_point(_put((i, j), r, k)) for k in rng3)
+        for i in rng3 for j in rng3 for r in (1, 2, 3)
+    }
     for line in generators.values():
         if len(line) != 3 or not line <= point_set:
             raise ConstructionError("generator is not a 3-point subset of the variety")
@@ -84,11 +87,10 @@ def build_model() -> SegreModel:
         if a ^ b != c:
             raise ConstructionError("generator is not collinear")
 
-    sub_segres: dict[tuple[int, int], frozenset[int]] = {}
-    for i in rng3:
-        sub_segres[(i, 1)] = frozenset(segre_point((i, j, k)) for j in rng3 for k in rng3)
-        sub_segres[(i, 2)] = frozenset(segre_point((j, i, k)) for j in rng3 for k in rng3)
-        sub_segres[(i, 3)] = frozenset(segre_point((j, k, i)) for j in rng3 for k in rng3)
+    sub_segres = {
+        (i, r): frozenset(segre_point(_put(pair, r, i)) for pair in product(rng3, repeat=2))
+        for i in rng3 for r in (1, 2, 3)
+    }
 
     ambient_flats = {}
     for key, grid in sub_segres.items():

@@ -7,9 +7,14 @@ from segre_pg72.gf2 import (
     UNIT,
     Flat,
     GFMatrix,
+    _IDPERM,
+    _digits,
     _echelon_layouts,
+    _invert_perm,
     _kernel,
+    _mask_of,
     _reduce,
+    _set_bits,
     _transpose,
     _xor_sums,
     format_point,
@@ -19,7 +24,8 @@ from segre_pg72.gf2 import (
     parse_point,
     span,
 )
-from segre_pg72.groups import segre_group
+from segre_pg72.groups import segre_group, stabilizer_of_point
+from segre_pg72.orbits import classify_point
 
 E = [0] + [1 << i for i in range(8)]  # E[i] = e_i, 1-indexed
 
@@ -59,6 +65,20 @@ def ref_nullspace(rows, nvars):
             continue
         basis.append(sum((p for p, r in pivots.items() if r >> j & 1), 1 << j))
     return basis
+
+
+def ref_inverse(mat):
+    """Reference inverse: Gauss-Jordan on the (image, preimage) pairs; the row
+    with pivot e_i then carries the preimage of e_i in its high byte."""
+    rows = _reduce(c | 1 << (j + 8) for j, c in enumerate(mat.cols))
+    if any(p > UNIT for p in rows):
+        raise ValueError("matrix is singular")
+    return GFMatrix(tuple(rows[1 << i] >> 8 for i in range(8)))
+
+
+def ref_set_bits(mask):
+    """Reference bit walk: every position tested in turn."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def random_matrix(rng):
@@ -218,6 +238,7 @@ class TestGFMatrix:
         ident = GFMatrix.identity()
         for v in range(256):
             assert ident(v) == v
+        assert ident == GFMatrix(E[1:]) and hash(ident) == hash(GFMatrix(E[1:]))
 
     def test_from_cycles_and_application(self):
         jx = GFMatrix.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)])
@@ -303,6 +324,92 @@ class TestPointPermutation:
                     m.inverse()
 
 
+class TestInverse:
+    """The point-table inverse against the elimination route it replaced."""
+
+    def test_agrees_with_elimination_reference_on_the_stabilizer(self):
+        elements = segre_group().elements
+        assert len(elements) == 1296
+        for mat in elements:
+            inv, ref = mat.inverse(), ref_inverse(mat)
+            assert inv == ref
+            assert inv.perm == ref.perm
+            assert hash(inv) == hash(ref)
+
+    def test_agrees_with_elimination_reference_on_seeded_matrices(self):
+        rng = random.Random(47)
+        found = 0
+        while found < 200:
+            m = random_matrix(rng)
+            if not m.is_invertible():
+                continue
+            found += 1
+            inv, ref = m.inverse(), ref_inverse(m)
+            assert inv == ref
+            assert inv.perm == ref.perm
+
+    def test_singular_matrices_raise_on_both_routes(self):
+        rng = random.Random(53)
+        singular = [GFMatrix([0] * 8), GFMatrix([E[1]] * 8), GFMatrix([E[1], E[1]] + E[3:])]
+        while len(singular) < 103:
+            m = random_matrix(rng)
+            if not m.is_invertible():
+                singular.append(m)
+        for m in singular:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                m.inverse()
+            with pytest.raises(ValueError, match="matrix is singular"):
+                ref_inverse(m)
+
+    def test_invert_perm_undoes_the_table(self):
+        rng = random.Random(59)
+        assert _invert_perm(_IDPERM) == _IDPERM
+        for mat in [random_matrix(rng) for _ in range(100)] + list(segre_group().elements[:50]):
+            if mat.is_invertible():
+                inv = _invert_perm(mat.perm)
+                assert all(inv[mat.perm[v]] == v for v in range(256))
+
+
+class TestMaskRoutines:
+    """The shared mask routines against per-bit loops."""
+
+    @staticmethod
+    def masks():
+        rng = random.Random(61)
+        return list(range(256)) + [rng.getrandbits(256) for _ in range(200)] + [(1 << 256) - 1]
+
+    def test_set_bits_matches_the_per_bit_walk(self):
+        for m in self.masks():
+            assert list(_set_bits(m)) == ref_set_bits(m)
+
+    def test_mask_of_matches_the_per_bit_build(self):
+        assert _mask_of([]) == 0
+        for m in self.masks():
+            positions = ref_set_bits(m)
+            assert _mask_of(positions) == m
+            assert _mask_of(reversed(positions * 2)) == m  # order and repeats are irrelevant
+
+    def test_digits_match_the_per_bit_digits(self):
+        for v in range(256):
+            assert _digits(v) == "".join(str(i) for i in range(1, 9) if v >> (i - 1) & 1)
+
+
+_POINT_CALLERS = {
+    "format_point": format_point,
+    "span": lambda p: span([E[1], p]),
+    "stabilizer_of_point": lambda p: stabilizer_of_point(segre_group(), p),
+    "classify_point": classify_point,
+}
+
+
+class TestPointCheck:
+    @pytest.mark.parametrize("p", [0, 256, -1])
+    @pytest.mark.parametrize("caller", list(_POINT_CALLERS))
+    def test_non_points_are_rejected_by_every_caller(self, caller, p):
+        with pytest.raises(ValueError, match=f"^not a point: {p}$"):
+            _POINT_CALLERS[caller](p)
+
+
 class TestKernelAndDuality:
     def test_kernel_of_identity_is_empty(self):
         assert kernel(GFMatrix.identity()) == Flat.empty()
@@ -333,6 +440,20 @@ class TestKernelAndDuality:
         for x in basis:
             for r in rows:
                 assert (x & r).bit_count() % 2 == 0
+
+    @pytest.mark.parametrize("v", [256, -1])
+    def test_orthogonal_complement_rejects_non_8_bit_vectors(self, v):
+        with pytest.raises(ValueError, match=f"^not an 8-bit vector: {v}$"):
+            orthogonal_complement([v])
+        with pytest.raises(ValueError, match=f"^not an 8-bit vector: {v}$"):
+            orthogonal_complement(iter([E[1], v]))
+
+    def test_nullspace_rejects_rows_wider_than_nvars(self):
+        with pytest.raises(ValueError, match="^not a 7-bit vector: 128$"):
+            nullspace([128], 7)
+        with pytest.raises(ValueError, match="^not a 7-bit vector: -1$"):
+            nullspace(iter([3, -1]), 7)
+        assert nullspace([127], 7) == [0b11, 0b101, 0b1001, 0b10001, 0b100001, 0b1000001]
 
 
 def random_rows(rng, count, width, weight=None, rank=None):

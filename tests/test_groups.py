@@ -58,6 +58,19 @@ def ref_tensor_operator(a0, a1, a2) -> GFMatrix:
     return GFMatrix(cols)
 
 
+def ref_sym3_operator(rho) -> GFMatrix:
+    """Reference slot permutation: the inverse of rho as a list, and each
+    column the unit vector of the permuted multi-index."""
+    inv = [0, 0, 0]
+    for m, im in enumerate(rho, start=1):
+        inv[im - 1] = m
+    cols = [0] * 8
+    for src, idx in BASIS_INDEX.items():
+        dst = tuple(src[inv[m] - 1] for m in range(3))
+        cols[idx - 1] = 1 << (BASIS_INDEX[dst] - 1)
+    return GFMatrix(cols)
+
+
 def perm_images(mat):
     return {i: mat(E[i]) for i in range(1, 9)}
 
@@ -332,6 +345,11 @@ class TestSym3Operator:
     def test_bad_permutation_rejected(self):
         with pytest.raises(ValueError):
             sym3_operator((1, 1, 3))
+
+    def test_agrees_with_unit_vector_reference_on_all_slot_permutations(self):
+        for rho in permutations((1, 2, 3)):
+            assert sym3_operator(rho) == ref_sym3_operator(rho)
+            assert sym3_operator(list(rho)) == ref_sym3_operator(rho)
 
 
 class TestNamedElements:

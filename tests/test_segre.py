@@ -3,12 +3,30 @@ import pytest
 from segre_pg72.gf2 import UNIT, parse_point, span
 from segre_pg72.segre import (
     MULTI_INDICES,
+    _generators_through,
     build_model,
     distinguished_tangent,
     segre_point,
 )
 
 E = [0] + [1 << i for i in range(8)]
+
+
+def ref_slot_families():
+    """Reference generator lines and 9-point grids: one spelled-out loop per slot."""
+    rng3 = (0, 1, 2)
+    generators = {}
+    for i in rng3:
+        for j in rng3:
+            generators[(i, j, 1)] = frozenset(segre_point((k, i, j)) for k in rng3)
+            generators[(i, j, 2)] = frozenset(segre_point((i, k, j)) for k in rng3)
+            generators[(i, j, 3)] = frozenset(segre_point((i, j, k)) for k in rng3)
+    sub_segres = {}
+    for i in rng3:
+        sub_segres[(i, 1)] = frozenset(segre_point((i, j, k)) for j in rng3 for k in rng3)
+        sub_segres[(i, 2)] = frozenset(segre_point((j, i, k)) for j in rng3 for k in rng3)
+        sub_segres[(i, 3)] = frozenset(segre_point((j, k, i)) for j in rng3 for k in rng3)
+    return generators, sub_segres
 
 
 class TestSegrePoint:
@@ -58,6 +76,20 @@ class TestModel:
             segre_point((0, 1, k)) for k in (0, 1, 2)
         )
         assert expected == model.generators[(0, 1, 3)]
+
+    def test_slot_families_agree_with_per_slot_reference(self):
+        # same keys in the same order, and each frozenset iterates alike,
+        # because `export model` and the spread/tangents reprs print them
+        model = build_model()
+        for family, ref in zip((model.generators, model.sub_segres), ref_slot_families()):
+            assert list(family) == list(ref)
+            assert [list(v) for v in family.values()] == [list(v) for v in ref.values()]
+
+    def test_generators_through_a_point_vary_slots_1_2_3(self):
+        gens = build_model().generators
+        for m in MULTI_INDICES:
+            i, j, k = m
+            assert _generators_through(gens, m) == (gens[(j, k, 1)], gens[(i, k, 2)], gens[(i, j, 3)])
 
     def test_three_generators_through_each_point(self):
         model = build_model()
