@@ -32,8 +32,7 @@ _HOME = {
             "orthogonal_complement", "parse_point", "span", "weight",
         )),
         ("segre", (
-            "BASIS_INDEX", "MULTI_INDICES", "SegreModel", "build_model",
-            "distinguished_tangent", "segre_point",
+            "BASIS_INDEX", "MULTI_INDICES", "SegreModel", "build_model", "segre_point",
         )),
         ("groups", (
             "ClosureOverflowError", "MatrixGroup", "centralizer_in_gl",

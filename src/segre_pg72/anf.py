@@ -16,6 +16,7 @@ from .gf2 import (
     DIM,
     Flat,
     GFMatrix,
+    _check_vectors,
     _digits,
     _echelon_layouts,
     _kernel,
@@ -51,6 +52,8 @@ for _i in range(DIM):
 
 def mobius(table: int) -> int:
     """Binary Moebius/zeta transform over the subset lattice; an involution."""
+    if not 0 <= table <= TABLE_FULL:
+        raise ValueError("truth table out of range")
     for i, m in enumerate(_MOBIUS_MASKS):
         table ^= (table & m) << (1 << i)
     return table
@@ -106,6 +109,7 @@ class Anf:
     @classmethod
     def linear_form(cls, v: int) -> "Anf":
         """Sum of the variables named by the bits of v."""
+        _check_vectors((v,), DIM)
         return cls(_mask_of(1 << i for i in _set_bits(v)))
 
     def __add__(self, other: "Anf") -> "Anf":
@@ -299,27 +303,8 @@ def monomial_orbit_poly(rep, group: MatrixGroup) -> Anf:
 
 
 # ---------------------------------------------------------------------------
-# The named invariant polynomials.  All fifteen P's arise as monomial-orbit
-# sums under the cube group; the fully known expansions are pinned so a
-# labeling slip cannot pass silently.
-
-_P_REPRESENTATIVES: dict[str, tuple[int, ...]] = {
-    "P1": (1,),
-    "P2": (1, 2),
-    "P2'": (1, 3),
-    "P2''": (1, 8),
-    "P3": (1, 2, 3),
-    "P3'": (1, 3, 5),
-    "P3''": (1, 2, 8),
-    "P4": (1, 2, 3, 4),
-    "P4'": (1, 2, 7, 8),
-    "P4''": (1, 2, 4, 6),
-    "P4'''": (1, 3, 5, 7),
-    "P4iv": (1, 2, 3, 8),
-    "P4v": (1, 2, 4, 8),
-    "P5": (1, 2, 3, 5, 7),
-    "P6": (1, 2, 3, 6, 7, 8),
-}
+# The named invariant polynomials.  _P_EXPANSIONS is the P catalog; every P
+# is pinned in full, so a labeling slip cannot pass silently.
 
 
 def _diagonal_triples() -> tuple[str, ...]:
@@ -347,6 +332,12 @@ _P_EXPANSIONS: dict[str, tuple[str, ...]] = {
     "P4'": ("1278", "1368", "1458", "2367", "2457", "3456"),
     "P4''": ("1246", "1235", "1347", "1567", "2348", "2568", "3578", "4678"),
     "P4'''": ("1357", "2468"),
+    "P4iv": (
+        "1238", "1258", "1348", "1478", "1568", "1678",
+        "1247", "1267", "2347", "2378", "2567", "2578",
+        "1236", "1346", "2356", "3467", "3568", "3678",
+        "1245", "1456", "2345", "3458", "4567", "4578",
+    ),
     "P4v": (
         "1248", "1268", "1468", "1358", "1378", "1578",
         "1237", "1257", "2357", "2467", "2478", "2678",
@@ -360,25 +351,20 @@ _P_EXPANSIONS: dict[str, tuple[str, ...]] = {
     "P6": ("123678", "124578", "134568", "234567"),
 }
 
-# only six of the 24 terms are pinned; the rest follow by symmetry
-_P4IV_KNOWN_TERMS = ("1238", "1258", "1348", "1478", "1568", "1678")
-
-
 @cache
 def named_P_basis() -> dict[str, Anf]:
-    """The fifteen cube-group-invariant monomial-orbit polynomials."""
+    """The fifteen cube-group-invariant monomial-orbit polynomials.
+
+    One loop reads the _P_EXPANSIONS table, in its order: each P is the
+    cube-group orbit sum of the first term of its expansion, which must
+    equal the whole pinned expansion.
+    """
     group = cube_group()
     polys: dict[str, Anf] = {}
-    for name, rep in _P_REPRESENTATIVES.items():
-        poly = monomial_orbit_poly(rep, group)
-        expected = _P_EXPANSIONS.get(name)
-        if expected is not None:
-            if poly != Anf.from_monomial_strings(expected):
-                raise ConstructionError(f"{name} disagrees with its known expansion")
-        else:
-            known = Anf.from_monomial_strings(_P4IV_KNOWN_TERMS)
-            if poly.coeffs.bit_count() != 24 or known.coeffs & ~poly.coeffs:
-                raise ConstructionError(f"{name} misses pinned terms")
+    for name, terms in _P_EXPANSIONS.items():
+        poly = monomial_orbit_poly(tuple(map(int, terms[0])), group)
+        if poly != Anf.from_monomial_strings(terms):
+            raise ConstructionError(f"{name} disagrees with its known expansion")
         polys[name] = poly
     return polys
 
@@ -430,50 +416,65 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
 # ---------------------------------------------------------------------------
 # The five named invariants, each built geometrically and in closed form.
 
+# closed forms as sums of P's, in catalog order
+_Q_CLOSED_FORMS: dict[str, str] = {
+    "Q2": "P2''",
+    "Q4": "P2''+P3'+P4'''+P4v",
+    "Q4'": "P2'+P3'+P3''+P4'",
+    "Q6": "P2'+P2''+P3''+P4'+P4'''+P4v+P5+P6",
+    "Q6'": "P5+P6",
+}
+
+
+def _sum_of(text: str, *catalogs: dict[str, Anf]) -> Anf:
+    """The sum of the '+'-joined names in text, each from the first catalog holding it."""
+    total = Anf.zero()
+    for part in text.split("+"):
+        part = part.strip()
+        for catalog in catalogs:
+            if part in catalog:
+                total = total + catalog[part]
+                break
+        else:
+            raise KeyError(f"unknown polynomial {part!r}")
+    return total
+
+
+def _flat_sum(flats) -> Anf:
+    """The sum of the equations of the flats."""
+    total = Anf.zero()
+    for flat in flats:
+        total = total + flat_equation(flat)
+    return total
+
 
 @cache
 def named_Q() -> dict[str, Anf]:
-    """Q2, Q4, Q4', Q6, Q6': geometric and closed-form routes, asserted equal."""
+    """Q2, Q4, Q4', Q6, Q6': geometric and closed-form routes, asserted equal.
+
+    The closed forms are read from the _Q_CLOSED_FORMS table of P sums.  The
+    geometric routes are the equation of Q2's point set and, for Q4, Q4' and
+    Q6, sums of flat equations: the nine ambient 3-flats, the six tetrad
+    3-flats and the nine generators varying slot 3.  Q6' is checked against
+    its zero set.
+    """
     p = named_P_basis()
     model = build_model()
     orbs = definitional_orbits()
+    q = {name: _sum_of(text, p) for name, text in _Q_CLOSED_FORMS.items()}
 
-    q2_geo = anf_from_pointset(orbit_mask(orbs, "O2", "O4", "O5"))
-    q2 = p["P2''"]
-    if q2 != q2_geo:
-        raise ConstructionError("quadric closed form disagrees with its point set")
-
-    q4_geo = Anf.zero()
-    for flat in model.ambient_flats.values():
-        q4_geo = q4_geo + flat_equation(flat)
-    q4 = p["P2''"] + p["P3'"] + p["P4'''"] + p["P4v"]
-    if q4 != q4_geo:
-        raise ConstructionError("ambient-flat quartic disagrees with its closed form")
-
-    q4p_geo = Anf.zero()
-    for flat in tetrad_three_flats().values():
-        q4p_geo = q4p_geo + flat_equation(flat)
-    q4p = p["P2'"] + p["P3'"] + p["P3''"] + p["P4'"]
-    if q4p != q4p_geo:
-        raise ConstructionError("tetrad quartic disagrees with its closed form")
-
-    q6_geo = Anf.zero()
-    for i in (0, 1, 2):
-        for j in (0, 1, 2):
-            line = model.generators[(i, j, 3)]
-            q6_geo = q6_geo + flat_equation(Flat(line))
-    q6 = (
-        p["P2'"] + p["P2''"] + p["P3''"] + p["P4'"]
-        + p["P4'''"] + p["P4v"] + p["P5"] + p["P6"]
-    )
-    if q6 != q6_geo:
-        raise ConstructionError("generator sextic disagrees with its closed form")
-
-    q6p = p["P5"] + p["P6"]
-    if q6p.pointset() != orbit_mask(orbs, "O2", "O3", "O4", "O5"):
+    geometric = {
+        "Q2": anf_from_pointset(orbit_mask(orbs, "O2", "O4", "O5")),
+        "Q4": _flat_sum(model.ambient_flats.values()),
+        "Q4'": _flat_sum(tetrad_three_flats().values()),
+        "Q6": _flat_sum(Flat(line) for (_, _, r), line in model.generators.items() if r == 3),
+    }
+    for name, poly in geometric.items():
+        if q[name] != poly:
+            raise ConstructionError(f"{name} closed form disagrees with its geometric route")
+    if q["Q6'"].pointset() != orbit_mask(orbs, "O2", "O3", "O4", "O5"):
         raise ConstructionError("simple sextic does not vanish off O1")
-
-    return {"Q2": q2, "Q4": q4, "Q4'": q4p, "Q6": q6, "Q6'": q6p}
+    return q
 
 
 # value on (O1, O2, O3, O4, O5) and size of the zero set, for each invariant
@@ -491,18 +492,7 @@ SEVEN_TABLE = (
 
 def resolve_poly_name(name: str) -> Anf:
     """Look up a named invariant, allowing sums joined with '+'."""
-    q = named_Q()
-    p = named_P_basis()
-    total = Anf.zero()
-    for part in name.split("+"):
-        part = part.strip()
-        if part in q:
-            total = total + q[part]
-        elif part in p:
-            total = total + p[part]
-        else:
-            raise KeyError(f"unknown polynomial {part!r}")
-    return total
+    return _sum_of(name, named_Q(), named_P_basis())
 
 
 # ---------------------------------------------------------------------------

@@ -219,28 +219,17 @@ def orbits_document(group_name: str) -> list[dict]:
     from .groups import cube_group, segre_group, segre_group_even
     from .orbits import classify_point, cube_orbit_labels, point_orbits, segre_triplet
 
-    groups = {
-        "GS": segre_group,
-        "GS0": segre_group_even,
-        "GB": cube_group,
-    }
-    partition = point_orbits(groups[group_name]())
-    s, s1, s2 = segre_triplet()
-    cube_labels = cube_orbit_labels()
-
-    def label_for(cls) -> str:
-        if group_name == "GS":
-            return classify_point(cls.rep)
-        if group_name == "GB":
-            return cube_labels[cls.rep]
-        pts = frozenset(cls.points)
-        if pts == s:
-            return "S"
-        if pts == s1:
-            return "S'"
-        if pts == s2:
-            return "S''"
-        return classify_point(cls.rep)
+    # build only the group and the labels its classes print
+    if group_name == "GS":
+        group, label_for = segre_group, lambda cls: classify_point(cls.rep)
+    elif group_name == "GB":
+        labels = cube_orbit_labels()
+        group, label_for = cube_group, lambda cls: labels[cls.rep]
+    else:
+        names = dict(zip(segre_triplet(), ("S", "S'", "S''")))
+        group = segre_group_even
+        label_for = lambda cls: names.get(frozenset(cls.points)) or classify_point(cls.rep)
+    partition = point_orbits(group())
 
     doc = []
     for cls in partition.classes:

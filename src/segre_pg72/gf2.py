@@ -30,6 +30,7 @@ def basis_vector(i: int) -> int:
 
 def weight(v: int) -> int:
     """Number of basis vectors appearing in the expansion of v."""
+    _check_vectors((v,), DIM)
     return v.bit_count()
 
 

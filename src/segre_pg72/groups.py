@@ -70,29 +70,23 @@ def sym3_operator(rho: tuple[int, int, int]) -> GFMatrix:
     return GFMatrix(cols)
 
 
-def _expected_images(images: dict[int, str]) -> dict[int, int]:
-    return {i: parse_point(s) for i, s in images.items()}
-
-
-# Expected basis images of every named element; permutations are spelled out
-# in full so a convention slip in the operators cannot pass silently.
-_VALIDATION: dict[str, dict[int, str]] = {
-    "J": {1: "8", 2: "7", 3: "6", 4: "5", 5: "4", 6: "3", 7: "2", 8: "1"},
-    "Jx": {1: "2", 2: "1", 3: "4", 4: "3", 5: "6", 6: "5", 7: "8", 8: "7"},
-    "Jy": {1: "4", 2: "3", 3: "2", 4: "1", 5: "8", 6: "7", 7: "6", 8: "5"},
-    "Jz": {1: "6", 2: "5", 3: "8", 4: "7", 5: "2", 6: "1", 7: "4", 8: "3"},
-    "Ax": {1: "2", 2: "12", 3: "34", 4: "3", 5: "56", 6: "5", 7: "8", 8: "78"},
-    "K12": {1: "1", 2: "4", 3: "3", 4: "2", 5: "7", 6: "6", 7: "5", 8: "8"},
-    "K13": {1: "1", 2: "6", 3: "7", 4: "4", 5: "5", 6: "2", 7: "3", 8: "8"},
-    "K23": {1: "1", 2: "2", 3: "5", 4: "6", 5: "3", 6: "4", 7: "7", 8: "8"},
-    "C": {1: "2", 2: "3", 3: "4", 4: "1", 5: "8", 6: "5", 7: "6", 8: "7"},
-    "B": {1: "1", 2: "4", 3: "7", 4: "6", 5: "3", 6: "2", 7: "5", 8: "8"},
-    "W": {
-        1: "246", 2: "1235", 3: "248", 4: "1347",
-        5: "268", 6: "1567", 7: "468", 8: "3578",
-    },
-    "K": {1: "8", 2: "2", 3: "3", 4: "4", 5: "5", 6: "6", 7: "7", 8: "1"},
-    "K'": {1: "8", 2: "7", 3: "3", 4: "4", 5: "5", 6: "6", 7: "2", 8: "1"},
+# Expected images of e1..e8 under every named element, in point shorthand.
+# Permutations are spelled out in full so a convention slip in the operators
+# cannot pass silently; W is built from its own row.
+_VALIDATION: dict[str, str] = {
+    "J": "8 7 6 5 4 3 2 1",
+    "Jx": "2 1 4 3 6 5 8 7",
+    "Jy": "4 3 2 1 8 7 6 5",
+    "Jz": "6 5 8 7 2 1 4 3",
+    "Ax": "2 12 34 3 56 5 8 78",
+    "K12": "1 4 3 2 7 6 5 8",
+    "K13": "1 6 7 4 5 2 3 8",
+    "K23": "1 2 5 6 3 4 7 8",
+    "C": "2 3 4 1 8 5 6 7",
+    "B": "1 4 7 6 3 2 5 8",
+    "W": "246 1235 248 1347 268 1567 468 3578",
+    "K": "8 2 3 4 5 6 7 1",
+    "K'": "8 7 3 4 5 6 2 1",
 }
 
 _EXPECTED_ORDERS = {
@@ -120,10 +114,7 @@ def named_elements() -> dict[str, GFMatrix]:
     m = jx * b
     n = ax * k12
     mp = j * m
-    w = GFMatrix(
-        [parse_point(s) for s in
-         ("246", "1235", "248", "1347", "268", "1567", "468", "3578")]
-    )
+    w = GFMatrix(map(parse_point, _VALIDATION["W"].split()))
     k = GFMatrix.from_cycles([(1, 8)])
     kp = GFMatrix.from_cycles([(1, 8), (2, 7)])
 
@@ -135,9 +126,9 @@ def named_elements() -> dict[str, GFMatrix]:
         "W": w, "K": k, "K'": kp,
     }
 
-    for name, images in _VALIDATION.items():
+    for name, row in _VALIDATION.items():
         mat = catalog[name]
-        for i, img in _expected_images(images).items():
+        for i, img in enumerate(map(parse_point, row.split()), 1):
             if mat(basis_vector(i)) != img:
                 raise ConstructionError(
                     f"{name} maps e{i} to {mat(basis_vector(i))}, expected {img}"

@@ -33,10 +33,11 @@ class OrbitPartition(NamedTuple):
     classes: tuple[OrbitClass, ...]
 
     def class_of(self, v: int) -> OrbitClass:
+        _check_point(v)
         for cls in self.classes:
             if v in cls.points:
                 return cls
-        raise ValueError(f"not a point: {v!r}")
+        raise ValueError(f"point {v} is in no class of this partition")
 
     def sizes(self) -> list[int]:
         return [cls.size for cls in self.classes]

@@ -150,10 +150,3 @@ def build_model() -> SegreModel:
         point_set=point_set,
     )
 
-
-def distinguished_tangent(p: int) -> frozenset[int]:
-    """The tangent line {p, p', p''} through a point p of the variety."""
-    model = build_model()
-    if p not in model.point_set:
-        raise ValueError(f"not a point of the variety: {p!r}")
-    return model.tangents[p]

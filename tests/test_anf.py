@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from segre_pg72 import anf
 from segre_pg72.anf import (
     Anf,
     SEVEN_TABLE,
@@ -24,6 +25,7 @@ from segre_pg72.anf import (
 )
 from segre_pg72.checks import REGISTRY, Run
 from segre_pg72.gf2 import (
+    ConstructionError,
     Flat,
     GFMatrix,
     UNIT,
@@ -34,6 +36,7 @@ from segre_pg72.groups import MatrixGroup, closure, cube_group, element, element
 from segre_pg72.orbits import definitional_orbits, orbit_mask
 from segre_pg72.segre import build_model
 from test_gf2 import echelon_bases, flats_of_dimension, ref_nullspace
+from test_groups import build_with
 
 E = [0] + [1 << i for i in range(8)]
 
@@ -153,6 +156,11 @@ class TestMobius:
         for _ in range(200):
             t = rng.getrandbits(256)
             assert mobius(mobius(t)) == t
+
+    @pytest.mark.parametrize("table", [-1, 1 << 256, 1 << 300])
+    def test_out_of_range_tables_are_rejected(self, table):
+        with pytest.raises(ValueError, match="^truth table out of range$"):
+            mobius(table)
 
     def test_evaluate_matches_brute_force(self):
         rng = random.Random(2)
@@ -445,6 +453,15 @@ class TestNamedPolynomials:
         )
         assert pinned.coeffs & ~poly.coeffs == 0
 
+    @pytest.mark.parametrize("name,keep", [
+        ("P4iv", slice(1, None)), ("P4iv", slice(None, -1)), ("P3''", slice(None, -1)),
+    ], ids=["P4iv-first", "P4iv-last", "P3''-last"])
+    def test_one_dropped_expansion_term_is_caught(self, name, keep):
+        terms = anf._P_EXPANSIONS[name][keep]
+        with pytest.raises(ConstructionError, match=f"^{name} disagrees with its known expansion$"):
+            build_with(named_P_basis, anf._P_EXPANSIONS, name, terms)
+        assert named_P_basis()[name].coeffs.bit_count() == 24
+
     def test_p5_is_a_reduced_product(self):
         p = named_P_basis()
         assert p["P5"] == p["P1"] * p["P4'''"]
@@ -506,6 +523,16 @@ class TestNamedQ:
         assert named_Q()["Q6'"].pointset() == orbit_mask(
             orbs, "O2", "O3", "O4", "O5"
         )
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("Q4", "P2''+P3'+P4'''+P4iv", "Q4 closed form disagrees with its geometric route"),
+        ("Q2", "P2'", "Q2 closed form disagrees with its geometric route"),
+        ("Q6'", "P4+P6", "simple sextic does not vanish off O1"),
+    ], ids=["Q4", "Q2", "Q6'"])
+    def test_one_swapped_closed_form_term_is_caught(self, name, text, message):
+        with pytest.raises(ConstructionError, match=f"^{message}$"):
+            build_with(named_Q, anf._Q_CLOSED_FORMS, name, text)
+        assert named_Q()[name].degree == int(name[1])
 
     def test_degrees(self):
         q = named_Q()

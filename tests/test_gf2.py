@@ -23,9 +23,11 @@ from segre_pg72.gf2 import (
     orthogonal_complement,
     parse_point,
     span,
+    weight,
 )
-from segre_pg72.groups import segre_group, stabilizer_of_point
-from segre_pg72.orbits import classify_point
+from segre_pg72.anf import Anf
+from segre_pg72.groups import cube_group, segre_group, stabilizer_of_point
+from segre_pg72.orbits import classify_point, point_orbits
 
 E = [0] + [1 << i for i in range(8)]  # E[i] = e_i, 1-indexed
 
@@ -399,6 +401,7 @@ _POINT_CALLERS = {
     "span": lambda p: span([E[1], p]),
     "stabilizer_of_point": lambda p: stabilizer_of_point(segre_group(), p),
     "classify_point": classify_point,
+    "class_of": lambda p: point_orbits(cube_group()).class_of(p),
 }
 
 
@@ -408,6 +411,19 @@ class TestPointCheck:
     def test_non_points_are_rejected_by_every_caller(self, caller, p):
         with pytest.raises(ValueError, match=f"^not a point: {p}$"):
             _POINT_CALLERS[caller](p)
+
+
+class TestVectorCheck:
+    @pytest.mark.parametrize("v", [-1, 256, 1 << 300])
+    @pytest.mark.parametrize("caller", [weight, Anf.linear_form], ids=["weight", "linear_form"])
+    def test_non_vectors_are_rejected(self, caller, v):
+        with pytest.raises(ValueError, match=f"^not an 8-bit vector: {v}$"):
+            caller(v)
+
+    def test_vectors_are_accepted(self):
+        assert [weight(v) for v in (0, 1, 3, UNIT)] == [0, 1, 2, 8]
+        assert Anf.linear_form(0) == Anf.zero()
+        assert Anf.linear_form(UNIT).monomial_strings() == list("12345678")
 
 
 class TestKernelAndDuality:

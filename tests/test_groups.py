@@ -4,7 +4,8 @@ from math import prod
 
 import pytest
 
-from segre_pg72.gf2 import Flat, GFMatrix, UNIT, _reduce, parse_point, span, weight
+from segre_pg72 import groups
+from segre_pg72.gf2 import ConstructionError, Flat, GFMatrix, UNIT, _reduce, parse_point, span, weight
 from segre_pg72.groups import (
     DEFAULT_CAP,
     ClosureOverflowError,
@@ -28,6 +29,22 @@ from segre_pg72.groups import (
     tensor_operator,
 )
 from segre_pg72.segre import BASIS_INDEX, build_model
+
+
+def build_with(builder, table: dict, name: str, value):
+    """Run the cached catalog builder with table[name] set to value.
+
+    The builder's cache is cleared before and after, and the entry is
+    restored, so the mutant is seen by this call alone.
+    """
+    saved = table[name]
+    builder.cache_clear()
+    table[name] = value
+    try:
+        return builder()
+    finally:
+        table[name] = saved
+        builder.cache_clear()
 from test_gf2 import ref_nullspace
 
 E = [0] + [1 << i for i in range(8)]
@@ -382,6 +399,16 @@ class TestNamedElements:
         }
         for i, s in expected.items():
             assert w(E[i]) == parse_point(s)
+
+    @pytest.mark.parametrize("name,row,message", [
+        ("J", "8 7 6 5 4 3 2 12", "J maps e8 to 1, expected 3"),
+        ("Ax", "2 12 34 3 56 5 8 7", "Ax maps e8 to 192, expected 64"),
+        ("W", "246 1235 248 1347 268 1567 468 357", "W has wrong order"),
+    ], ids=["J", "Ax", "W"])
+    def test_one_changed_validation_image_is_caught(self, name, row, message):
+        with pytest.raises(ConstructionError, match=f"^{message}$"):
+            build_with(named_elements, groups._VALIDATION, name, row)
+        assert named_elements()["J"](E[8]) == E[1]
 
     def test_w_cubes_to_identity_and_quadratic_minimal_polynomial(self):
         w = element("W")

@@ -5,7 +5,9 @@ its home module on access.  A command loads only the modules it runs, which
 is checked in a fresh interpreter through ``sys.modules``.
 """
 
+import inspect
 import os
+import signal
 import subprocess
 import sys
 from importlib import import_module
@@ -15,6 +17,7 @@ import pytest
 
 import segre_pg72
 from segre_pg72 import groups
+from segre_pg72.anf import Anf
 from segre_pg72.orbits import OrbitClass, OrbitPartition, Spread
 from segre_pg72.segre import SegreModel, build_model
 
@@ -127,8 +130,11 @@ def test_record_members():
     partition = OrbitPartition((OrbitClass((1,)), cls))
     assert partition.class_of(5) is cls
     assert partition.sizes() == [1, 3]
-    with pytest.raises(ValueError, match="not a point"):
+    with pytest.raises(ValueError, match="^point 2 is in no class of this partition$"):
         partition.class_of(2)
+    for bad in (0, 256):
+        with pytest.raises(ValueError, match="not a point"):
+            partition.class_of(bad)
 
 
 def test_model_compares_by_value_and_is_immutable():
@@ -140,3 +146,75 @@ def test_model_compares_by_value_and_is_immutable():
     with pytest.raises(TypeError, match="unhashable"):
         hash(model)  # it holds dicts
 
+
+
+# ---------------------------------------------------------------------------
+# A sweep of bad inputs: every public callable that takes one required
+# argument, plus Anf.linear_form, meets each sweep value under an alarm.
+
+SWEEP_VALUES = (0, -1, 256, 1 << 300, "x", None)
+
+
+def one_argument_callables() -> dict:
+    found = {}
+    for name in segre_pg72.__all__:
+        obj = getattr(segre_pg72, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters.values()
+        except ValueError:  # exception classes have no signature
+            continue
+        positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+        if sum(p.kind in positional and p.default is p.empty for p in params) == 1:
+            found[name] = obj
+    found["Anf.linear_form"] = Anf.linear_form
+    return found
+
+
+SWEPT = one_argument_callables()
+
+# The calls that may return: the records and MatrixGroup store what they are
+# given, orbit_mask with no labels is the empty mask, and the rest are
+# valid inputs.  Every other call must raise.
+SWEEP_RETURNS = {
+    "OrbitClass": SWEEP_VALUES, "OrbitPartition": SWEEP_VALUES, "Spread": SWEEP_VALUES,
+    "orbit_mask": SWEEP_VALUES, "MatrixGroup": ("x",),
+    "Anf": (0, 256), "anf_from_pointset": (0, 256), "mobius": (0, 256),
+    "degree_by_incidence": (256,), "weight": (0,), "Anf.linear_form": (0,),
+}
+
+
+class Hang(BaseException):
+    """Raised by the alarm; a BaseException, so no except Exception hides it."""
+
+
+def _hang(signum, frame):
+    raise Hang
+
+
+def test_the_sweep_covers_the_public_callables():
+    assert len(SWEPT) >= 30
+    assert set(SWEEP_RETURNS) <= set(SWEPT)
+
+
+@pytest.mark.parametrize("name", list(SWEPT))
+def test_bad_inputs_raise_at_once(name):
+    call = SWEPT[name]
+    returned = []
+    previous = signal.signal(signal.SIGALRM, _hang)
+    try:
+        for value in SWEEP_VALUES:
+            signal.alarm(2)
+            try:
+                call(value)
+            except Hang:
+                pytest.fail(f"{name}({value!r}) did not return within 2 s")
+            except Exception:
+                continue
+            finally:
+                signal.alarm(0)
+            returned.append(value)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert tuple(returned) == SWEEP_RETURNS.get(name, ())

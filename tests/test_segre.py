@@ -5,7 +5,6 @@ from segre_pg72.segre import (
     MULTI_INDICES,
     _generators_through,
     build_model,
-    distinguished_tangent,
     segre_point,
 )
 
@@ -135,23 +134,27 @@ class TestModel:
         assert len(z.points()) == 15
 
 
+def tangent(p):
+    return build_model().tangents[p]
+
+
 class TestDistinguishedTangents:
     def test_tangent_at_e1(self):
-        assert distinguished_tangent(E[1]) == {
+        assert tangent(E[1]) == {
             parse_point("1"),
             parse_point("246"),
             parse_point("1246"),
         }
 
     def test_tangent_at_e8(self):
-        assert distinguished_tangent(E[8]) == {
+        assert tangent(E[8]) == {
             parse_point("8"),
             parse_point("8357"),
             parse_point("357"),
         }
 
     def test_tangent_at_unit_point(self):
-        assert distinguished_tangent(UNIT) == {
+        assert tangent(UNIT) == {
             parse_point("u"),
             parse_point("1357"),
             parse_point("2468"),
@@ -169,7 +172,7 @@ class TestDistinguishedTangents:
             8: ("8", "8357", "357"),
         }
         for i, names in expected.items():
-            assert distinguished_tangent(E[i]) == {parse_point(s) for s in names}
+            assert tangent(E[i]) == {parse_point(s) for s in names}
 
     def test_tangents_partition_pairwise_disjoint(self):
         model = build_model()
@@ -183,7 +186,3 @@ class TestDistinguishedTangents:
         model = build_model()
         for p, line in model.tangents.items():
             assert line & model.point_set == {p}
-
-    def test_non_variety_point_rejected(self):
-        with pytest.raises(ValueError):
-            distinguished_tangent(E[1] ^ E[8])
