@@ -280,11 +280,19 @@ class GFMatrix:
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[tuple[int, ...]]) -> "GFMatrix":
-        """Permutation matrix from disjoint cycles on basis indices 1..8."""
+        """Permutation matrix from disjoint cycles on basis indices 1..8.
+
+        Cycles that share an index, and indices outside 1..8, raise ValueError.
+        """
         images = [1 << j for j in range(DIM)]
+        moved = 0  # the basis vectors already given an image
         for cyc in cycles:
             cyc = tuple(cyc)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                bit = basis_vector(a)
+                if moved & bit:
+                    raise ValueError(f"cycles are not disjoint: index {a} repeats")
+                moved |= bit
                 images[a - 1] = basis_vector(b)
         return cls(images)
 

@@ -20,6 +20,7 @@ from .gf2 import (
     _check_point,
     _invert_perm,
     _kernel,
+    _reduce,
     _xor_sums,
     basis_vector,
     kernel,
@@ -139,8 +140,6 @@ def named_elements() -> dict[str, GFMatrix]:
         expected = _EXPECTED_ORDERS.get(name)
         if expected is not None and mat.order() != expected:
             raise ConstructionError(f"{name} has wrong order")
-    if jx * jy * jz != j:
-        raise ConstructionError("product of the three axis involutions is not J")
     return catalog
 
 
@@ -168,6 +167,9 @@ class MatrixGroup:
 
     def __init__(self, generators, elements=None):
         self.generators = tuple(generators)
+        for g in self.generators:
+            if not isinstance(g, GFMatrix):
+                raise ValueError(f"not a matrix: {g!r}")
         self.elements = tuple(elements) if elements is not None else None
         self._element_set = None  # built on the first membership test
 
@@ -360,22 +362,27 @@ def commutant_basis(generators) -> list[GFMatrix]:
 
 
 def centralizer_in_gl(generators) -> MatrixGroup:
-    """All invertible matrices commuting with every generator."""
+    """All invertible matrices commuting with every generator.
+
+    The elements are the invertible sums of the commutant basis, in the
+    counter order of the basis subsets.  A commutant is an algebra, so its
+    invertible elements form a group; the one certificate is that the
+    products of basis matrices stay in the span, which closes the whole span
+    under products.
+    """
     basis = commutant_basis(generators)
     if len(basis) > 20:
         raise ValueError("commutant too large to enumerate exhaustively")
-    # each sum of basis matrices, its 8 columns packed as the bytes of an int
-    sums = _xor_sums(int.from_bytes(bytes(x.cols), "little") for x in basis)
+    # each matrix as its 8 columns packed into the bytes of an int
+    packed = [int.from_bytes(bytes(x.cols), "little") for x in basis]
+    products = [int.from_bytes(bytes((a * b).cols), "little") for a in basis for b in basis]
+    if len(_reduce(packed + products)) != len(basis):
+        raise ConstructionError("commutant basis not closed under product")
     elements = []
-    for packed in sums[1:]:
-        x = GFMatrix(packed.to_bytes(DIM, "little"))
-        if x.is_invertible():
-            elements.append(x)
-    found = set(elements)
-    for a in elements:
-        for b in elements:
-            if a * b not in found:
-                raise ConstructionError("centralizer candidates not closed under product")
+    for x in _xor_sums(packed)[1:]:
+        mat = GFMatrix(x.to_bytes(DIM, "little"))
+        if mat.is_invertible():
+            elements.append(mat)
     return MatrixGroup(tuple(elements), tuple(elements))
 
 

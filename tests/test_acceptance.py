@@ -7,13 +7,17 @@ fresh (uncached) computations where a bound is part of the criterion.  Each
 test prints a single PASS line on success.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from segre_pg72.anf import SEVEN_TABLE, named_Q
 from segre_pg72.checks import Run
 from segre_pg72.orbits import CUBE_ORBIT_CENSUS, definitional_orbits, orbit_mask
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _report(cid, detail=""):
@@ -107,6 +111,7 @@ def test_criterion_9_end_to_end_cli():
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stdout + proc.stderr

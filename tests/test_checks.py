@@ -56,6 +56,16 @@ def test_a_raising_check_is_a_failure():
     )
 
 
+def test_a_degenerate_quadric_is_reported_by_the_form_checks(monkeypatch):
+    named = {**anf.named_Q(), "Q2": anf.Anf.from_monomial_strings(["18", "27", "36"])}
+    monkeypatch.setattr(anf, "named_Q", lambda: named)
+    results = Run().ids(cid for cid in REGISTRY if cid.startswith("polys/form/"))
+    assert len(results) == 4
+    assert [r.actual for r in results if r.actual.startswith("raised")] == []
+    rank = next(r for r in results if r.id == "polys/form/rank")
+    assert (rank.expected, rank.actual, rank.passed) == ("8", "6", False)
+
+
 def test_shared_intermediates_are_computed_once_per_run(monkeypatch):
     orbits.cube_orbit_labels()  # a cached construction of its own, built outside the run
     calls = Counter()

@@ -248,6 +248,11 @@ class TestGFMatrix:
         assert jx(E[2]) == E[1]
         assert jx(E[1] ^ E[3]) == E[2] ^ E[4]
 
+    @pytest.mark.parametrize("cycles", [[(1, 2), (2, 3)], [(1, 1)], [(9, 1)]])
+    def test_from_cycles_rejects_overlapping_or_out_of_range_cycles(self, cycles):
+        with pytest.raises(ValueError):
+            GFMatrix.from_cycles(cycles)
+
     def test_product_applies_right_factor_first(self):
         k12 = GFMatrix.from_cycles([(2, 4), (5, 7)])
         jx = GFMatrix.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)])

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations, product
 from math import prod
 
@@ -617,6 +618,25 @@ class TestCommutantAndCentralizer:
         basis = commutant_basis([element("M"), element("N")])
         assert len(basis) == 1
         assert basis[0] == GFMatrix.identity()
+
+    def test_centralizer_of_m_agrees_with_matrix_sum_reference(self):
+        gens = [element("M")]
+        found = list(centralizer_in_gl(gens).elements)
+        assert len(found) == 1152
+        assert found == ref_centralizer(gens)
+
+    def test_centralizer_of_n_is_enumerated_quickly(self):
+        start = time.perf_counter()
+        cz = centralizer_in_gl([element("N")])
+        assert time.perf_counter() - start < 10.0
+        assert len(cz) == 17_280
+
+    def test_centralizer_rejects_a_basis_that_is_not_an_algebra(self, monkeypatch):
+        e12 = GFMatrix([0, 1, 0, 0, 0, 0, 0, 0])  # e2 -> e1
+        e21 = GFMatrix([2, 0, 0, 0, 0, 0, 0, 0])  # e1 -> e2
+        monkeypatch.setattr(groups, "commutant_basis", lambda generators: [e12, e21])
+        with pytest.raises(ConstructionError, match="not closed under product"):
+            centralizer_in_gl([element("M")])
 
     def test_centralizer_of_even_subgroup(self):
         w = element("W")

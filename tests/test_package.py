@@ -174,12 +174,12 @@ def one_argument_callables() -> dict:
 
 SWEPT = one_argument_callables()
 
-# The calls that may return: the records and MatrixGroup store what they are
-# given, orbit_mask with no labels is the empty mask, and the rest are
-# valid inputs.  Every other call must raise.
+# The calls that may return: the records store what they are given,
+# orbit_mask with no labels is the empty mask, and the rest are valid
+# inputs.  Every other call must raise.
 SWEEP_RETURNS = {
     "OrbitClass": SWEEP_VALUES, "OrbitPartition": SWEEP_VALUES, "Spread": SWEEP_VALUES,
-    "orbit_mask": SWEEP_VALUES, "MatrixGroup": ("x",),
+    "orbit_mask": SWEEP_VALUES,
     "Anf": (0, 256), "anf_from_pointset": (0, 256), "mobius": (0, 256),
     "degree_by_incidence": (256,), "weight": (0,), "Anf.linear_form": (0,),
 }
