@@ -16,6 +16,7 @@ from .gf2 import (
     DIM,
     Flat,
     GFMatrix,
+    _check_matrices,
     _check_vectors,
     _digits,
     _echelon_layouts,
@@ -23,7 +24,6 @@ from .gf2 import (
     _mask_of,
     _set_bits,
     _xor_sums,
-    orthogonal_complement,
 )
 from .groups import MatrixGroup, cube_group
 from .orbits import (
@@ -193,19 +193,23 @@ def anf_from_pointset(psi: int) -> Anf:
 
 
 def flat_equation(x: Flat) -> Anf:
-    """Equation of a proper flat: 1 + prod(1 + f_i) over dual forms f_i."""
-    k = len(x.basis)
-    if k == DIM:
+    """Equation of a proper flat: the equation of its point set.
+
+    It has degree 8 - k for a flat of vector dimension k < 8.
+    """
+    if len(x.basis) == DIM:
         raise ValueError("the whole space has no equation")
-    poly = Anf.one()
-    for g in orthogonal_complement(x.basis):
-        poly = poly * (Anf.one() + Anf.linear_form(g))
-    result = Anf.one() + poly
-    if result.degree != DIM - k:
-        raise ConstructionError("flat equation has the wrong degree")
-    if result.pointset() != _mask_of(x.points()):
-        raise ConstructionError("flat equation has the wrong zero set")
-    return result
+    return anf_from_pointset(_mask_of(x.points()))
+
+
+# the ASCII binary digits to the bytes 0 and 1, and back
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _byte_table(mask: int) -> bytes:
+    """Bit v of a 256-bit mask as byte v (0 or 1): a table for bytes.translate."""
+    return f"{mask:0256b}".encode()[::-1].translate(_BITS)
 
 
 # _FLIP[b] maps each byte v to v ^ 1 << b, for bytes.translate
@@ -263,7 +267,7 @@ def degree_by_incidence(psi: int) -> int:
     _check_pointset(psi)
     if psi.bit_count() % 2 == 0:
         raise ValueError("incidence criterion requires an odd point count")
-    table = bytes(psi >> v & 1 for v in range(256))
+    table = _byte_table(psi)
     for d in range(8):
         if not _exists_even_flat(d, table):
             return d
@@ -271,18 +275,17 @@ def degree_by_incidence(psi: int) -> int:
 
 
 def substitute(f: Anf, mat: GFMatrix) -> Anf:
-    """The reduced polynomial g with g(x) = f(mat x) for all x."""
+    """The reduced polynomial g with g(x) = f(mat x) for all x.
+
+    Byte x of mat's point table translated through f's byte table is
+    f(mat x): g's truth table is one bytes.translate.  That the degree is
+    preserved is a claim, checked by polys/degree-preserved.
+    """
+    (mat,) = _check_matrices((mat,))
     if not mat.is_invertible():
         raise ValueError("substitution requires an invertible matrix")
-    t = f.truth_table()
-    out = 0
-    for x, y in enumerate(mat.perm):
-        if t >> y & 1:
-            out |= 1 << x
-    g = Anf(mobius(out))
-    if g.degree != f.degree:
-        raise ConstructionError("invertible substitution changed the degree")
-    return g
+    values = mat.perm.translate(_byte_table(f.truth_table()))
+    return Anf(mobius(int(values[::-1].translate(_DIGITS), 2)))
 
 
 def monomial_orbit_poly(rep, group: MatrixGroup) -> Anf:
@@ -373,7 +376,8 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
     of the map sending x_T to image(x_T) + x_T under every generator.  The
     images of all monomials under one generator come from one truth-table
     recurrence: the image of x_T is the product of the coordinate forms
-    (A x)_i for i in T, built from T minus its lowest index.
+    (A x)_i for i in T, built from T minus its lowest index.  It has degree
+    |T| and no constant term, so it stays among the monomials solved for.
 
     Monomial T is variable T of gf2._kernel, with column image(x_T) + x_T
     of generator k at bits 256k..256k+255; the basis lists the invariants
@@ -383,9 +387,8 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
         raise ValueError("degree must be between 1 and 8")
     # vectors[T]: the images of x_T plus x_T so far, one 256-bit block each
     vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
-    space = sum(1 << t for t in vectors)
     offset = 0
-    for mat in generators:
+    for mat in _check_matrices(generators):
         if not mat.is_invertible():
             raise ValueError("substitution requires an invertible matrix")
         # lin[i]: truth table of x -> bit i of A x, a sum of coordinate tables
@@ -399,12 +402,7 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
             tt[t] = tt[t ^ low] & lin[low.bit_length() - 1]
             if t not in vectors:
                 continue
-            img = mobius(tt[t])
-            if Anf(img).degree != t.bit_count():
-                raise ConstructionError("invertible substitution changed the degree")
-            if img & ~space:
-                raise ConstructionError("substitution left the coefficient space")
-            vectors[t] |= (img ^ 1 << t) << offset
+            vectors[t] |= (mobius(tt[t]) ^ 1 << t) << offset
         offset += 256
     return [Anf(x) for x in _kernel(vectors, 256)]
 
@@ -450,9 +448,9 @@ def named_Q() -> dict[str, Anf]:
 
     The closed forms are read from the _Q_CLOSED_FORMS table of P sums.  The
     geometric routes are the equation of Q2's point set and, for Q4, Q4' and
-    Q6, sums of flat equations: the nine ambient 3-flats, the six tetrad
-    3-flats and the nine generators varying slot 3.  Q6' is checked against
-    its zero set.
+    Q6, sums of the point-set equations of flats: the nine ambient 3-flats,
+    the six tetrad 3-flats and the nine generators varying slot 3.  Q6' is
+    checked against its zero set.
     """
     p = named_P_basis()
     model = build_model()

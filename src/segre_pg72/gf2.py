@@ -261,7 +261,7 @@ class GFMatrix:
 
     def __init__(self, cols: Iterable[int]):
         cols = tuple(cols)
-        if len(cols) != DIM or any(not 0 <= c <= UNIT for c in cols):
+        if len(cols) != DIM or not all(isinstance(c, int) and 0 <= c <= UNIT for c in cols):
             raise ValueError("need 8 column vectors in 0..255")
         self.cols = cols
         self.perm = bytes(_xor_sums(cols))
@@ -352,6 +352,15 @@ class GFMatrix:
 
     def __repr__(self) -> str:
         return f"GFMatrix({list(self.cols)!r})"
+
+
+def _check_matrices(values: Iterable) -> tuple[GFMatrix, ...]:
+    """The values as a tuple, each checked to be a GFMatrix."""
+    values = tuple(values)
+    for m in values:
+        if not isinstance(m, GFMatrix):
+            raise ValueError(f"not a matrix: {m!r}")
+    return values
 
 
 def _kernel(columns: dict[int, int], nvars: int) -> list[int]:

@@ -17,6 +17,7 @@ from .gf2 import (
     Flat,
     GFMatrix,
     _IDPERM,
+    _check_matrices,
     _check_point,
     _invert_perm,
     _kernel,
@@ -166,10 +167,7 @@ class MatrixGroup:
     __slots__ = ("generators", "elements", "_element_set")
 
     def __init__(self, generators, elements=None):
-        self.generators = tuple(generators)
-        for g in self.generators:
-            if not isinstance(g, GFMatrix):
-                raise ValueError(f"not a matrix: {g!r}")
+        self.generators = _check_matrices(generators)
         self.elements = tuple(elements) if elements is not None else None
         self._element_set = None  # built on the first membership test
 
@@ -203,8 +201,12 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
     The search runs on the point permutations (GFMatrix.perm): the product
     g * f is f.perm.translate(g.perm), and one walk over the growing list of
     elements found is the breadth-first order.  A matrix is built once per
-    element, at the end.
+    element, at the end.  The group always holds the identity, so a cap
+    below 1 raises ValueError.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    generators = _check_matrices(generators)
     gens = sorted(set(generators), key=lambda g: g.cols)
     for g in gens:
         if not g.is_invertible():
@@ -220,7 +222,7 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
                     raise ClosureOverflowError(f"closure exceeded cap of {cap} elements")
                 seen.add(h)
                 found.append(h)
-    return MatrixGroup(tuple(generators), tuple(map(GFMatrix._from_perm, found)))
+    return MatrixGroup(generators, tuple(map(GFMatrix._from_perm, found)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,7 @@ def schreier_sims(generators) -> int:
     never queued.
     """
     perms = []
-    for m in generators:
+    for m in _check_matrices(generators):
         if not m.is_invertible():
             raise ValueError("schreier_sims requires invertible generators")
         if m.perm != _IDPERM:
@@ -347,7 +349,7 @@ def commutant_basis(generators) -> list[GFMatrix]:
     """
     columns = dict.fromkeys(range(DIM * DIM), 0)
     offset = 0
-    for a in generators:
+    for a in _check_matrices(generators):
         rows = a.rows()
         # the bits of column i of A, spread down column 0 of an 8x8 block
         down = [sum((c >> k & 1) << DIM * k for k in range(DIM)) for c in a.cols]

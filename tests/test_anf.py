@@ -30,13 +30,27 @@ from segre_pg72.gf2 import (
     GFMatrix,
     UNIT,
     _echelon_layouts,
+    orthogonal_complement,
     span,
 )
-from segre_pg72.groups import MatrixGroup, closure, cube_group, element, elements, segre_group
-from segre_pg72.orbits import definitional_orbits, orbit_mask
+from segre_pg72.groups import (
+    MatrixGroup,
+    closure,
+    cube_group,
+    element,
+    elements,
+    named_elements,
+    segre_group,
+)
+from segre_pg72.orbits import (
+    definitional_orbits,
+    orbit_mask,
+    tetrad_five_flats,
+    tetrad_three_flats,
+)
 from segre_pg72.segre import build_model
 from test_gf2 import echelon_bases, flats_of_dimension, ref_nullspace
-from test_groups import build_with
+from test_groups import build_with, random_invertible
 
 E = [0] + [1 << i for i in range(8)]
 
@@ -73,13 +87,31 @@ def ref_exists_even_flat(d: int, table) -> bool:
     return 0 in ref_flat_parities(d, table)
 
 
+def ref_flat_equation(x: Flat) -> Anf:
+    # the dual-form route: 1 + prod(1 + f_i) over the dual forms f_i of the flat
+    poly = Anf.one()
+    for g in orthogonal_complement(x.basis):
+        poly = poly * (Anf.one() + Anf.linear_form(g))
+    return Anf.one() + poly
+
+
+def ref_substitute(f: Anf, mat: GFMatrix) -> Anf:
+    # the per-bit route: bit x of g's truth table is bit (mat x) of f's
+    t = f.truth_table()
+    out = 0
+    for x, y in enumerate(mat.perm):
+        if t >> y & 1:
+            out |= 1 << x
+    return Anf(mobius(out))
+
+
 def ref_invariant_subspace(generators, max_degree: int) -> list[Anf]:
-    # the slower route: one substitute per monomial, transpose, then a null
-    # space on the pivot-scanning reference elimination
+    # the slower route: one per-bit substitution per monomial, transpose,
+    # then a null space on the pivot-scanning reference elimination
     monos = [t for t in range(1, 256) if t.bit_count() <= max_degree]
     rows = []
     for mat in generators:
-        images = [substitute(Anf(1 << t), mat).coeffs for t in monos]
+        images = [ref_substitute(Anf(1 << t), mat).coeffs for t in monos]
         for pos, u in enumerate(monos):
             mask = 1 << pos
             for i, img in enumerate(images):
@@ -312,6 +344,33 @@ class TestFlatEquation:
         assert eq.degree == 8
         assert eq.pointset() == 0
 
+    def test_agrees_with_the_dual_form_route_on_the_model_and_tetrad_flats(self):
+        model = build_model()
+        families = {
+            "generators": [Flat(line) for line in model.generators.values()],
+            "sub_segres": [span(grid) for grid in model.sub_segres.values()],
+            "ambient_flats": list(model.ambient_flats.values()),
+            "z_flats": list(model.z_flats.values()),
+            "tangents": [Flat(line) for line in model.tangents.values()],
+            "tetrad_three_flats": list(tetrad_three_flats().values()),
+            "tetrad_five_flats": list(tetrad_five_flats().values()),
+        }
+        for family, flats in families.items():
+            assert flats, family
+            for fl in flats:
+                assert flat_equation(fl) == ref_flat_equation(fl), (family, fl)
+
+    @pytest.mark.parametrize("dim", range(-1, 7))
+    def test_agrees_with_the_dual_form_route_on_seeded_flats(self, dim):
+        rng = random.Random(100 + dim)
+        for _ in range(1 if dim == -1 else 20):
+            fl = Flat.empty()
+            while fl.dim_projective < dim:
+                fl = Flat(fl.basis + (rng.randrange(1, 256),))
+            eq = flat_equation(fl)
+            assert eq == ref_flat_equation(fl), fl
+            assert eq.degree == 7 - dim
+
 
 class TestDegreeByIncidence:
     def test_variety_has_degree_six_with_even_witness(self):
@@ -425,6 +484,25 @@ class TestSubstitute:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             substitute(Anf.variable(1), GFMatrix([1] * 8))
+
+    def test_a_matrix_argument_that_is_no_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="^not a matrix: 1$"):
+            substitute(Anf(2), 1)
+
+    def test_agrees_with_the_per_bit_route_on_seeded_pairs(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            f, mat = Anf(rng.getrandbits(256)), random_invertible(rng)
+            assert substitute(f, mat) == ref_substitute(f, mat)
+
+    @pytest.mark.parametrize("name", list(named_elements()))
+    def test_agrees_with_the_per_bit_route_on_the_named_elements(self, name):
+        mat = element(name)
+        rng = random.Random(15)
+        polys = [Anf(rng.getrandbits(256)) for _ in range(5)]
+        polys += list(named_P_basis().values()) + list(named_Q().values())
+        for f in polys:
+            assert substitute(f, mat) == ref_substitute(f, mat), f
 
 
 class TestNamedPolynomials:
@@ -660,6 +738,10 @@ class TestInvariantSubspace:
     def test_degree_out_of_range_rejected(self, degree):
         with pytest.raises(ValueError, match="^degree must be between 1 and 8$"):
             invariant_subspace([element("M")], degree)
+
+    def test_a_generator_that_is_no_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="^not a matrix: 1$"):
+            invariant_subspace([1], 3)
 
     def test_singular_generator_rejected(self):
         singular = GFMatrix([1, 2, 4, 8, 16, 32, 64, 64])

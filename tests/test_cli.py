@@ -6,7 +6,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from segre_pg72.anf import resolve_poly_name
 from segre_pg72.cli import EXPORTS, main, report_payload, run_suite
+from segre_pg72.groups import elements, schreier_sims
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = ROOT / "docs" / "report-schema.json"
@@ -289,3 +291,24 @@ def test_output_matches_the_committed_reference(capsys, filename):
     code, out, err = run_cli(capsys, *REFERENCE_DOCUMENTS[filename])
     assert (code, err) == (0, "")
     assert out.encode() == (REFERENCE_DIR / filename).read_bytes()
+
+
+def read_reference_json(filename):
+    return json.loads((REFERENCE_DIR / filename).read_text())
+
+
+def test_eval_values_match_the_committed_reference():
+    # one string of 255 digits per name: the value at each point 1..255
+    tables = read_reference_json("eval_values.json")
+    assert len(tables) == 20
+    for name, digits in tables.items():
+        poly = resolve_poly_name(name)
+        assert "".join(str(poly.evaluate(v)) for v in range(1, 256)) == digits, name
+
+
+def test_group_orders_match_the_committed_reference():
+    # every set of one to three named elements, by comma-joined label
+    orders = read_reference_json("group_orders.json")
+    assert len(orders) == 987
+    for label, order in orders.items():
+        assert schreier_sims(elements(label)) == order, label

@@ -253,6 +253,13 @@ class TestGFMatrix:
         with pytest.raises(ValueError):
             GFMatrix.from_cycles(cycles)
 
+    @pytest.mark.parametrize(
+        "cols", ["abcdefgh", [None] * 8, [1.0] + E[2:]], ids=["string", "None", "float"]
+    )
+    def test_columns_that_are_no_integers_are_rejected(self, cols):
+        with pytest.raises(ValueError, match=r"^need 8 column vectors in 0\.\.255$"):
+            GFMatrix(cols)
+
     def test_product_applies_right_factor_first(self):
         k12 = GFMatrix.from_cycles([(2, 4), (5, 7)])
         jx = GFMatrix.from_cycles([(1, 2), (3, 4), (5, 6), (7, 8)])

@@ -487,6 +487,17 @@ class TestClosure:
         with pytest.raises(ClosureOverflowError):
             closure([element("M"), element("N")], cap=100)
 
+    @pytest.mark.parametrize("gens,cap", [([], 0), ([GFMatrix.identity()], -5)], ids=["0", "-5"])
+    def test_cap_below_one_is_rejected(self, gens, cap):
+        with pytest.raises(ValueError, match=f"^cap must be at least 1, got {cap}$"):
+            closure(gens, cap=cap)
+
+    def test_generators_given_once_as_an_iterator_are_kept(self):
+        gens = (element("M"), element("N"))
+        group = closure(g for g in gens)
+        assert group.generators == gens
+        assert len(group) == 1296
+
     def test_membership_needs_an_element_list(self):
         gens = [element("M"), element("N")]
         listed = MatrixGroup(gens, closure(gens).elements)
@@ -693,3 +704,19 @@ class TestStabilizer:
         grp = closure([element("J")])
         stab = stabilizer_of_point(grp, E[1])
         assert set(stab.elements) == {GFMatrix.identity()}
+
+
+# every entry point that takes generators shares MatrixGroup's one check
+NOT_A_MATRIX = {
+    "MatrixGroup": lambda: MatrixGroup(["x"]),
+    "closure": lambda: closure([1]),
+    "schreier_sims": lambda: schreier_sims([1]),
+    "commutant_basis": lambda: commutant_basis([1]),
+    "centralizer_in_gl": lambda: centralizer_in_gl(["x"]),
+}
+
+
+@pytest.mark.parametrize("name", NOT_A_MATRIX)
+def test_a_generator_that_is_no_matrix_is_rejected(name):
+    with pytest.raises(ValueError, match="^not a matrix: "):
+        NOT_A_MATRIX[name]()
