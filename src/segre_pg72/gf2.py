@@ -14,7 +14,6 @@ from typing import Iterable
 
 DIM = 8
 UNIT = 0xFF  # the unit point u = e1 + ... + e8
-_COLUMNS_OF = itemgetter(*(1 << j for j in range(DIM)))  # point table -> cols
 
 
 class ConstructionError(RuntimeError):
@@ -76,6 +75,8 @@ def _digits(v: int) -> str:
 
 
 _IDPERM = bytes(range(256))  # the point table of the identity
+_UNITS = bytes(1 << j for j in range(DIM))  # e1..e8, the identity's column images
+_COLUMNS_OF = itemgetter(*_UNITS)  # point table -> cols
 
 
 def _invert_perm(p: bytes) -> bytes:

@@ -17,6 +17,7 @@ from .gf2 import (
     Flat,
     GFMatrix,
     _IDPERM,
+    _UNITS,
     _check_matrices,
     _check_point,
     _invert_perm,
@@ -228,17 +229,25 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
 # ---------------------------------------------------------------------------
 # Stabilizer chain on the 255 points.  Group elements are their point
 # permutations (GFMatrix.perm): the product a*b (b first) is b.translate(a).
+# A sifted element is its 8 column images, the bytes e1..e8 through its point
+# table, so the product a*b of a table a and images b is again b.translate(a).
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal", "inv_transversal", "pending")
+    __slots__ = ("base", "pos", "gens", "transversal", "inv_transversal", "pending")
 
     def __init__(self, base: int):
         self.base = base
+        self.pos = base.bit_length() - 1  # base == 1 << pos, a unit vector
         self.gens: list[tuple[bytes, bytes]] = []  # (generator, its inverse)
         self.transversal = {base: _IDPERM}
         self.inv_transversal = {base: _IDPERM}
         self.pending: list[tuple[int, bytes]] = []
+
+
+def _smallest_moved(g: bytes) -> int:
+    """The smallest point a non-identity point table moves."""
+    return next(v for v in range(1, 256) if g[v] != v)
 
 
 def schreier_sims(generators) -> int:
@@ -252,27 +261,36 @@ def schreier_sims(generators) -> int:
     Schreier pair (pt, s) is checked exactly once, except the tree edges: the
     pair that first reached s(pt) gives the identity by construction and is
     never queued.
+
+    Every base point is a unit vector.  Let v be the smallest point moved by
+    a linear map g and 2^m the top bit of v: g fixes the unit vectors below
+    2^m and all they span, so if it fixed 2^m it would fix v; hence v = 2^m.
+    An element is therefore sifted as its 8 column images: a level with base
+    e_(pos+1) reads image pos, a sift step and a Schreier generator are
+    8-byte translates, and a residue is the identity exactly when its images
+    are e1..e8.  Only a residue that is not, and so becomes a strong
+    generator, is expanded to its 256-byte point table.
     """
-    perms = []
+    images = []
     for m in _check_matrices(generators):
         if not m.is_invertible():
             raise ValueError("schreier_sims requires invertible generators")
         if m.perm != _IDPERM:
-            perms.append(m.perm)
+            images.append(bytes(m.cols))
 
     levels: list[_Level] = []
 
-    def sift(g: bytes, start: int) -> tuple[bytes, int]:
+    def sift(e: bytes, start: int) -> tuple[bytes, int]:
         for idx in range(start, len(levels)):
             lv = levels[idx]
-            img = g[lv.base]
+            img = e[lv.pos]
             if img == lv.base:
                 continue
             t_inv = lv.inv_transversal.get(img)
             if t_inv is None:
-                return g, idx
-            g = g.translate(t_inv)
-        return g, len(levels)
+                return e, idx
+            e = e.translate(t_inv)
+        return e, len(levels)
 
     def attach(lv: _Level, g: bytes, g_inv: bytes) -> None:
         lv.gens.append((g, g_inv))
@@ -291,22 +309,26 @@ def schreier_sims(generators) -> int:
                     inv_trans[img] = s_inv.translate(inv_trans[pt])
                     orbit.append(img)
 
-    def add_generator(k: int, g: bytes) -> None:
-        # g fixes the bases of levels 0..k-1, so it generates at every level
-        # up to and including its stick level k.  A wrong inverse transversal
-        # entry breaks this, and would otherwise add strong generators forever.
-        if any(g[lv.base] != lv.base for lv in levels[:k]):
+    def add_generator(k: int, e: bytes) -> None:
+        # the residue e fixes the bases of levels 0..k-1, so it generates at
+        # every level up to and including its stick level k.  A wrong inverse
+        # transversal entry breaks this, and would otherwise add strong
+        # generators forever.
+        if any(e[lv.pos] != lv.base for lv in levels[:k]):
             raise ConstructionError("sifted residue moves a base point of a higher level")
+        g = bytes(_xor_sums(e))
         if k == len(levels):
-            base = next(v for v in range(1, 256) if g[v] != v)
+            base = _smallest_moved(g)
+            if base & (base - 1):
+                raise ConstructionError("base point is not a unit vector")
             levels.append(_Level(base))
         g_inv = _invert_perm(g)
         for idx in range(k, -1, -1):
             attach(levels[idx], g, g_inv)
 
-    for p in perms:
-        residue, k = sift(p, 0)
-        if residue != _IDPERM:
+    for e in images:
+        residue, k = sift(e, 0)
+        if residue != _UNITS:
             add_generator(k, residue)
 
     # levels above k have no pending pairs; a new generator that sticks at
@@ -318,11 +340,12 @@ def schreier_sims(generators) -> int:
             k -= 1
             continue
         pt, s = lv.pending.pop()
-        schreier_gen = lv.transversal[pt].translate(s).translate(lv.inv_transversal[s[pt]])
-        if schreier_gen == _IDPERM:
+        schreier_gen = _UNITS.translate(lv.transversal[pt]).translate(s).translate(
+            lv.inv_transversal[s[pt]])
+        if schreier_gen == _UNITS:
             continue
         residue, j = sift(schreier_gen, k + 1)
-        if residue != _IDPERM:
+        if residue != _UNITS:
             add_generator(j, residue)
             k = j
 

@@ -231,6 +231,11 @@ def seeded_subsets(seed, count):
 
 NAMED_GROUPS = {"M,N": ("M", "N"), "M',N": ("M'", "N"), "M,K12": ("M", "K12")}
 
+# the generator sets whose chain orders `verify` checks, with those orders
+VERIFY_CHAIN_SETS = {
+    "M,N": 1296, "M',N": 648, "M,K12": 48, "M,N,K": 348_364_800, "M,N,K'": 174_182_400,
+}
+
 
 def ref_commutant_basis(generators) -> list[GFMatrix]:
     """Reference commutant: one parity-check row over the 64 entries of X
@@ -560,17 +565,62 @@ class TestSchreierSims:
             assert schreier_sims(gens) == len(closure(gens))
 
     def test_agrees_with_reference_chain_on_extended_subsets(self):
-        rng = random.Random(41)
-        extensions = (element("K"), element("K'"))
         for gens in seeded_subsets(43, 30):
-            gens = [*gens, rng.choice(extensions)]
-            assert schreier_sims(gens) == ref_schreier_sims(gens)
+            for name in ("K", "K'"):
+                ext = [*gens, element(name)]
+                assert schreier_sims(ext) == ref_schreier_sims(ext)
+
+    @pytest.mark.parametrize("label", VERIFY_CHAIN_SETS)
+    def test_agrees_with_reference_chain_on_the_verify_generator_sets(self, label):
+        gens = elements(label)
+        assert schreier_sims(gens) == ref_schreier_sims(gens) == VERIFY_CHAIN_SETS[label]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_invertible_pairs_generate_gl82(self, seed):
         rng = random.Random(seed)
         gens = [random_invertible(rng), random_invertible(rng)]
         assert schreier_sims(gens) == ref_schreier_sims(gens) == GL82_ORDER
+
+
+def smallest_moved(mat: GFMatrix) -> int:
+    return next(v for v in range(1, 256) if mat(v) != v)
+
+
+class TestColumnSift:
+    """The chain sifts column images because every base point is a unit
+    vector: the smallest point a linear map moves is a unit vector."""
+
+    def test_smallest_moved_point_of_seeded_invertible_maps_is_a_unit_vector(self):
+        rng = random.Random(53)
+        for _ in range(256):
+            mat = random_invertible(rng)
+            if mat != GFMatrix.identity():
+                v = smallest_moved(mat)
+                assert v & (v - 1) == 0, mat.cols
+
+    @pytest.mark.parametrize("label", VERIFY_CHAIN_SETS)
+    def test_every_residue_the_chain_adds_moves_a_unit_vector_first(self, label, monkeypatch):
+        # each residue added as a strong generator is inverted exactly once
+        residues = []
+        invert = groups._invert_perm
+
+        def recording(p):
+            residues.append(p)
+            return invert(p)
+
+        monkeypatch.setattr(groups, "_invert_perm", recording)
+        assert schreier_sims(elements(label)) == VERIFY_CHAIN_SETS[label]
+        assert residues
+        for p in residues:
+            v = smallest_moved(GFMatrix._from_perm(p))
+            assert v & (v - 1) == 0
+
+    def test_a_base_point_that_is_no_unit_vector_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(
+            groups, "_smallest_moved",
+            lambda g: next(v for v in range(1, 256) if g[v] != v and v & (v - 1)))
+        with pytest.raises(ConstructionError, match="^base point is not a unit vector$"):
+            schreier_sims([element("J")])
 
 
 class TestFixSubspace:
