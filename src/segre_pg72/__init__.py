@@ -28,8 +28,7 @@ _HOME = {
     for module, names in (
         ("gf2", (
             "DIM", "UNIT", "ConstructionError", "Flat", "GFMatrix",
-            "basis_vector", "format_point", "kernel", "nullspace",
-            "orthogonal_complement", "parse_point", "span", "weight",
+            "basis_vector", "format_point", "kernel", "parse_point", "span", "weight",
         )),
         ("segre", (
             "BASIS_INDEX", "MULTI_INDICES", "SegreModel", "build_model", "segre_point",

@@ -12,12 +12,11 @@ from __future__ import annotations
 from functools import cache
 
 from .gf2 import (
-    ConstructionError,
     DIM,
     Flat,
     GFMatrix,
+    _UNITS,
     _check_matrices,
-    _check_vectors,
     _digits,
     _echelon_layouts,
     _kernel,
@@ -26,16 +25,9 @@ from .gf2 import (
     _xor_sums,
 )
 from .groups import MatrixGroup, cube_group
-from .orbits import (
-    definitional_orbits,
-    orbit_mask,
-    point_orbit,
-    tetrad_three_flats,
-)
-from .segre import build_model
+from .orbits import point_orbit
 
 TABLE_FULL = (1 << 256) - 1
-_UNIT_VECTORS = [1 << j for j in range(DIM)]  # the sorted columns of a permutation matrix
 
 # butterfly masks: positions whose index has bit i clear
 _MOBIUS_MASKS = []
@@ -105,12 +97,6 @@ class Anf:
     @classmethod
     def variable(cls, i: int) -> "Anf":
         return cls.monomial((i,))
-
-    @classmethod
-    def linear_form(cls, v: int) -> "Anf":
-        """Sum of the variables named by the bits of v."""
-        _check_vectors((v,), DIM)
-        return cls(_mask_of(1 << i for i in _set_bits(v)))
 
     def __add__(self, other: "Anf") -> "Anf":
         return Anf(self.coeffs ^ other.coeffs)
@@ -299,7 +285,7 @@ def monomial_orbit_poly(rep, group: MatrixGroup) -> Anf:
     start = Anf.monomial(rep).coeffs.bit_length() - 1
     perms = []
     for g in group.generators:
-        if sorted(g.cols) != _UNIT_VECTORS:
+        if bytes(sorted(g.cols)) != _UNITS:  # the sorted columns of a permutation matrix
             raise ValueError("group contains a non-permutation matrix")
         perms.append(g.perm)
     return Anf(_mask_of(point_orbit(start, perms, bytearray(256))))
@@ -307,7 +293,8 @@ def monomial_orbit_poly(rep, group: MatrixGroup) -> Anf:
 
 # ---------------------------------------------------------------------------
 # The named invariant polynomials.  _P_EXPANSIONS is the P catalog; every P
-# is pinned in full, so a labeling slip cannot pass silently.
+# is pinned in full, so a labeling slip cannot pass silently: that each
+# orbit sum equals its pin is a claim, checked by polys/P-catalog.
 
 
 _P_EXPANSIONS: dict[str, tuple[str, ...]] = {
@@ -355,17 +342,13 @@ def named_P_basis() -> dict[str, Anf]:
     """The fifteen cube-group-invariant monomial-orbit polynomials.
 
     One loop reads the _P_EXPANSIONS table, in its order: each P is the
-    cube-group orbit sum of the first term of its expansion, which must
-    equal the whole pinned expansion.
+    cube-group orbit sum of the first term of its expansion.
     """
     group = cube_group()
-    polys: dict[str, Anf] = {}
-    for name, terms in _P_EXPANSIONS.items():
-        poly = monomial_orbit_poly(tuple(map(int, terms[0])), group)
-        if poly != Anf.from_monomial_strings(terms):
-            raise ConstructionError(f"{name} disagrees with its known expansion")
-        polys[name] = poly
-    return polys
+    return {
+        name: monomial_orbit_poly(tuple(map(int, terms[0])), group)
+        for name, terms in _P_EXPANSIONS.items()
+    }
 
 
 def invariant_subspace(generators, max_degree: int) -> list[Anf]:
@@ -408,7 +391,8 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
 
 
 # ---------------------------------------------------------------------------
-# The five named invariants, each built geometrically and in closed form.
+# The five named invariants in closed form.  That each matches its geometric
+# route is a claim, checked by polys/Q-catalog and polys/Q2-geometric.
 
 # closed forms as sums of P's, in catalog order
 _Q_CLOSED_FORMS: dict[str, str] = {
@@ -434,41 +418,11 @@ def _sum_of(text: str, *catalogs: dict[str, Anf]) -> Anf:
     return total
 
 
-def _flat_sum(flats) -> Anf:
-    """The sum of the equations of the flats."""
-    total = Anf.zero()
-    for flat in flats:
-        total = total + flat_equation(flat)
-    return total
-
-
 @cache
 def named_Q() -> dict[str, Anf]:
-    """Q2, Q4, Q4', Q6, Q6': geometric and closed-form routes, asserted equal.
-
-    The closed forms are read from the _Q_CLOSED_FORMS table of P sums.  The
-    geometric routes are the equation of Q2's point set and, for Q4, Q4' and
-    Q6, sums of the point-set equations of flats: the nine ambient 3-flats,
-    the six tetrad 3-flats and the nine generators varying slot 3.  Q6' is
-    checked against its zero set.
-    """
+    """Q2, Q4, Q4', Q6, Q6', read from the _Q_CLOSED_FORMS table of P sums."""
     p = named_P_basis()
-    model = build_model()
-    orbs = definitional_orbits()
-    q = {name: _sum_of(text, p) for name, text in _Q_CLOSED_FORMS.items()}
-
-    geometric = {
-        "Q2": anf_from_pointset(orbit_mask(orbs, "O2", "O4", "O5")),
-        "Q4": _flat_sum(model.ambient_flats.values()),
-        "Q4'": _flat_sum(tetrad_three_flats().values()),
-        "Q6": _flat_sum(Flat(line) for (_, _, r), line in model.generators.items() if r == 3),
-    }
-    for name, poly in geometric.items():
-        if q[name] != poly:
-            raise ConstructionError(f"{name} closed form disagrees with its geometric route")
-    if q["Q6'"].pointset() != orbit_mask(orbs, "O2", "O3", "O4", "O5"):
-        raise ConstructionError("simple sextic does not vanish off O1")
-    return q
+    return {name: _sum_of(text, p) for name, text in _Q_CLOSED_FORMS.items()}
 
 
 # value on (O1, O2, O3, O4, O5) and size of the zero set, for each invariant

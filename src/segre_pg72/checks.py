@@ -17,7 +17,7 @@ from operator import or_
 from typing import Callable, Iterable, NamedTuple
 
 from . import SUITES, anf, groups, orbits, segre
-from .gf2 import Flat, GFMatrix, UNIT, _xor_sums, format_point, parse_point, weight
+from .gf2 import ConstructionError, Flat, GFMatrix, UNIT, _xor_sums, format_point, parse_point, weight
 
 RAISED_EXPECTED = "no exception"  # the expected value reported for a check that raised
 
@@ -108,7 +108,30 @@ for _label, _size in (("M,N", 1296), ("M',N", 648), ("M,K12", 48)):
     check(f"groups/chain/{_label}", f"|<{_label}>| by stabilizer chain", _chain_order(_label, _size))
 check("groups/chain/M,N,K", "|<M,N,K>|", _chain_order("M,N,K", 348_364_800))
 check("groups/chain/M,N,K'", "|<M,N,K'>|", _chain_order("M,N,K'", 174_182_400))
-check("groups/catalog", "named catalog validates", lambda run: (18, len(groups.named_elements())))
+# the order of every named element but W, whose order groups/W/order checks
+_EXPECTED_ORDERS = {
+    "J": 2, "Jx": 2, "Jy": 2, "Jz": 2, "K12": 2, "K13": 2, "K23": 2,
+    "K": 2, "K'": 2, "B": 3, "Ax": 3, "Ay": 3, "Az": 3,
+    "C": 4, "M": 6, "N": 6,
+}
+
+
+@check("groups/catalog", "named catalog validates")
+def _(run):
+    # a slipped entry raises, naming itself
+    catalog = groups.named_elements()
+    for name, row in groups._VALIDATION.items():
+        for i, (col, img) in enumerate(zip(catalog[name].cols, map(parse_point, row.split())), 1):
+            if col != img:
+                raise ConstructionError(f"{name} maps e{i} to {col}, expected {img}")
+    for name, mat in catalog.items():
+        if not mat.is_invertible():
+            raise ConstructionError(f"{name} is singular")
+        if name in _EXPECTED_ORDERS and mat.order() != _EXPECTED_ORDERS[name]:
+            raise ConstructionError(f"{name} has wrong order")
+    return 18, len(catalog)
+
+
 check("groups/J-product", "Jx*Jy*Jz equals J", lambda run: (
     True, groups.element("Jx") * groups.element("Jy") * groups.element("Jz") == groups.element("J")))
 check("groups/commutant/dim", "commutant dimension of <M',N>",
@@ -307,10 +330,19 @@ check("orbits/tangent-examples", "frozen tangent lines through e1, e8, u", lambd
 
 
 def _census_rows(gs_label: str, run: Run):
-    # cube_orbit_labels matches every row against its orbit, or raises
-    labels = orbits.cube_orbit_labels()
-    return True, all(labels[parse_point(rep)] == label
-                     for row_label, _, _, rep, label in orbits.CUBE_ORBIT_CENSUS if row_label == gs_label)
+    # a row whose orbit has another size or weight, or lies in another
+    # class, raises, naming itself
+    partition = _partition(run, groups.cube_group)
+    for row_label, w, size, rep, label in orbits.CUBE_ORBIT_CENSUS:
+        if row_label != gs_label:
+            continue
+        rep_pt = parse_point(rep)
+        cls = partition.class_of(rep_pt)
+        if cls.size != size or any(weight(p) != w for p in cls.points):
+            raise ConstructionError(f"census row {label} does not match the orbit")
+        if orbits.classify_point(rep_pt) != gs_label:
+            raise ConstructionError(f"census row {label} sits in the wrong class")
+    return True, True
 
 
 check("table1/count", "cube-group orbit count matches the census", lambda run: (
@@ -356,9 +388,40 @@ def _invariants_below_8(run: Run) -> set[int]:
     return members
 
 
-check("polys/P-catalog", "fifteen orbit-sum polynomials validate",
-      lambda run: (15, len(anf.named_P_basis())))
-check("polys/Q-catalog", "five invariants built two ways", lambda run: (5, len(anf.named_Q())))
+@check("polys/P-catalog", "fifteen orbit-sum polynomials validate")
+def _(run):
+    # a P that differs from its pinned expansion raises, naming itself
+    p = anf.named_P_basis()
+    for name, terms in anf._P_EXPANSIONS.items():
+        if p[name] != anf.Anf.from_monomial_strings(terms):
+            raise ConstructionError(f"{name} disagrees with its known expansion")
+    return 15, len(p)
+
+
+def _flat_sum(flats) -> anf.Anf:
+    """The sum of the equations of the flats."""
+    return sum((anf.flat_equation(flat) for flat in flats), anf.Anf.zero())
+
+
+@check("polys/Q-catalog", "five invariants built two ways")
+def _(run):
+    # Q4, Q4' and Q6 against sums of the point-set equations of flats (the
+    # nine ambient 3-flats, the six tetrad 3-flats and the nine generators
+    # varying slot 3), and Q6' against its zero set; Q2's point-set route is
+    # polys/Q2-geometric.  A Q that disagrees raises, naming itself.
+    q = anf.named_Q()
+    model = segre.build_model()
+    geometric = {
+        "Q4": _flat_sum(model.ambient_flats.values()),
+        "Q4'": _flat_sum(orbits.tetrad_three_flats().values()),
+        "Q6": _flat_sum(Flat(line) for (_, _, r), line in model.generators.items() if r == 3),
+    }
+    for name, poly in geometric.items():
+        if q[name] != poly:
+            raise ConstructionError(f"{name} closed form disagrees with its geometric route")
+    if q["Q6'"].pointset() != _zero_set_mask("O2 O3 O4 O5"):
+        raise ConstructionError("simple sextic does not vanish off O1")
+    return 5, len(q)
 
 
 @check("polys/P5-product", "quintic factors through the linear form")

@@ -29,7 +29,7 @@ def basis_vector(i: int) -> int:
 
 def weight(v: int) -> int:
     """Number of basis vectors appearing in the expansion of v."""
-    _check_vectors((v,), DIM)
+    _check_vectors((v,))
     return v.bit_count()
 
 
@@ -43,13 +43,12 @@ def _check_point(p: int) -> None:
         raise ValueError(f"not a point: {p!r}")
 
 
-def _check_vectors(vectors: Iterable[int], width: int) -> tuple[int, ...]:
-    """The vectors as a tuple, each checked to fit in width bits."""
+def _check_vectors(vectors: Iterable[int]) -> tuple[int, ...]:
+    """The vectors as a tuple, each checked to fit in 8 bits."""
     vectors = tuple(vectors)
     for v in vectors:
-        if v < 0 or v >> width:
-            article = "an" if width in (8, 11, 18) else "a"
-            raise ValueError(f"not {article} {width}-bit vector: {v!r}")
+        if v < 0 or v >> DIM:
+            raise ValueError(f"not an 8-bit vector: {v!r}")
     return vectors
 
 
@@ -150,7 +149,7 @@ def _reduce(vectors: Iterable[int]) -> dict[int, int]:
 
 def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon form; pivots are lowest set bits, rows sorted by pivot."""
-    rows = _reduce(_check_vectors(vectors, DIM))
+    rows = _reduce(_check_vectors(vectors))
     return tuple(rows[p] for p in sorted(rows))
 
 
@@ -285,7 +284,7 @@ class GFMatrix:
 
         Cycles that share an index, and indices outside 1..8, raise ValueError.
         """
-        images = [1 << j for j in range(DIM)]
+        images = list(_UNITS)
         moved = 0  # the basis vectors already given an image
         for cyc in cycles:
             cyc = tuple(cyc)
@@ -386,16 +385,3 @@ def kernel(mat: GFMatrix) -> Flat:
     """The flat of solutions of mat(x) = 0; the empty flat if only 0 solves."""
     return Flat(_kernel(dict(enumerate(mat.cols)), DIM))
 
-
-def nullspace(rows: Iterable[int], nvars: int) -> list[int]:
-    """Basis of {x : every row has even overlap with x}, as bit masks.
-
-    Rows are parity-check constraints over nvars bit positions; the basis is
-    returned in ascending free-variable order, so the output is deterministic.
-    """
-    return _kernel(dict(enumerate(_transpose(_check_vectors(rows, nvars), nvars))), nvars)
-
-
-def orthogonal_complement(vectors: Iterable[int]) -> tuple[int, ...]:
-    """All-independent dual forms with even overlap against every input vector."""
-    return tuple(nullspace(vectors, DIM))

@@ -25,12 +25,10 @@ from segre_pg72.anf import (
 )
 from segre_pg72.checks import REGISTRY, Run
 from segre_pg72.gf2 import (
-    ConstructionError,
     Flat,
     GFMatrix,
     UNIT,
     _echelon_layouts,
-    orthogonal_complement,
     span,
 )
 from segre_pg72.groups import (
@@ -50,7 +48,7 @@ from segre_pg72.orbits import (
 )
 from segre_pg72.segre import build_model
 from test_gf2 import echelon_bases, flats_of_dimension, ref_nullspace
-from test_groups import build_with, random_invertible
+from test_groups import check_with, random_invertible
 
 E = [0] + [1 << i for i in range(8)]
 
@@ -90,8 +88,9 @@ def ref_exists_even_flat(d: int, table) -> bool:
 def ref_flat_equation(x: Flat) -> Anf:
     # the dual-form route: 1 + prod(1 + f_i) over the dual forms f_i of the flat
     poly = Anf.one()
-    for g in orthogonal_complement(x.basis):
-        poly = poly * (Anf.one() + Anf.linear_form(g))
+    for g in ref_nullspace(x.basis, 8):
+        form = sum((Anf.variable(i) for i in range(1, 9) if g >> i - 1 & 1), Anf.zero())
+        poly = poly * (Anf.one() + form)
     return Anf.one() + poly
 
 
@@ -536,8 +535,9 @@ class TestNamedPolynomials:
     ], ids=["P4iv-first", "P4iv-last", "P3''-last"])
     def test_one_dropped_expansion_term_is_caught(self, name, keep):
         terms = anf._P_EXPANSIONS[name][keep]
-        with pytest.raises(ConstructionError, match=f"^{name} disagrees with its known expansion$"):
-            build_with(named_P_basis, anf._P_EXPANSIONS, name, terms)
+        result = check_with(named_P_basis, anf._P_EXPANSIONS, name, terms, "polys/P-catalog")
+        assert (result.actual, result.passed) == (
+            f"raised ConstructionError: {name} disagrees with its known expansion", False)
         assert named_P_basis()[name].coeffs.bit_count() == 24
 
     def test_p5_is_a_reduced_product(self):
@@ -602,14 +602,17 @@ class TestNamedQ:
             orbs, "O2", "O3", "O4", "O5"
         )
 
-    @pytest.mark.parametrize("name,text,message", [
-        ("Q4", "P2''+P3'+P4'''+P4iv", "Q4 closed form disagrees with its geometric route"),
-        ("Q2", "P2'", "Q2 closed form disagrees with its geometric route"),
-        ("Q6'", "P4+P6", "simple sextic does not vanish off O1"),
+    @pytest.mark.parametrize("name,text,cid,actual", [
+        ("Q4", "P2''+P3'+P4'''+P4iv", "polys/Q-catalog",
+         "raised ConstructionError: Q4 closed form disagrees with its geometric route"),
+        # Q2's point-set route is a check of its own, which reports the mutant's value
+        ("Q2", "P2'", "polys/Q2-geometric", "Anf(degree=2, terms=12)"),
+        ("Q6'", "P4+P6", "polys/Q-catalog",
+         "raised ConstructionError: simple sextic does not vanish off O1"),
     ], ids=["Q4", "Q2", "Q6'"])
-    def test_one_swapped_closed_form_term_is_caught(self, name, text, message):
-        with pytest.raises(ConstructionError, match=f"^{message}$"):
-            build_with(named_Q, anf._Q_CLOSED_FORMS, name, text)
+    def test_one_swapped_closed_form_term_is_caught(self, name, text, cid, actual):
+        result = check_with(named_Q, anf._Q_CLOSED_FORMS, name, text, cid)
+        assert (result.actual, result.passed) == (actual, False)
         assert named_Q()[name].degree == int(name[1])
 
     def test_degrees(self):

@@ -6,6 +6,7 @@ from math import prod
 import pytest
 
 from segre_pg72 import groups
+from segre_pg72.checks import REGISTRY, Result, Run
 from segre_pg72.gf2 import ConstructionError, Flat, GFMatrix, UNIT, _reduce, parse_point, span, weight
 from segre_pg72.groups import (
     DEFAULT_CAP,
@@ -30,25 +31,29 @@ from segre_pg72.groups import (
     tensor_operator,
 )
 from segre_pg72.segre import BASIS_INDEX, build_model
+from test_gf2 import ref_nullspace
+from test_package import deadline
+
+E = [0] + [1 << i for i in range(8)]
 
 
-def build_with(builder, table: dict, name: str, value):
-    """Run the cached catalog builder with table[name] set to value.
+def check_with(builder, table: dict, name: str, value, cid: str) -> Result:
+    """The result of the check cid with table[name] set to value.
 
-    The builder's cache is cleared before and after, and the entry is
-    restored, so the mutant is seen by this call alone.
+    The cached builder that reads the table is rebuilt from the mutant,
+    which it must return without raising.  Its cache is cleared before and
+    after, and the entry is restored, so the mutant is seen by this call
+    alone.
     """
     saved = table[name]
     builder.cache_clear()
     table[name] = value
     try:
-        return builder()
+        builder()
+        return Run().check(REGISTRY[cid])
     finally:
         table[name] = saved
         builder.cache_clear()
-from test_gf2 import ref_nullspace
-
-E = [0] + [1 << i for i in range(8)]
 
 
 def gl2_elements() -> list[tuple[int, int]]:
@@ -375,6 +380,10 @@ class TestSym3Operator:
             assert sym3_operator(list(rho)) == ref_sym3_operator(rho)
 
 
+# W**3 for the W row with its last image 3578 changed to 357
+W_MUTANT_CUBE = "GFMatrix([1, 2, 208, 8, 196, 32, 148, 84])"
+
+
 class TestNamedElements:
     def test_catalog_is_complete(self):
         names = set(named_elements())
@@ -406,15 +415,18 @@ class TestNamedElements:
         for i, s in expected.items():
             assert w(E[i]) == parse_point(s)
 
-    @pytest.mark.parametrize("name,row,message", [
-        ("J", "8 7 6 5 4 3 2 12", "J maps e8 to 1, expected 3"),
-        ("Ax", "2 12 34 3 56 5 8 7", "Ax maps e8 to 192, expected 64"),
-        ("W", "246 1235 248 1347 268 1567 468 357", "W has wrong order"),
+    @pytest.mark.parametrize("name,row,cid,actual", [
+        ("J", "8 7 6 5 4 3 2 12", "groups/catalog",
+         "raised ConstructionError: J maps e8 to 1, expected 3"),
+        ("Ax", "2 12 34 3 56 5 8 7", "groups/catalog",
+         "raised ConstructionError: Ax maps e8 to 192, expected 64"),
+        # W is built from its own row, so its images agree with it; its order does not
+        ("W", "246 1235 248 1347 268 1567 468 357", "groups/W/order", W_MUTANT_CUBE),
     ], ids=["J", "Ax", "W"])
-    def test_one_changed_validation_image_is_caught(self, name, row, message):
-        with pytest.raises(ConstructionError, match=f"^{message}$"):
-            build_with(named_elements, groups._VALIDATION, name, row)
-        assert named_elements()["J"](E[8]) == E[1]
+    def test_one_changed_validation_image_is_caught(self, name, row, cid, actual):
+        result = check_with(named_elements, groups._VALIDATION, name, row, cid)
+        assert (result.actual, result.passed) == (actual, False)
+        assert Run().check(REGISTRY[cid]).passed
 
     def test_w_cubes_to_identity_and_quadratic_minimal_polynomial(self):
         w = element("W")
@@ -621,6 +633,26 @@ class TestColumnSift:
             lambda g: next(v for v in range(1, 256) if g[v] != v and v & (v - 1)))
         with pytest.raises(ConstructionError, match="^base point is not a unit vector$"):
             schreier_sims([element("J")])
+
+    def test_a_sift_that_misses_an_orbit_point_is_stopped(self, monkeypatch):
+        # every level's inverse transversal forgets e4, which lies in the
+        # first level's orbit (the variety), so a sift can stop there with a
+        # residue that adds no orbit point; without the guard this chain for
+        # <M,N> adds such residues without end
+        class Forgetful(dict):
+            def get(self, key, default=None):
+                return default if key == E[4] else super().get(key, default)
+
+        class Level(groups._Level):
+            def __init__(self, base):
+                super().__init__(base)
+                self.inv_transversal = Forgetful(self.inv_transversal)
+
+        monkeypatch.setattr(groups, "_Level", Level)
+        with deadline(2, "schreier_sims with a forgetful level"):
+            with pytest.raises(ConstructionError,
+                               match="^sifted residue adds no point to the orbit of its level$"):
+                schreier_sims(elements("M,N"))
 
 
 class TestFixSubspace:

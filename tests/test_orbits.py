@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from segre_pg72 import orbits
 from segre_pg72.gf2 import UNIT, parse_point, weight
 from segre_pg72.groups import MatrixGroup, cube_group, element, segre_group, segre_group_even
 from segre_pg72.orbits import (
@@ -24,6 +25,7 @@ from segre_pg72.orbits import (
     tetrad_three_flats,
 )
 from segre_pg72.segre import build_model
+from test_groups import check_with
 
 E = [0] + [1 << i for i in range(8)]
 
@@ -375,3 +377,16 @@ class TestCubeCensus:
             p = parse_point(rep)
             assert labels[p] == label
             assert weight(p) == w
+
+    @pytest.mark.parametrize("label,row,cid,message", [
+        ("O1,5", ("O1", 5, 4, "135u", "O1,5"), "table1/O1", "does not match the orbit"),
+        ("O2,2", ("O2", 3, 12, "13", "O2,2"), "table1/O2", "does not match the orbit"),
+        ("O4,4'", ("O3", 4, 2, "1357", "O4,4'"), "table1/O3", "sits in the wrong class"),
+        ("O4,5", ("O4", 5, 12, "178u", "O4,5"), "table1/O4", "does not match the orbit"),
+        ("O1,6", ("O5", 6, 4, "18u", "O1,6"), "table1/O5", "sits in the wrong class"),
+    ], ids=["O1-size", "O2-weight", "O3-class", "O4-size", "O5-class"])
+    def test_one_changed_census_row_fails_its_check(self, label, row, cid, message):
+        census = tuple(row if r[4] == label else r for r in CUBE_ORBIT_CENSUS)
+        result = check_with(cube_orbit_labels, vars(orbits), "CUBE_ORBIT_CENSUS", census, cid)
+        assert (result.actual, result.passed) == (
+            f"raised ConstructionError: census row {label} {message}", False)

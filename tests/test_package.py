@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from importlib import import_module
 from pathlib import Path
 
@@ -17,7 +18,6 @@ import pytest
 
 import segre_pg72
 from segre_pg72 import groups
-from segre_pg72.anf import Anf
 from segre_pg72.orbits import OrbitClass, OrbitPartition, Spread
 from segre_pg72.segre import SegreModel, build_model
 
@@ -67,6 +67,20 @@ COMMANDS = [
 @pytest.mark.parametrize("argv,absent", COMMANDS, ids=[" ".join(argv) for argv, _ in COMMANDS])
 def test_a_command_loads_only_what_it_runs(argv, absent):
     assert not loaded_by(argv) & absent
+
+
+@pytest.mark.parametrize("argv", [["eval", "Q2", "18"], ["export", "polys"]], ids=" ".join)
+def test_a_polynomial_command_builds_no_variety_model(argv):
+    code = f"""
+import contextlib, io
+from segre_pg72 import segre
+from segre_pg72.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main({argv!r})
+assert status == 0, status
+print(segre.build_model.cache_info().currsize)
+"""
+    assert run_fresh(code).strip() == "0"
 
 
 def test_verify_loads_the_checks():
@@ -150,7 +164,7 @@ def test_model_compares_by_value_and_is_immutable():
 
 # ---------------------------------------------------------------------------
 # A sweep of bad inputs: every public callable that takes one required
-# argument, plus Anf.linear_form, meets each sweep value under an alarm.
+# argument meets each sweep value under an alarm.
 
 SWEEP_VALUES = (0, -1, 256, 1 << 300, "x", None)
 
@@ -168,7 +182,6 @@ def one_argument_callables() -> dict:
         positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
         if sum(p.kind in positional and p.default is p.empty for p in params) == 1:
             found[name] = obj
-    found["Anf.linear_form"] = Anf.linear_form
     return found
 
 
@@ -181,7 +194,7 @@ SWEEP_RETURNS = {
     "OrbitClass": SWEEP_VALUES, "OrbitPartition": SWEEP_VALUES, "Spread": SWEEP_VALUES,
     "orbit_mask": SWEEP_VALUES,
     "Anf": (0, 256), "anf_from_pointset": (0, 256), "mobius": (0, 256),
-    "degree_by_incidence": (256,), "weight": (0,), "Anf.linear_form": (0,),
+    "degree_by_incidence": (256,), "weight": (0,),
 }
 
 
@@ -193,6 +206,20 @@ def _hang(signum, frame):
     raise Hang
 
 
+@contextmanager
+def deadline(seconds: int, what: str):
+    """Fail the test if the block runs longer than seconds (a SIGALRM)."""
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    except Hang:
+        pytest.fail(f"{what} did not return within {seconds} s")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_the_sweep_covers_the_public_callables():
     assert len(SWEPT) >= 30
     assert set(SWEEP_RETURNS) <= set(SWEPT)
@@ -202,19 +229,11 @@ def test_the_sweep_covers_the_public_callables():
 def test_bad_inputs_raise_at_once(name):
     call = SWEPT[name]
     returned = []
-    previous = signal.signal(signal.SIGALRM, _hang)
-    try:
-        for value in SWEEP_VALUES:
-            signal.alarm(2)
+    for value in SWEEP_VALUES:
+        with deadline(2, f"{name}({value!r})"):
             try:
                 call(value)
-            except Hang:
-                pytest.fail(f"{name}({value!r}) did not return within 2 s")
             except Exception:
                 continue
-            finally:
-                signal.alarm(0)
-            returned.append(value)
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+        returned.append(value)
     assert tuple(returned) == SWEEP_RETURNS.get(name, ())
