@@ -198,44 +198,88 @@ def _byte_table(mask: int) -> bytes:
     return f"{mask:0256b}".encode()[::-1].translate(_BITS)
 
 
-# _FLIP[b] maps each byte v to v ^ 1 << b, for bytes.translate
-_FLIP = [bytes(v ^ 1 << b for v in range(256)) for b in range(DIM)]
+@cache
+def _swap_masks() -> tuple[int, ...]:
+    """Masks over 512 blocks of 256 bits, the most a packed coset table holds.
 
-
-def _flat_parities(layout, table: bytes) -> bytes:
-    """Parity of the meet with the set of table (0/1 per vector), per flat.
-
-    layout is one reduced-echelon layout (base_rows, slots) of the flats; the
-    result holds one byte per fill of the free slots, fills counted upward
-    with the first slot as the top bit (the lex order of the flats' rows that
-    gf2._echelon_layouts describes).  One buffer per nonzero coefficient
-    vector c holds the point c . rows for every fill (the same fill at the
-    same offset, built by doubling over the slots), and XORing the parities
-    of all 2^k - 1 buffers leaves the parity of each flat.
+    Entry b < 8 marks the positions whose bit b is clear (_MOBIUS_MASKS[b]
+    in every block), and entry 8 marks position 0 of every block.
     """
-    base_rows, slots = layout
-    points = _xor_sums(base_rows)  # points[c] = c . base_rows
-    if not slots:
-        # a single flat: no buffers, just the parity of its points
-        return bytes((bytes(points[1:]).translate(table).count(1) & 1,))
-    acc = 0
-    for c in range(1, len(points)):
-        buf = bytes((points[c],))
-        # the last slot doubles first, so the first slot is the top bit of a fill
-        for i, b in reversed(slots):
-            buf += buf.translate(_FLIP[b]) if c >> i & 1 else buf
-        acc ^= int.from_bytes(buf.translate(table), "little")
-    return acc.to_bytes(1 << len(slots), "little")
+    rep = 1
+    for i in range(9):
+        rep |= rep << (256 << i)
+    return tuple(m * rep for m in _MOBIUS_MASKS) + (rep,)
 
 
-def _exists_even_flat(d: int, table: bytes) -> bool:
-    """Whether some d-flat meets the set of table (0/1 per vector) evenly.
+@cache
+def _coset_plan(k: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """The flats of vector dimension k as (fills, rows) pairs, one per layout.
 
-    Layouts with the fewest free slots go first: their buffers are the
-    smallest, which keeps the early exit cheap.
+    The layouts of gf2._echelon_layouts(k) come with the fewest free slots
+    first.  Row 0 has the most fills (each row's free columns include those
+    of every later row), and fills is the 256-bit mask of them all.  rows
+    holds the other rows, row k-1 first and row 1 last, each as its flips:
+    its pivot bit, then the slot column that each step of a Gray walk over
+    its fills toggles.  After flip g the row is the XOR of 1 << b over its
+    first g + 1 flips, so the flips visit each fill of the row once.
     """
-    layouts = sorted(_echelon_layouts(d + 1), key=lambda layout: len(layout[1]))
-    return any(b"\x00" in _flat_parities(layout, table) for layout in layouts)
+    plan = []
+    for base_rows, slots in sorted(_echelon_layouts(k), key=lambda layout: len(layout[1])):
+        cols = [[b for i, b in slots if i == row] for row in range(k)]
+        fills = _mask_of(base_rows[0] ^ s for s in _xor_sums([1 << b for b in cols[0]]))
+        rows = tuple(
+            (base_rows[i].bit_length() - 1,)
+            + tuple(cols[i][(g & -g).bit_length() - 1] for g in range(1, 1 << len(cols[i])))
+            for i in range(k - 1, 0, -1)
+        )
+        plan.append((fills, rows))
+    return tuple(plan)
+
+
+def _coset_sums(table: int, flips, masks):
+    """Yield table ^ table(x ^ s) after each flip of s, blockwise.
+
+    table packs blocks T_H(x) = sum of psi(x ^ h) over h in H, for subspaces
+    H; flipping bit b of x is one shift each way under masks[b].  The yielded
+    block is T_(H + <s>), since T_(H+<s>)(x) = T_H(x) ^ T_H(x ^ s).
+    """
+    moved = table
+    for b in flips:
+        step, keep = 1 << b, masks[b]
+        moved = (moved & keep) << step | (moved >> step) & keep
+        yield table ^ moved
+
+
+def _even_flats(entry, psi: int):
+    """Yield the flats of one _coset_plan entry that meet psi evenly.
+
+    A flat is <H, r> with r a fill of row 0 and H the span of the other
+    rows, and it meets psi in T_H(0) ^ T_H(r) points, mod 2.  So one packed
+    table of T_H per fill of the other rows answers all fills of row 0 at
+    once.  The rows but the last are packed into one int, each new row's
+    fills as the high digit of the block index; the last row's fills are
+    yielded one piece each, unjoined.
+
+    Bit r of block j of the g-th piece is set exactly when the flat with
+    these rows meets psi evenly: row 0 is r itself, row 1 (the last of
+    rows) stands after its flip g, and j, read in mixed radix with one digit
+    per packed row (row k-1 the lowest, each radix the number of that row's
+    flips), gives the flip after which each of rows k-1..2 stands.
+    """
+    fills, rows = entry
+    masks = _swap_masks()
+    table, width = psi, 256
+    for flips in rows[:-1]:
+        packed = 0
+        for g, t in enumerate(_coset_sums(table, flips, masks)):
+            packed |= t << g * width
+        table, width = packed, width * len(flips)
+    rep = masks[DIM] & (1 << width) - 1
+    targets = fills * rep
+    for t in _coset_sums(table, rows[-1], masks) if rows else (table,):
+        origin = t & rep  # T_H(0) per block; times TABLE_FULL, it fills the block
+        parities = t ^ (origin << 256) - origin
+        yield parities & targets ^ targets
 
 
 def degree_by_incidence(psi: int) -> int:
@@ -246,16 +290,17 @@ def degree_by_incidence(psi: int) -> int:
     the (d-1)-flats has already found one meeting psi evenly: the witness
     that d is minimal.  This route never touches the coefficient algebra, so
     it can cross-check it.
-    Each scan reads only the 0/1 parity table of psi, through per-layout
-    byte buffers of flat points (see _flat_parities); a buffer lives for
-    one layout, at most 64 KB, and none is cached.
+    Each scan reads only the indicator of psi, through coset tables: per
+    layout of _coset_plan, one 256-bit block of subspace sums per fill of
+    all rows but row 0, whose fills are tested as one bit mask (see
+    _even_flats).  A packed table lives for one layout, at most 512 blocks
+    (16 KB), and none is cached.
     """
     _check_pointset(psi)
     if psi.bit_count() % 2 == 0:
         raise ValueError("incidence criterion requires an odd point count")
-    table = _byte_table(psi)
     for d in range(8):
-        if not _exists_even_flat(d, table):
+        if not any(any(_even_flats(entry, psi)) for entry in _coset_plan(d + 1)):
             return d
     raise AssertionError("unreachable: the full space meets an odd set oddly")
 

@@ -1,6 +1,10 @@
+import inspect
 import random
+import textwrap
 from functools import cache
+from importlib.util import module_from_spec, spec_from_file_location
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +13,9 @@ from segre_pg72.anf import (
     Anf,
     SEVEN_TABLE,
     _BY_DEGREE,
-    _exists_even_flat,
-    _flat_parities,
+    _byte_table,
+    _coset_plan,
+    _even_flats,
     anf_from_pointset,
     degree_by_incidence,
     flat_equation,
@@ -29,6 +34,7 @@ from segre_pg72.gf2 import (
     GFMatrix,
     UNIT,
     _echelon_layouts,
+    _xor_sums,
     span,
 )
 from segre_pg72.groups import (
@@ -51,6 +57,11 @@ from test_gf2 import echelon_bases, flats_of_dimension, ref_nullspace
 from test_groups import check_with, random_invertible
 
 E = [0] + [1 << i for i in range(8)]
+
+_ORACLE_PATH = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+_spec = spec_from_file_location("bench_oracle", _ORACLE_PATH)
+oracle = module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 
 def mask_of(points) -> int:
@@ -83,6 +94,97 @@ def ref_flat_parities(d: int, table):
 
 def ref_exists_even_flat(d: int, table) -> bool:
     return 0 in ref_flat_parities(d, table)
+
+
+# The byte-buffer scan that the coset tables of anf._even_flats replaced,
+# kept as a second reference.  FLIP[b] maps each byte v to v ^ 1 << b, for
+# bytes.translate.
+FLIP = [bytes(v ^ 1 << b for v in range(256)) for b in range(8)]
+
+
+def buffer_flat_parities(layout, table: bytes) -> bytes:
+    """Parity of the meet with the set of table (0/1 per vector), per flat.
+
+    layout is one reduced-echelon layout (base_rows, slots) of the flats; the
+    result holds one byte per fill of the free slots, fills counted upward
+    with the first slot as the top bit (the lex order of the flats' rows that
+    gf2._echelon_layouts describes).  One buffer per nonzero coefficient
+    vector c holds the point c . rows for every fill (the same fill at the
+    same offset, built by doubling over the slots), and XORing the parities
+    of all 2^k - 1 buffers leaves the parity of each flat.
+    """
+    base_rows, slots = layout
+    points = _xor_sums(base_rows)  # points[c] = c . base_rows
+    if not slots:
+        # a single flat: no buffers, just the parity of its points
+        return bytes((bytes(points[1:]).translate(table).count(1) & 1,))
+    acc = 0
+    for c in range(1, len(points)):
+        buf = bytes((points[c],))
+        # the last slot doubles first, so the first slot is the top bit of a fill
+        for i, b in reversed(slots):
+            buf += buf.translate(FLIP[b]) if c >> i & 1 else buf
+        acc ^= int.from_bytes(buf.translate(table), "little")
+    return acc.to_bytes(1 << len(slots), "little")
+
+
+def buffer_exists_even_flat(d: int, table: bytes) -> bool:
+    """Whether some d-flat meets the set of table (0/1 per vector) evenly."""
+    layouts = sorted(_echelon_layouts(d + 1), key=lambda layout: len(layout[1]))
+    return any(b"\x00" in buffer_flat_parities(layout, table) for layout in layouts)
+
+
+def plan_layouts(k: int):
+    """The layouts of gf2._echelon_layouts(k) in anf._coset_plan(k)'s order."""
+    return sorted(_echelon_layouts(k), key=lambda layout: len(layout[1]))
+
+
+def coset_even_counts(k: int, psi: int, plan=None, scan=_even_flats) -> list[int]:
+    """Even flats per layout, in plan order, from the coset-table scan."""
+    return [sum(even.bit_count() for even in scan(entry, psi)) for entry in plan or _coset_plan(k)]
+
+
+def buffer_even_counts(k: int, psi: int) -> list[int]:
+    table = _byte_table(psi)
+    return [buffer_flat_parities(layout, table).count(0) for layout in plan_layouts(k)]
+
+
+@cache
+def walk_parities(name: str) -> tuple[bytes, ...]:
+    """Every flat's parity against a named case, from the Gray-code walk, per
+    dimension d = 0..7 (about 2 s per case, so computed once)."""
+    table = _byte_table(scan_case(name))
+    return tuple(bytes(ref_flat_parities(d, table)) for d in range(8))
+
+
+def walk_even_counts(k: int, name: str) -> list[int]:
+    parities = iter(walk_parities(name)[k - 1])
+    counts = {
+        layout: sum(1 for _ in range(1 << len(layout[1])) if next(parities) == 0)
+        for layout in _echelon_layouts(k)
+    }
+    return [counts[layout] for layout in plan_layouts(k)]
+
+
+def row_after(flips, g: int) -> int:
+    # a plan row after flip g: the XOR of 1 << b over its first g + 1 flips
+    v = 0
+    for b in flips[: g + 1]:
+        v ^= 1 << b
+    return v
+
+
+def plan_flat(entry, piece: int, block: int, r: int) -> Flat:
+    """The flat that bit r of block `block` of piece `piece` names, as the
+    anf._even_flats docstring reads it."""
+    _, rows = entry
+    vectors = [r]
+    if rows:
+        vectors.append(row_after(rows[-1], piece))
+        for flips in rows[:-1]:  # row k-1 first, the lowest digit
+            block, g = divmod(block, len(flips))
+            vectors.append(row_after(flips, g))
+    return Flat(vectors)
 
 
 def ref_flat_equation(x: Flat) -> Anf:
@@ -179,6 +281,28 @@ def incidence_cases() -> dict[str, int]:
     for classes in INVARIANT_SET_CLASSES:
         cases["invariant-" + "+".join(classes)] = orbit_mask(orbs, *classes)
     return cases
+
+
+RANDOM_SETS = [f"random-{parity}-{i}" for i in range(20) for parity in ("odd", "even")]
+SCAN_CASES = INCIDENCE_CASES + RANDOM_SETS
+
+
+@cache
+def random_sets() -> dict[str, int]:
+    """Seeded uniform point-set masks, 20 of odd and 20 of even size."""
+    rng = random.Random(16)
+    sets = {}
+    while len(sets) < len(RANDOM_SETS):
+        psi = rng.getrandbits(256) & ~1
+        parity = "odd" if psi.bit_count() % 2 else "even"
+        i = sum(name.startswith(f"random-{parity}-") for name in sets)
+        if i < 20:
+            sets[f"random-{parity}-{i}"] = psi
+    return sets
+
+
+def scan_case(name: str) -> int:
+    return {**incidence_cases(), **random_sets()}[name]
 
 
 class TestMobius:
@@ -430,15 +554,16 @@ class TestDegreeByIncidence:
         psi = incidence_cases()[name]
         table = bytes(psi >> v & 1 for v in range(256))
         for d in range(8):
-            assert _exists_even_flat(d, table) == ref_exists_even_flat(d, table), d
+            expected = ref_exists_even_flat(d, table)
+            assert buffer_exists_even_flat(d, table) == expected, d
+            assert any(any(_even_flats(entry, psi)) for entry in _coset_plan(d + 1)) == expected, d
 
-    @pytest.mark.parametrize("name", ["random-degree-3", "invariant-O5+O2+O4"])
+    @pytest.mark.parametrize("name", ["random-degree-3", "invariant-O5+O2+O4", "random-odd-0", "random-even-0"])
     def test_every_flat_parity_agrees_with_the_gray_code_walk(self, name):
-        psi = incidence_cases()[name]
-        table = bytes(psi >> v & 1 for v in range(256))
+        table = _byte_table(scan_case(name))
         for d in range(8):
-            scanned = b"".join(_flat_parities(lay, table) for lay in _echelon_layouts(d + 1))
-            assert scanned == bytes(ref_flat_parities(d, table)), d
+            scanned = b"".join(buffer_flat_parities(lay, table) for lay in _echelon_layouts(d + 1))
+            assert scanned == walk_parities(name)[d], d
 
     def test_random_sets_have_their_exact_degree(self):
         for degree in range(1, 8):
@@ -451,6 +576,116 @@ class TestDegreeByIncidence:
         sets = [psi for name, psi in incidence_cases().items() if name.startswith("invariant-")]
         assert len(set(sets)) == 15
         assert all(psi.bit_count() < 255 for psi in sets)
+
+
+def pivot_flip_dropped(plan):
+    return tuple((fills, tuple(flips[1:] for flips in rows)) for fills, rows in plan)
+
+
+def last_gray_step_skipped(plan):
+    return tuple(
+        (fills, tuple(flips[:-1] if len(flips) > 1 else flips for flips in rows))
+        for fills, rows in plan
+    )
+
+
+def source_mutant(fn, old: str, new: str):
+    """fn recompiled in a copy of its module's namespace, with old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(anf))
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+# a scan whose block-origin mask (and so its targets) runs one block past the table
+REP_ONE_BLOCK_TOO_LONG = (
+    "rep = masks[DIM] & (1 << width) - 1", "rep = masks[DIM] & (1 << width + 256) - 1"
+)
+
+
+class TestCosetScan:
+    """anf._even_flats against the byte-buffer scan and the Gray-code walk."""
+
+    @pytest.mark.parametrize("name", SCAN_CASES)
+    def test_even_flat_counts_agree_with_the_byte_buffer_scan(self, name):
+        psi = scan_case(name)
+        for k in range(1, 9):
+            assert coset_even_counts(k, psi) == buffer_even_counts(k, psi), k
+
+    @pytest.mark.parametrize("name", ["random-degree-3", "invariant-O5+O2+O4", "random-odd-0", "random-even-0"])
+    def test_even_flat_counts_agree_with_the_gray_code_walk(self, name):
+        psi = scan_case(name)
+        for k in range(1, 9):
+            assert coset_even_counts(k, psi) == walk_even_counts(k, name), k
+
+    def test_random_sets_have_both_parities(self):
+        sizes = [psi.bit_count() % 2 for psi in random_sets().values()]
+        assert len(set(random_sets().values())) == 40
+        assert sizes.count(1) == sizes.count(0) == 20
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_the_plans_cover_every_flat_once(self, k):
+        covered = 0
+        for fills, rows in _coset_plan(k):
+            blocks = 1
+            for flips in rows:
+                blocks *= len(flips)
+            covered += fills.bit_count() * blocks
+            # the packed table, all rows but the last, fits the 512-block masks
+            assert (blocks // len(rows[-1]) if rows else 1) <= 512
+        assert covered == oracle.gaussian_binomial(8, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 6, 7, 8])
+    @pytest.mark.parametrize("name", ["invariant-O5+O2", "random-odd-1"])
+    def test_block_and_bit_name_the_even_flat(self, k, name):
+        psi = scan_case(name)
+        named = set()
+        for entry in _coset_plan(k):
+            for piece, even in enumerate(_even_flats(entry, psi)):
+                for bit in range(even.bit_length()):
+                    if even >> bit & 1:
+                        named.add(plan_flat(entry, piece, bit >> 8, bit & 255))
+        expected = {
+            fl for fl in flats_of_dimension(k - 1)
+            if sum(1 for p in fl.points() if psi >> p & 1) % 2 == 0
+        }
+        assert named == expected
+
+    @pytest.mark.parametrize("mutate", [
+        lambda plan: (pivot_flip_dropped(plan), _even_flats),
+        lambda plan: (last_gray_step_skipped(plan), _even_flats),
+        lambda plan: (plan, source_mutant(_even_flats, *REP_ONE_BLOCK_TOO_LONG)),
+    ], ids=["pivot-flip-dropped", "last-gray-step-skipped", "rep-one-block-too-long"])
+    def test_the_differential_catches_a_mutant(self, mutate):
+        caught = set()
+        for name in SCAN_CASES[:4]:
+            psi = scan_case(name)
+            for k in range(1, 9):
+                plan, scan = mutate(_coset_plan(k))
+                if coset_even_counts(k, psi, plan, scan) != buffer_even_counts(k, psi):
+                    caught.add(k)
+        assert caught
+
+    def test_the_degree_route_calls_neither_mobius_nor_anf(self, monkeypatch):
+        q = named_Q()
+        zero_sets = {name: q[name].pointset() for name in ("Q2", "Q4", "Q4'", "Q6")}
+        randoms = {
+            degree: Anf(mobius(incidence_cases()[f"random-degree-{degree}"])).pointset()
+            for degree in range(1, 8)
+        }
+
+        def refuse(*args):
+            raise AssertionError("the incidence route reached the coefficient algebra")
+
+        monkeypatch.setattr(anf, "mobius", refuse)
+        monkeypatch.setattr(anf, "Anf", refuse)
+        anf._coset_plan.cache_clear()
+        anf._swap_masks.cache_clear()
+        assert {name: degree_by_incidence(psi) for name, psi in zero_sets.items()} == {
+            "Q2": 2, "Q4": 4, "Q4'": 4, "Q6": 6,
+        }
+        assert {d: degree_by_incidence(psi) for d, psi in randoms.items()} == {d: d for d in randoms}
 
 
 class TestSubstitute:

@@ -36,7 +36,7 @@ import segre_pg72.cli
 from segre_pg72 import anf, gf2, groups, orbits, segre
 cached = (gf2._echelon_layouts, groups.named_elements, groups.segre_group, groups.segre_group_even, groups.cube_group,
           segre.build_model, orbits.definitional_orbits, orbits.spread_from_w,
-          anf.named_P_basis, anf.named_Q)
+          anf.named_P_basis, anf.named_Q, anf._coset_plan, anf._swap_masks)
 print(sum(fn.cache_info().currsize for fn in cached))
 """
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
