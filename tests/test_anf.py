@@ -130,8 +130,7 @@ def buffer_flat_parities(layout, table: bytes) -> bytes:
 
 def buffer_exists_even_flat(d: int, table: bytes) -> bool:
     """Whether some d-flat meets the set of table (0/1 per vector) evenly."""
-    layouts = sorted(_echelon_layouts(d + 1), key=lambda layout: len(layout[1]))
-    return any(b"\x00" in buffer_flat_parities(layout, table) for layout in layouts)
+    return any(b"\x00" in buffer_flat_parities(layout, table) for layout in plan_layouts(d + 1))
 
 
 def plan_layouts(k: int):

@@ -85,9 +85,9 @@ def random_matrix(rng):
 
 
 def echelon_bases(k):
-    """Every canonical reduced-echelon basis of a k-dim subspace, from the
-    layouts the incidence scan reads, in its order: per layout, fills
-    counted upward with the first free slot as the top bit."""
+    """Every canonical reduced-echelon basis of a k-dim subspace, layout by
+    layout in gf2._echelon_layouts order: per layout, fills counted upward
+    with the first free slot as the top bit."""
     for base_rows, slots in _echelon_layouts(k):
         for fill in range(1 << len(slots)):
             rows = list(base_rows)
