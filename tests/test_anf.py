@@ -284,6 +284,8 @@ def incidence_cases() -> dict[str, int]:
 
 RANDOM_SETS = [f"random-{parity}-{i}" for i in range(20) for parity in ("odd", "even")]
 SCAN_CASES = INCIDENCE_CASES + RANDOM_SETS
+# the sets the Gray-code walk runs on, about 2 s each
+WALK_SETS = ["random-degree-3", "invariant-O5+O2+O4", "random-odd-0", "random-even-0"]
 
 
 @cache
@@ -557,7 +559,7 @@ class TestDegreeByIncidence:
             assert buffer_exists_even_flat(d, table) == expected, d
             assert any(any(_even_flats(entry, psi)) for entry in _coset_plan(d + 1)) == expected, d
 
-    @pytest.mark.parametrize("name", ["random-degree-3", "invariant-O5+O2+O4", "random-odd-0", "random-even-0"])
+    @pytest.mark.parametrize("name", WALK_SETS)
     def test_every_flat_parity_agrees_with_the_gray_code_walk(self, name):
         table = _byte_table(scan_case(name))
         for d in range(8):
@@ -612,7 +614,7 @@ class TestCosetScan:
         for k in range(1, 9):
             assert coset_even_counts(k, psi) == buffer_even_counts(k, psi), k
 
-    @pytest.mark.parametrize("name", ["random-degree-3", "invariant-O5+O2+O4", "random-odd-0", "random-even-0"])
+    @pytest.mark.parametrize("name", WALK_SETS)
     def test_even_flat_counts_agree_with_the_gray_code_walk(self, name):
         psi = scan_case(name)
         for k in range(1, 9):
