@@ -61,6 +61,23 @@ for _x in range(1, 256):
 # _COORDINATE_TABLES[j] is the truth table of x_(j+1): the vectors with bit j set
 _COORDINATE_TABLES = [TABLE_FULL ^ m for m in _MOBIUS_MASKS]
 
+
+def _product_tables(forms) -> list[int]:
+    """Entry T: the truth table of the product of forms[i] over the bits i of T.
+
+    forms holds eight truth tables; each product is built from T minus its
+    lowest bit, and the empty product is 1.
+    """
+    tables = [TABLE_FULL] * 256
+    for t in range(1, 256):
+        low = t & -t
+        tables[t] = tables[t ^ low] & forms[low.bit_length() - 1]
+    return tables
+
+
+# _MONOMIAL_TABLES[T] is the truth table of x_T: the vectors that contain T
+_MONOMIAL_TABLES = _product_tables(_COORDINATE_TABLES)
+
 # _BY_DEGREE[d] has bit T set exactly when T has popcount d
 _BY_DEGREE = [0] * 9
 for _T in range(256):
@@ -402,18 +419,20 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
     Substitution by each generator acts linearly on the coefficient space of
     the monomials of size 1..max_degree, and the invariants are the kernel
     of the map sending x_T to image(x_T) + x_T under every generator.  The
-    images of all monomials under one generator come from one truth-table
-    recurrence: the image of x_T is the product of the coordinate forms
-    (A x)_i for i in T, built from T minus its lowest index.  It has degree
-    |T| and no constant term, so it stays among the monomials solved for.
+    columns are truth tables, with no transform: the Moebius transform is
+    invertible and acts on each generator's block alone, so it would not
+    change the kernel.  The truth tables of all images under one generator
+    come from one recurrence (_product_tables): the image of x_T is the
+    product of the coordinate forms (A x)_i for i in T.  It has degree |T|
+    and no constant term, so it stays among the monomials solved for.
 
-    Monomial T is variable T of gf2._kernel, with column image(x_T) + x_T
-    of generator k at bits 256k..256k+255; the basis lists the invariants
-    by their highest monomial, ascending.
+    Monomial T is variable T of gf2._kernel, with column the truth table of
+    image(x_T) + x_T for generator k at bits 256k..256k+255; the basis lists
+    the invariants by their highest monomial, ascending.
     """
     if not 1 <= max_degree <= 8:
         raise ValueError("degree must be between 1 and 8")
-    # vectors[T]: the images of x_T plus x_T so far, one 256-bit block each
+    # vectors[T]: the tables of image(x_T) + x_T so far, one 256-bit block each
     vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
     offset = 0
     for mat in _check_matrices(generators):
@@ -424,13 +443,9 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
         for j, col in enumerate(mat.cols):
             for i in _set_bits(col):
                 lin[i] ^= _COORDINATE_TABLES[j]
-        tt = [TABLE_FULL] * 256
-        for t in range(1, 256):
-            low = t & -t
-            tt[t] = tt[t ^ low] & lin[low.bit_length() - 1]
-            if t not in vectors:
-                continue
-            vectors[t] |= (mobius(tt[t]) ^ 1 << t) << offset
+        tt = _product_tables(lin)
+        for t in vectors:
+            vectors[t] |= (tt[t] ^ _MONOMIAL_TABLES[t]) << offset
         offset += 256
     return [Anf(x) for x in _kernel(vectors, 256)]
 

@@ -115,16 +115,12 @@ def format_point(v: int) -> str:
     return _digits(v) if weight(v) <= 4 else _digits(v ^ UNIT) + "u"
 
 
-def _reduce(vectors: Iterable[int]) -> dict[int, int]:
-    """Gauss-Jordan elimination over GF(2): {pivot: row}, fully reduced.
+def _echelon(vectors: Iterable[int]) -> dict[int, int]:
+    """Forward elimination over GF(2): {pivot: row}, in echelon form.
 
-    Each row's pivot is its lowest set bit, and no other row has that bit.
-    Each incoming vector is first brought to echelon form: while its lowest
-    bit is a pivot, that pivot's row is added.  One back-substitution pass
-    over the pivots in descending order then clears, from each row, only the
-    higher pivot bits it carries; those rows are already fully reduced.  The
-    fully reduced form of a row space is unique, so any Gauss-Jordan route
-    gives the same rows.
+    Each row's pivot is its lowest set bit, and no two rows share one.  Each
+    incoming vector is brought to echelon form: while its lowest bit is a
+    pivot, that pivot's row is added.  A row may still carry higher pivots.
     """
     rows: dict[int, int] = {}
     for v in vectors:
@@ -135,6 +131,20 @@ def _reduce(vectors: Iterable[int]) -> dict[int, int]:
                 rows[low] = v
                 break
             v ^= r
+    return rows
+
+
+def _reduce(vectors: Iterable[int]) -> dict[int, int]:
+    """Gauss-Jordan elimination over GF(2): {pivot: row}, fully reduced.
+
+    Each row's pivot is its lowest set bit, and no other row has that bit.
+    Forward elimination (_echelon) comes first.  One back-substitution pass
+    over the pivots in descending order then clears, from each row, only the
+    higher pivot bits it carries; those rows are already fully reduced.  The
+    fully reduced form of a row space is unique, so any Gauss-Jordan route
+    gives the same rows.
+    """
+    rows = _echelon(vectors)
     pivots = sum(rows)
     for p in sorted(rows, reverse=True):
         r = rows[p]
@@ -368,17 +378,18 @@ def _kernel(columns: dict[int, int], nvars: int) -> list[int]:
 
     A variable missing from columns is fixed at 0.  Variable j contributes
     its column plus a tag at bit width + nvars - 1 - j, above every column
-    bit; after _reduce, the rows whose pivot is a tag are the kernel, fully
-    reduced.  The reversed tags make each pivot a row's highest variable, so
-    the rows by pivot descending, tag bits reversed, are the canonical basis
-    with ascending free variables.
+    bit.  Forward elimination (_echelon) comes first.  The rows whose pivot
+    is a tag have no column bits, so they span the kernel, and every pivot
+    they carry is a tag: only these rows are then fully reduced, among
+    themselves (_reduce).  The rows with column pivots never reach the
+    answer, so they are never back-substituted.  The reversed tags make each
+    pivot a row's highest variable, so the rows by pivot descending, tag
+    bits reversed, are the canonical basis with ascending free variables.
     """
     width = max(columns.values(), default=0).bit_length()
-    rows = _reduce(c | 1 << width + nvars - 1 - j for j, c in columns.items())
-    return [
-        int(f"{rows[p] >> width:0{nvars}b}"[::-1], 2)
-        for p in sorted((p for p in rows if p >> width), reverse=True)
-    ]
+    rows = _echelon(c | 1 << width + nvars - 1 - j for j, c in columns.items())
+    rows = _reduce(r for p, r in rows.items() if p >> width)
+    return [int(f"{rows[p] >> width:0{nvars}b}"[::-1], 2) for p in sorted(rows, reverse=True)]
 
 
 def kernel(mat: GFMatrix) -> Flat:

@@ -1,6 +1,4 @@
-import inspect
 import random
-import textwrap
 from functools import cache
 from importlib.util import module_from_spec, spec_from_file_location
 from itertools import combinations
@@ -45,6 +43,7 @@ from segre_pg72.groups import (
     elements,
     named_elements,
     segre_group,
+    segre_group_even,
 )
 from segre_pg72.orbits import (
     definitional_orbits,
@@ -53,7 +52,13 @@ from segre_pg72.orbits import (
     tetrad_three_flats,
 )
 from segre_pg72.segre import build_model
-from test_gf2 import echelon_bases, flats_of_dimension, ref_nullspace
+from test_gf2 import (
+    echelon_bases,
+    flats_of_dimension,
+    ref_full_kernel,
+    ref_nullspace,
+    source_mutant,
+)
 from test_groups import check_with, random_invertible
 
 E = [0] + [1 << i for i in range(8)]
@@ -94,6 +99,18 @@ def ref_flat_parities(d: int, table):
 
 def ref_exists_even_flat(d: int, table) -> bool:
     return 0 in ref_flat_parities(d, table)
+
+
+@cache
+def walk_exists_even_flat(name: str) -> tuple[bool, ...]:
+    """Whether some d-flat meets a named incidence case evenly, d = 0..7, by the Gray-code walk."""
+    psi = incidence_cases()[name]
+    table = bytes(psi >> v & 1 for v in range(256))
+    return tuple(ref_exists_even_flat(d, table) for d in range(8))
+
+
+def coset_exists_even_flat(d: int, psi: int, scan=_even_flats) -> bool:
+    return any(any(scan(entry, psi)) for entry in _coset_plan(d + 1))
 
 
 # The byte-buffer scan that the coset tables of anf._even_flats replaced,
@@ -225,6 +242,45 @@ def ref_invariant_subspace(generators, max_degree: int) -> list[Anf]:
     ]
 
 
+# truth table of x_(j+1): the vectors with bit j set
+COORDINATE_TABLES = [mask_of(v for v in range(256) if v >> j & 1) for j in range(8)]
+
+
+def ref_coefficient_invariant_subspace(generators, max_degree: int) -> list[Anf]:
+    # the coefficient-column route: column T is mobius(tt[T]) ^ 1 << T, the
+    # coefficients of x_T o A - x_T (one Moebius transform per monomial and
+    # generator), solved by the kernel that fully reduces every row
+    vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
+    offset = 0
+    for mat in generators:
+        lin = [0] * 8
+        for j, col in enumerate(mat.cols):
+            for i in range(8):
+                if col >> i & 1:
+                    lin[i] ^= COORDINATE_TABLES[j]
+        tt = [(1 << 256) - 1] * 256
+        for t in range(1, 256):
+            low = t & -t
+            tt[t] = tt[t ^ low] & lin[low.bit_length() - 1]
+            if t in vectors:
+                vectors[t] |= (mobius(tt[t]) ^ 1 << t) << offset
+        offset += 256
+    return [Anf(x) for x in ref_full_kernel(vectors, 256)]
+
+
+def invariant_mismatches(solve, generator_sets) -> list[tuple[int, int]]:
+    """The (set, degree) pairs, d = 1..8, where solve differs from either
+    reference route, or the two references from each other."""
+    return [
+        (i, d)
+        for i, gens in enumerate(generator_sets)
+        for d in range(1, 9)
+        if not solve(gens, d)
+        == ref_invariant_subspace(gens, d)
+        == ref_coefficient_invariant_subspace(gens, d)
+    ]
+
+
 def ref_monomial_orbit_poly(rep, group) -> Anf:
     """Reference monomial orbit: each generator as a map on the indices 1..8,
     applied to the index set bit by bit."""
@@ -257,8 +313,12 @@ def ref_monomial_orbit_poly(rep, group) -> Anf:
 INVARIANT_SET_CLASSES = [
     ("O5",) + extra for r in range(4) for extra in combinations(("O1", "O2", "O3", "O4"), r)
 ]
+# random-degree-D is the truth table of a random polynomial of degree D, an
+# even set; random-zeroset-D is the zero set of the same polynomial, odd
+ZERO_SETS = [f"random-zeroset-{degree}" for degree in range(1, 8)]
 INCIDENCE_CASES = (
     [f"random-degree-{degree}" for degree in range(1, 8)]
+    + ZERO_SETS
     + ["all-points", "single-point"]
     + ["invariant-" + "+".join(classes) for classes in INVARIANT_SET_CLASSES]
 )
@@ -273,7 +333,9 @@ def incidence_cases() -> dict[str, int]:
         # no constant term, so the set's indicator is the polynomial itself
         lower = sum(_BY_DEGREE[e] for e in range(1, degree))
         top = rng.choice([t for t in range(256) if t.bit_count() == degree])
-        cases[f"random-degree-{degree}"] = Anf(rng.getrandbits(256) & lower | 1 << top).truth_table()
+        f = Anf(rng.getrandbits(256) & lower | 1 << top)
+        cases[f"random-degree-{degree}"] = f.truth_table()
+        cases[f"random-zeroset-{degree}"] = f.pointset()
     cases["all-points"] = (1 << 256) - 2
     cases["single-point"] = 1 << UNIT
     orbs = definitional_orbits()
@@ -554,10 +616,25 @@ class TestDegreeByIncidence:
     def test_scan_agrees_with_the_gray_code_walk(self, name):
         psi = incidence_cases()[name]
         table = bytes(psi >> v & 1 for v in range(256))
-        for d in range(8):
-            expected = ref_exists_even_flat(d, table)
+        for d, expected in enumerate(walk_exists_even_flat(name)):
             assert buffer_exists_even_flat(d, table) == expected, d
-            assert any(any(_even_flats(entry, psi)) for entry in _coset_plan(d + 1)) == expected, d
+            assert coset_exists_even_flat(d, psi) == expected, d
+
+    @pytest.mark.parametrize("name", ZERO_SETS)
+    def test_zero_sets_have_no_even_flat_from_their_degree(self, name):
+        # the even random-degree sets meet some flat evenly at every d, so
+        # only these rows tell a scan from one that always finds an even flat
+        degree = int(name.rsplit("-", 1)[1])
+        assert walk_exists_even_flat(name).index(False) == degree
+
+    def test_an_always_even_scan_fails_every_zero_set_row(self):
+        def always_even(entry, psi):
+            yield 1
+
+        for name in ZERO_SETS:
+            psi = incidence_cases()[name]
+            answers = [coset_exists_even_flat(d, psi, always_even) for d in range(8)]
+            assert answers != list(walk_exists_even_flat(name)), name
 
     @pytest.mark.parametrize("name", WALK_SETS)
     def test_every_flat_parity_agrees_with_the_gray_code_walk(self, name):
@@ -588,15 +665,6 @@ def last_gray_step_skipped(plan):
         (fills, tuple(flips[:-1] if len(flips) > 1 else flips for flips in rows))
         for fills, rows in plan
     )
-
-
-def source_mutant(fn, old: str, new: str):
-    """fn recompiled in a copy of its module's namespace, with old replaced by new."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1, old
-    namespace = dict(vars(anf))
-    exec(source.replace(old, new), namespace)
-    return namespace[fn.__name__]
 
 
 # a scan whose block-origin mask (and so its targets) runs one block past the table
@@ -671,10 +739,7 @@ class TestCosetScan:
     def test_the_degree_route_calls_neither_mobius_nor_anf(self, monkeypatch):
         q = named_Q()
         zero_sets = {name: q[name].pointset() for name in ("Q2", "Q4", "Q4'", "Q6")}
-        randoms = {
-            degree: Anf(mobius(incidence_cases()[f"random-degree-{degree}"])).pointset()
-            for degree in range(1, 8)
-        }
+        randoms = {degree: incidence_cases()[f"random-zeroset-{degree}"] for degree in range(1, 8)}
 
         def refuse(*args):
             raise AssertionError("the incidence route reached the coefficient algebra")
@@ -938,9 +1003,8 @@ class TestInvariantSubspace:
         ids=",".join,
     )
     def test_agrees_with_substitution_route_on_named_groups(self, names):
-        gens = [element(n) for n in names]
-        for d in range(1, 9):
-            assert invariant_subspace(gens, d) == ref_invariant_subspace(gens, d), d
+        # and with the coefficient-column route
+        assert invariant_mismatches(invariant_subspace, [[element(n) for n in names]]) == []
 
     def test_agrees_with_substitution_route_on_seeded_pairs(self):
         rng = random.Random(12)
@@ -949,9 +1013,7 @@ class TestInvariantSubspace:
             pair = [GFMatrix([rng.randrange(256) for _ in range(8)]) for _ in range(2)]
             if all(m.is_invertible() for m in pair):
                 pairs.append(pair)
-        for gens in pairs:
-            for d in range(1, 9):
-                assert invariant_subspace(gens, d) == ref_invariant_subspace(gens, d), d
+        assert invariant_mismatches(invariant_subspace, pairs) == []
 
     def test_agrees_with_substitution_route_on_seeded_singles_and_triples(self):
         rng = random.Random(13)
@@ -962,9 +1024,40 @@ class TestInvariantSubspace:
             while not gens or not all(m.is_invertible() for m in gens):
                 gens = [GFMatrix([rng.randrange(256) for _ in range(8)]) for _ in range(size)]
             sets.append(gens)
-        for gens in sets:
-            for d in range(1, 9):
-                assert invariant_subspace(gens, d) == ref_invariant_subspace(gens, d), (len(gens), d)
+        assert invariant_mismatches(invariant_subspace, sets) == []
+
+    @pytest.mark.parametrize(
+        "group, seed",
+        [(segre_group, 21), (segre_group_even, 22), (cube_group, 23)],
+        ids=["M,N", "M',N", "M,K12"],
+    )
+    def test_agrees_with_both_routes_on_seeded_pairs_from_each_group(self, group, seed):
+        rng = random.Random(seed)
+        pairs = [rng.sample(group().elements, 2) for _ in range(10)]
+        assert invariant_mismatches(invariant_subspace, pairs) == []
+
+    def test_agrees_with_both_routes_on_seeded_invertible_pairs_and_triples(self):
+        rng = random.Random(17)
+        sets = [[random_invertible(rng) for _ in range(size)] for size in (2, 3) * 3]
+        assert invariant_mismatches(invariant_subspace, sets) == []
+
+    def test_the_differential_catches_a_column_without_the_monomial(self):
+        # column T is the table of x_T o A alone, not of x_T o A - x_T
+        mutant = source_mutant(invariant_subspace, "tt[t] ^ _MONOMIAL_TABLES[t]", "tt[t]")
+        gens = [element("M"), element("N")]
+        assert [len(mutant(gens, d)) for d in range(2, 8)] != [1, 1, 3, 3, 4, 4]
+        assert invariant_mismatches(mutant, [gens])
+
+    def test_the_solve_calls_no_mobius(self, monkeypatch):
+        q2 = named_Q()["Q2"]
+        gens = [element("M"), element("N")]
+
+        def refuse(*args):
+            raise AssertionError("the invariant solve called mobius")
+
+        monkeypatch.setattr(anf, "mobius", refuse)
+        assert [len(invariant_subspace(gens, d)) for d in range(2, 8)] == [1, 1, 3, 3, 4, 4]
+        assert invariant_subspace(gens, 2) == [q2]
 
     @pytest.mark.parametrize("gens", [[], [GFMatrix.identity()]], ids=["no-generators", "identity"])
     def test_trivial_groups_fix_every_monomial(self, gens):

@@ -1,4 +1,8 @@
+import inspect
 import random
+import sys
+import textwrap
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -9,6 +13,7 @@ from segre_pg72.gf2 import (
     GFMatrix,
     _IDPERM,
     _digits,
+    _echelon,
     _echelon_layouts,
     _invert_perm,
     _kernel,
@@ -64,6 +69,26 @@ def ref_nullspace(rows, nvars):
             continue
         basis.append(sum((p for p, r in pivots.items() if r >> j & 1), 1 << j))
     return basis
+
+
+def ref_full_kernel(columns, nvars):
+    """The tagged-elimination kernel with every row fully reduced: _reduce
+    over all tagged columns, then the rows whose pivot is a tag."""
+    width = max(columns.values(), default=0).bit_length()
+    rows = _reduce(c | 1 << width + nvars - 1 - j for j, c in columns.items())
+    return [
+        int(f"{rows[p] >> width:0{nvars}b}"[::-1], 2)
+        for p in sorted((p for p in rows if p >> width), reverse=True)
+    ]
+
+
+def source_mutant(fn, old: str, new: str):
+    """fn recompiled in a copy of its module's namespace, with old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(sys.modules[fn.__module__]))
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
 
 
 def ref_inverse(mat):
@@ -508,6 +533,13 @@ class TestReduce:
         for vectors in REDUCE_CASES[name]:
             assert _reduce(vectors) == ref_reduce(vectors)
 
+    @pytest.mark.parametrize("name", list(REDUCE_CASES))
+    def test_echelon_rows_have_distinct_lowest_bit_pivots_and_the_same_span(self, name):
+        for vectors in REDUCE_CASES[name]:
+            rows = _echelon(vectors)
+            assert all(r & -r == p for p, r in rows.items())
+            assert _reduce(rows.values()) == ref_reduce(vectors)
+
     @pytest.mark.parametrize("name, nvars", [("commutant-shape", 64), ("constraint-rows-255", 255)])
     def test_nullspace_agrees_with_reference(self, name, nvars):
         # the null space of the rows, as _kernel of their transpose
@@ -520,25 +552,82 @@ def ref_columns(rows, nvars):
     return {j: sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(nvars)}
 
 
+@cache
+def free_variable_cases(name):
+    """(columns, nvars, null space by ref_nullspace) for each system of REDUCE_CASES[name]."""
+    cases = []
+    for rows in REDUCE_CASES[name]:
+        nvars = max((r.bit_length() for r in rows), default=0) + 3
+        cases.append((ref_columns(rows, nvars), nvars, ref_nullspace(rows, nvars)))
+    return cases
+
+
+@cache
+def missing_variable_cases():
+    """(columns, nvars, expected) with 10 of 40 variables missing, so pinned at 0."""
+    rng = random.Random(41)
+    cases = []
+    for _ in range(20):
+        rows = random_rows(rng, 30, 40, weight=5)
+        columns = ref_columns(rows, 40)
+        missing = rng.sample(range(40), 10)
+        for j in missing:
+            del columns[j]
+        pinned = rows + [1 << j for j in missing]
+        cases.append((columns, 40, ref_nullspace(pinned, 40)))
+    return cases
+
+
+@cache
+def shuffled_cases():
+    """The free-variable cases with the columns dict in a seeded shuffled order."""
+    rng = random.Random(47)
+    cases = []
+    for name in REDUCE_CASES:
+        for columns, nvars, expected in free_variable_cases(name):
+            items = list(columns.items())
+            rng.shuffle(items)
+            cases.append((dict(items), nvars, expected))
+    return cases
+
+
+# _kernel mutants, one changed line each: the lowest echelon row is kept even
+# when its pivot is a column bit, and the tag rows are not back-substituted
+KEEPS_A_COLUMN_PIVOT_ROW = ("if p >> width)", "if p >> width or p == min(rows))")
+LEAVES_TAG_ROWS_UNREDUCED = (
+    "rows = _reduce(r for p, r in rows.items() if p >> width)",
+    "rows = {p: r for p, r in rows.items() if p >> width}",
+)
+
+
 class TestKernel:
     """The tagged-elimination _kernel against the free-variable reference."""
 
     @pytest.mark.parametrize("name", list(REDUCE_CASES))
     def test_agrees_with_free_variable_reference(self, name):
-        for rows in REDUCE_CASES[name]:
-            nvars = max((r.bit_length() for r in rows), default=0) + 3
-            assert _kernel(ref_columns(rows, nvars), nvars) == ref_nullspace(rows, nvars)
+        for columns, nvars, expected in free_variable_cases(name):
+            assert _kernel(columns, nvars) == expected
 
     def test_missing_variables_are_fixed_at_zero(self):
-        rng = random.Random(41)
-        for _ in range(20):
-            rows = random_rows(rng, 30, 40, weight=5)
-            columns = ref_columns(rows, 40)
-            missing = rng.sample(range(40), 10)
-            for j in missing:
-                del columns[j]
-            pinned = rows + [1 << j for j in missing]
-            assert _kernel(columns, 40) == ref_nullspace(pinned, 40)
+        for columns, nvars, expected in missing_variable_cases():
+            assert _kernel(columns, nvars) == expected
+
+    def test_the_column_order_does_not_matter(self):
+        # with the variables in ascending order the echelon rows whose pivot
+        # is a tag come out reduced; in any other order they need reducing
+        for columns, nvars, expected in shuffled_cases():
+            assert _kernel(columns, nvars) == expected
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [KEEPS_A_COLUMN_PIVOT_ROW, LEAVES_TAG_ROWS_UNREDUCED],
+        ids=["keeps-a-column-pivot-row", "leaves-tag-rows-unreduced"],
+    )
+    def test_the_differential_catches_a_mutant(self, old, new):
+        mutant = source_mutant(_kernel, old, new)
+        cases = [case for name in REDUCE_CASES for case in free_variable_cases(name)]
+        cases += [*missing_variable_cases(), *shuffled_cases()]
+        assert any(mutant(columns, nvars) != expected for columns, nvars, expected in cases)
 
 
 class TestTransposeAndXorSums:
