@@ -180,9 +180,11 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
 
     The search runs on the point permutations (GFMatrix.perm): the product
     g * f is f.perm.translate(g.perm), and one walk over the growing list of
-    elements found is the breadth-first order.  A matrix is built once per
-    element, at the end.  The group always holds the identity, so a cap
-    below 1 raises ValueError.
+    elements found is the breadth-first order.  A matrix is fixed by its
+    column images, so the search dedups on those 8 bytes (f's images e1..e8
+    through g's table) and translates f's 256-byte table only for a new
+    element.  A matrix is built once per element, at the end.  The group
+    always holds the identity, so a cap below 1 raises ValueError.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -193,15 +195,17 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
             raise ValueError("closure requires invertible generators")
     perms = [g.perm for g in gens]
     found = [_IDPERM]
-    seen = {_IDPERM}
-    for f in found:
+    images = [_UNITS]  # images[i] is found[i]'s column images
+    seen = {_UNITS}
+    for f, c in zip(found, images):
         for g in perms:
-            h = f.translate(g)
+            h = c.translate(g)
             if h not in seen:
                 if len(seen) >= cap:
                     raise ClosureOverflowError(f"closure exceeded cap of {cap} elements")
                 seen.add(h)
-                found.append(h)
+                images.append(h)
+                found.append(f.translate(g))
     return MatrixGroup(generators, tuple(map(GFMatrix._from_perm, found)))
 
 
@@ -240,6 +244,13 @@ def schreier_sims(generators) -> int:
     Schreier pair (pt, s) is checked exactly once, except the tree edges: the
     pair that first reached s(pt) gives the identity by construction and is
     never queued.
+
+    An input generator that sticks at level k is attached at levels k..0.  A
+    residue of a Schreier generator queued at level i that sticks at level j
+    is attached at levels i+1..j only (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 4.4.2): it is a word in the strong
+    generators of level i and transversal elements above, so the groups,
+    orbits and pending pairs of levels i..0 do not change.
 
     Every base point is a unit vector.  Let v be the smallest point moved by
     a linear map g and 2^m the top bit of v: g fixes the unit vectors below
@@ -288,13 +299,17 @@ def schreier_sims(generators) -> int:
                     inv_trans[img] = s_inv.translate(inv_trans[pt])
                     orbit.append(img)
 
-    def add_generator(k: int, e: bytes) -> None:
-        # the residue e fixes the bases of levels 0..k-1, so it generates at
-        # every level up to and including its stick level k, and its base
-        # image there is new to that level's orbit.  Each strong generator
-        # therefore grows an orbit, which bounds the chain; a wrong inverse
-        # transversal entry breaks this, and would otherwise add strong
-        # generators forever.
+    def add_generator(k: int, e: bytes, low: int) -> None:
+        # the residue e fixes the bases of levels 0..k-1, so it lies in the
+        # stabilizer of every level up to and including its stick level k,
+        # and its base image there is new to that level's orbit.  It is
+        # attached at levels low..k: an input generator from level 0, a
+        # Schreier residue of level i from level i + 1 only, because it is
+        # already a word in the strong generators of level i and the
+        # transversals above.  Each strong generator grows the orbit of its
+        # stick level, which bounds the chain; a wrong inverse transversal
+        # entry breaks this, and would otherwise add strong generators
+        # forever.
         if any(e[lv.pos] != lv.base for lv in levels[:k]):
             raise ConstructionError("sifted residue moves a base point of a higher level")
         g = bytes(_xor_sums(e))
@@ -306,16 +321,16 @@ def schreier_sims(generators) -> int:
         if e[levels[k].pos] in levels[k].transversal:
             raise ConstructionError("sifted residue adds no point to the orbit of its level")
         g_inv = _invert_perm(g)
-        for idx in range(k, -1, -1):
+        for idx in range(k, low - 1, -1):
             attach(levels[idx], g, g_inv)
 
     for e in images:
         residue, k = sift(e, 0)
         if residue != _UNITS:
-            add_generator(k, residue)
+            add_generator(k, residue, 0)
 
-    # levels above k have no pending pairs; a new generator that sticks at
-    # level j queues pairs on levels j..0 only
+    # levels above k have no pending pairs; a residue of level k that
+    # sticks at level j queues pairs on levels j..k+1 only
     k = len(levels) - 1
     while k >= 0:
         lv = levels[k]
@@ -329,7 +344,7 @@ def schreier_sims(generators) -> int:
             continue
         residue, j = sift(schreier_gen, k + 1)
         if residue != _UNITS:
-            add_generator(j, residue)
+            add_generator(j, residue, k + 1)
             k = j
 
     return prod(len(lv.transversal) for lv in levels) if levels else 1

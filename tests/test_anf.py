@@ -724,7 +724,7 @@ class TestCosetScan:
     @pytest.mark.parametrize("mutate", [
         lambda plan: (pivot_flip_dropped(plan), _even_flats),
         lambda plan: (last_gray_step_skipped(plan), _even_flats),
-        lambda plan: (plan, source_mutant(_even_flats, *REP_ONE_BLOCK_TOO_LONG)),
+        lambda plan: (plan, source_mutant(_even_flats, REP_ONE_BLOCK_TOO_LONG)),
     ], ids=["pivot-flip-dropped", "last-gray-step-skipped", "rep-one-block-too-long"])
     def test_the_differential_catches_a_mutant(self, mutate):
         caught = set()
@@ -1043,7 +1043,7 @@ class TestInvariantSubspace:
 
     def test_the_differential_catches_a_column_without_the_monomial(self):
         # column T is the table of x_T o A alone, not of x_T o A - x_T
-        mutant = source_mutant(invariant_subspace, "tt[t] ^ _MONOMIAL_TABLES[t]", "tt[t]")
+        mutant = source_mutant(invariant_subspace, ("tt[t] ^ _MONOMIAL_TABLES[t]", "tt[t]"))
         gens = [element("M"), element("N")]
         assert [len(mutant(gens, d)) for d in range(2, 8)] != [1, 1, 3, 3, 4, 4]
         assert invariant_mismatches(mutant, [gens])

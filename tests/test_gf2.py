@@ -82,12 +82,15 @@ def ref_full_kernel(columns, nvars):
     ]
 
 
-def source_mutant(fn, old: str, new: str):
-    """fn recompiled in a copy of its module's namespace, with old replaced by new."""
+def source_mutant(fn, *edits: tuple[str, str]):
+    """fn recompiled in a copy of its module's namespace, with each edit's
+    old text (found exactly once) replaced by its new text."""
     source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1, old
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
     namespace = dict(vars(sys.modules[fn.__module__]))
-    exec(source.replace(old, new), namespace)
+    exec(source, namespace)
     return namespace[fn.__name__]
 
 
@@ -624,7 +627,7 @@ class TestKernel:
         ids=["keeps-a-column-pivot-row", "leaves-tag-rows-unreduced"],
     )
     def test_the_differential_catches_a_mutant(self, old, new):
-        mutant = source_mutant(_kernel, old, new)
+        mutant = source_mutant(_kernel, (old, new))
         cases = [case for name in REDUCE_CASES for case in free_variable_cases(name)]
         cases += [*missing_variable_cases(), *shuffled_cases()]
         assert any(mutant(columns, nvars) != expected for columns, nvars, expected in cases)

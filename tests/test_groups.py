@@ -31,7 +31,7 @@ from segre_pg72.groups import (
     tensor_operator,
 )
 from segre_pg72.segre import BASIS_INDEX, build_model
-from test_gf2 import ref_nullspace
+from test_gf2 import ref_nullspace, source_mutant
 from test_package import deadline
 
 E = [0] + [1 << i for i in range(8)]
@@ -148,8 +148,10 @@ class RefLevel:
 
 
 def ref_schreier_sims(generators):
-    """Reference stabilizer chain: every transversal entry inverted in full,
-    every Schreier pair (tree edges included) queued and sifted."""
+    """Reference stabilizer chain, the slow route: every transversal entry
+    inverted in full, every Schreier pair (tree edges included) queued and
+    sifted, and every residue attached at every level from its stick level
+    down to level 0, whatever level its Schreier pair came from."""
     perms = [m.perm for m in generators if m.perm != _IDPERM]
     levels = []
 
@@ -236,9 +238,67 @@ def seeded_subsets(seed, count):
 
 NAMED_GROUPS = {"M,N": ("M", "N"), "M',N": ("M'", "N"), "M,K12": ("M", "K12")}
 
+# the transvection e8 -> e1 + e8 fixes e1..e7, so it and the identity agree
+# on their first seven columns; no two elements of <M,N> do
+TRANSVECTION = GFMatrix([1, 2, 4, 8, 16, 32, 64, 129])
+
+
+def closure_cases():
+    """Generator lists: 50 seeded subsets of <M,N> (seed 37), then the
+    transvection with J."""
+    return [*seeded_subsets(37, 50), [TRANSVECTION, element("J")]]
+
+
 # the generator sets whose chain orders `verify` checks, with those orders
 VERIFY_CHAIN_SETS = {
     "M,N": 1296, "M',N": 648, "M,K12": 48, "M,N,K": 348_364_800, "M,N,K'": 174_182_400,
+}
+
+
+def chain_placements(generators, monkeypatch):
+    """schreier_sims run through a recording _Level.
+
+    Returns the order, the levels in the order they were opened, and for
+    each strong generator its origin and the levels it was attached at, in
+    attach order.  The origin is the level whose Schreier pair was popped
+    last before the generator was attached, or None for an input generator,
+    which is attached before any pair is popped.
+    """
+    log, levels = [], []
+
+    class Pending(list):
+        def pop(self):
+            log.append((self.level, None))
+            return super().pop()
+
+    class Gens(list):
+        def append(self, pair):
+            log.append((self.level, pair[0]))
+            super().append(pair)
+
+    class Level(groups._Level):
+        def __init__(self, base):
+            super().__init__(base)
+            self.pending, self.gens = Pending(), Gens()
+            self.pending.level = self.gens.level = len(levels)
+            levels.append(self)
+
+    monkeypatch.setattr(groups, "_Level", Level)
+    order = schreier_sims(generators)
+    placements, origin = {}, None
+    for level, g in log:
+        if g is None:
+            origin = level
+        else:
+            placements.setdefault(g, (origin, []))[1].append(level)
+    return order, levels, list(placements.values())
+
+
+# chains that attach a residue at too few levels; each misses part of a
+# stabilizer, so its order comes out too small
+UNDER_ATTACHING = {
+    "stick-level-only": ("for idx in range(k, low - 1, -1):", "for idx in (k,):"),
+    "skips-level-i+1": ("add_generator(j, residue, k + 1)", "add_generator(j, residue, k + 2)"),
 }
 
 
@@ -531,7 +591,7 @@ class TestClosure:
         assert closure(gens).elements == ref_closure(gens)
 
     def test_element_order_agrees_with_product_reference_on_seeded_subsets(self):
-        for gens in seeded_subsets(37, 50):
+        for gens in closure_cases():
             assert closure(gens).elements == ref_closure(gens)
 
     @pytest.mark.parametrize("names", NAMED_GROUPS, ids=str)
@@ -545,6 +605,34 @@ class TestClosure:
                 route(gens, cap=order - 1)
             messages.append(str(exc.value))
         assert messages == [f"closure exceeded cap of {order - 1} elements"] * 2
+
+    def test_cap_boundary_agrees_with_product_reference_on_seeded_subsets(self):
+        checked = 0
+        for gens in closure_cases():
+            order = len(ref_closure(gens))
+            if order == 1:  # a cap of 0 is rejected before the search
+                continue
+            assert len(closure(gens, cap=order)) == order
+            for route in (closure, ref_closure):
+                with pytest.raises(ClosureOverflowError,
+                                   match=f"^closure exceeded cap of {order - 1} elements$"):
+                    route(gens, cap=order - 1)
+            checked += 1
+        assert checked >= 45
+
+    def test_the_differential_catches_a_seen_set_keyed_on_seven_column_bytes(self):
+        # the mutant merges elements that differ only in their eighth column
+        mutant = source_mutant(
+            closure,
+            ("seen = {_UNITS}", "seen = {_UNITS[:7]}"),
+            ("h = c.translate(g)", "h = c.translate(g)[:7]"),
+        )
+        pair = closure_cases()[-1]
+        expected = ref_closure(pair)
+        merged = mutant(pair).elements
+        assert len(merged) < len(expected) and set(merged) < set(expected)
+        # so only a case like <T, J> catches it: <M,N> has no such pair
+        assert len({m.cols[:7] for m in segre_group().elements}) == 1296
 
 
 class TestSchreierSims:
@@ -586,6 +674,32 @@ class TestSchreierSims:
     def test_agrees_with_reference_chain_on_the_verify_generator_sets(self, label):
         gens = elements(label)
         assert schreier_sims(gens) == ref_schreier_sims(gens) == VERIFY_CHAIN_SETS[label]
+
+    @pytest.mark.parametrize("label", VERIFY_CHAIN_SETS)
+    def test_a_schreier_residue_is_attached_only_below_its_pair_level(self, label, monkeypatch):
+        # an input generator sticking at level k goes to levels k..0; a
+        # residue of a level-i pair sticking at level j to levels j..i+1
+        order, _, placements = chain_placements(elements(label), monkeypatch)
+        assert order == VERIFY_CHAIN_SETS[label]
+        for origin, attached in placements:
+            low = 0 if origin is None else origin + 1
+            assert attached == list(range(attached[0], low - 1, -1))
+        assert any(origin is not None for origin, _ in placements)
+
+    def test_the_orthogonal_group_chain_checks_few_schreier_pairs(self, monkeypatch):
+        # sum over levels of orbit length times strong generators: 3,659
+        # when every residue was attached down to level 0
+        order, levels, _ = chain_placements(elements("M,N,K"), monkeypatch)
+        assert order == VERIFY_CHAIN_SETS["M,N,K"]
+        assert sum(len(lv.transversal) * len(lv.gens) for lv in levels) <= 1100
+
+    @pytest.mark.parametrize("edit", UNDER_ATTACHING.values(), ids=list(UNDER_ATTACHING))
+    def test_a_chain_that_attaches_too_few_gives_a_wrong_order(self, edit):
+        mutant = source_mutant(schreier_sims, edit)
+        with deadline(10, "an under-attaching chain"):
+            orders = {label: mutant(elements(label)) for label in VERIFY_CHAIN_SETS}
+        assert orders != VERIFY_CHAIN_SETS
+        assert all(orders[label] <= VERIFY_CHAIN_SETS[label] for label in orders)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_invertible_pairs_generate_gl82(self, seed):

@@ -1,0 +1,104 @@
+"""Route independence: two routes that a check compares share no code
+beyond an allowlist.
+
+Each row names the two routes, their inputs (built before anything is
+recorded) and the package functions they may share, each with its reason.
+`sys.setprofile` records every function of the package a route calls,
+after every `functools.cache` in the package is cleared, so that a warm
+cache cannot hide a shared intermediate.  A profile sees calls only: a
+module constant that both routes read is data, and each row says which
+ones there are.  Nested code (a genexpr, a local function) counts as the
+function that holds it.
+"""
+
+import sys
+from dataclasses import dataclass, replace
+
+import pytest
+
+from segre_pg72.groups import closure, elements, schreier_sims
+
+pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="names calls by co_qualname")
+
+PACKAGE = "segre_pg72."
+
+# the checks every generator passes on the way in: a GFMatrix, and
+# invertible by the rank of its columns
+INPUT_GUARDS = {
+    "gf2._check_matrices": "each generator is a GFMatrix",
+    "gf2.GFMatrix.is_invertible": "each generator is invertible",
+    "gf2.GFMatrix.rank": "is_invertible reads the rank",
+    "gf2._rref": "the rank is the length of the reduced row echelon form",
+    "gf2._check_vectors": "_rref checks that the columns are 8-bit vectors",
+    "gf2._reduce": "_rref eliminates with _reduce",
+    "gf2._echelon": "_reduce starts by forward elimination",
+}
+
+
+@dataclass(frozen=True)
+class Row:
+    first: object
+    second: object
+    inputs: tuple
+    shared: dict  # function -> why the two routes may both call it
+    data: dict  # module constant both routes read -> what each reads it for
+
+
+ROWS = {
+    "group order: closure vs stabilizer chain": Row(
+        first=lambda gens: len(closure(gens)),
+        second=schreier_sims,
+        inputs=(elements("M,N"),),
+        shared=INPUT_GUARDS,
+        data={"gf2._UNITS": "the identity's column images: closure's first "
+                            "seen key, the chain's identity test"},
+    ),
+}
+
+
+def clear_caches() -> None:
+    for name, module in list(sys.modules.items()):
+        if name.startswith(PACKAGE):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def calls(route, inputs) -> set[str]:
+    """The package functions route(*inputs) calls, as module.qualname
+    without the package prefix."""
+    clear_caches()
+    found = set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith(PACKAGE):
+            qualname = frame.f_code.co_qualname.split(".<locals>")[0]
+            found.add(f"{module.removeprefix(PACKAGE)}.{qualname}")
+
+    sys.setprofile(profile)
+    try:
+        route(*inputs)
+    finally:
+        sys.setprofile(None)
+    return found
+
+
+def shared_calls(row: Row) -> set[str]:
+    return calls(row.first, row.inputs) & calls(row.second, row.inputs)
+
+
+@pytest.mark.parametrize("name", ROWS)
+def test_the_routes_share_only_the_allowlist(name):
+    row = ROWS[name]
+    shared = shared_calls(row)
+    assert shared <= set(row.shared)
+    for constant in row.data:
+        module, attr = constant.split(".")
+        assert hasattr(sys.modules[PACKAGE + module], attr), constant
+
+
+def test_a_chain_that_asks_closure_for_the_order_is_caught():
+    row = ROWS["group order: closure vs stabilizer chain"]
+    mutant = replace(row, second=lambda gens: len(closure(gens)))
+    assert "groups.closure" in shared_calls(mutant) - set(row.shared)
