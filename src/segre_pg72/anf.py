@@ -13,6 +13,7 @@ from functools import cache
 
 from .gf2 import (
     DIM,
+    UNIT,
     Flat,
     GFMatrix,
     _UNITS,
@@ -75,8 +76,9 @@ def _product_tables(forms) -> list[int]:
     return tables
 
 
-# _MONOMIAL_TABLES[T] is the truth table of x_T: the vectors that contain T
-_MONOMIAL_TABLES = _product_tables(_COORDINATE_TABLES)
+# _MIRRORED_MONOMIAL_TABLES[T] is the truth table of y -> x_T(y + u): the
+# vectors that miss T, a product of the complemented coordinate tables
+_MIRRORED_MONOMIAL_TABLES = _product_tables(_MOBIUS_MASKS)
 
 # _BY_DEGREE[d] has bit T set exactly when T has popcount d
 _BY_DEGREE = [0] * 9
@@ -426,27 +428,36 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
     product of the coordinate forms (A x)_i for i in T.  It has degree |T|
     and no constant term, so it stays among the monomials solved for.
 
-    Monomial T is variable T of gf2._kernel, with column the truth table of
-    image(x_T) + x_T for generator k at bits 256k..256k+255; the basis lists
-    the invariants by their highest monomial, ascending.
+    Monomial T is variable T of gf2._kernel.  Its column is mirrored, so
+    that _kernel's highest-bit elimination makes the row operations of a
+    lowest-bit elimination of the natural tables: generator 0's 256-bit
+    block is highest, and point x of a block sits at bit x ^ 255.  That
+    block is the truth table of y -> image(x_T)(y + u) + x_T(y + u), u the
+    unit point; (A(y + u))_i is the form (A y)_i, complemented when bit i
+    of A u is set.  The basis lists the invariants by their highest
+    monomial, ascending.
     """
     if not 1 <= max_degree <= 8:
         raise ValueError("degree must be between 1 and 8")
-    # vectors[T]: the tables of image(x_T) + x_T so far, one 256-bit block each
+    generators = _check_matrices(generators)
+    # vectors[T]: the mirrored tables of image(x_T) + x_T so far, one
+    # 256-bit block each, generator 0's highest
     vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
-    offset = 0
-    for mat in _check_matrices(generators):
+    offset = 256 * len(generators)
+    for mat in generators:
         if not mat.is_invertible():
             raise ValueError("substitution requires an invertible matrix")
-        # lin[i]: truth table of x -> bit i of A x, a sum of coordinate tables
-        lin = [0] * DIM
+        offset -= 256
+        # lin[i]: truth table of y -> bit i of A(y + u), a sum of coordinate
+        # tables, complemented when bit i of A u is set
+        unit_image = mat.perm[UNIT]
+        lin = [TABLE_FULL if unit_image >> i & 1 else 0 for i in range(DIM)]
         for j, col in enumerate(mat.cols):
             for i in _set_bits(col):
                 lin[i] ^= _COORDINATE_TABLES[j]
         tt = _product_tables(lin)
         for t in vectors:
-            vectors[t] |= (tt[t] ^ _MONOMIAL_TABLES[t]) << offset
-        offset += 256
+            vectors[t] |= (tt[t] ^ _MIRRORED_MONOMIAL_TABLES[t]) << offset
     return [Anf(x) for x in _kernel(vectors, 256)]
 
 

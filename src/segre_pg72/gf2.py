@@ -118,17 +118,19 @@ def format_point(v: int) -> str:
 def _echelon(vectors: Iterable[int]) -> dict[int, int]:
     """Forward elimination over GF(2): {pivot: row}, in echelon form.
 
-    Each row's pivot is its lowest set bit, and no two rows share one.  Each
-    incoming vector is brought to echelon form: while its lowest bit is a
-    pivot, that pivot's row is added.  A row may still carry higher pivots.
+    Each row's pivot is its highest set bit, keyed by the row's bit length,
+    and no two rows share one.  Each incoming vector is brought to echelon
+    form: while its highest bit is a pivot, that pivot's row is added.  A row
+    may still carry lower pivots.  The key costs O(1) and is a small int, so
+    the lookup hashes no long row.
     """
     rows: dict[int, int] = {}
     for v in vectors:
         while v:
-            low = v & -v
-            r = rows.get(low)
+            p = v.bit_length()
+            r = rows.get(p)
             if r is None:
-                rows[low] = v
+                rows[p] = v
                 break
             v ^= r
     return rows
@@ -137,30 +139,39 @@ def _echelon(vectors: Iterable[int]) -> dict[int, int]:
 def _reduce(vectors: Iterable[int]) -> dict[int, int]:
     """Gauss-Jordan elimination over GF(2): {pivot: row}, fully reduced.
 
-    Each row's pivot is its lowest set bit, and no other row has that bit.
-    Forward elimination (_echelon) comes first.  One back-substitution pass
-    over the pivots in descending order then clears, from each row, only the
-    higher pivot bits it carries; those rows are already fully reduced.  The
-    fully reduced form of a row space is unique, so any Gauss-Jordan route
-    gives the same rows.
+    Each row's pivot is its highest set bit, keyed by the row's bit length,
+    and no other row has that bit.  Forward elimination (_echelon) comes
+    first.  One back-substitution pass over the pivots in ascending order
+    then clears, from each row, only the lower pivot bits it carries; those
+    rows are already fully reduced.  The fully reduced form of a row space
+    is unique, so any Gauss-Jordan route gives the same rows.
     """
     rows = _echelon(vectors)
-    pivots = sum(rows)
-    for p in sorted(rows, reverse=True):
+    lower = 0  # the pivot bits below the current row's
+    for p in sorted(rows):
         r = rows[p]
-        m = r & pivots ^ p
+        m = r & lower
         while m:
-            q = m & -m
+            q = m.bit_length()
             r ^= rows[q]
-            m ^= q
+            m ^= 1 << q - 1
         rows[p] = r
+        lower |= 1 << p - 1
     return rows
 
 
+# _MIRROR[v] is v with its 8 bits in reverse order: bit i moves to bit 7 - i
+_MIRROR = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+
 def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row echelon form; pivots are lowest set bits, rows sorted by pivot."""
-    rows = _reduce(_check_vectors(vectors))
-    return tuple(rows[p] for p in sorted(rows))
+    """Reduced row echelon form; pivots are lowest set bits, rows sorted by pivot.
+
+    Mirroring the bits turns lowest bits into highest ones, so the form is
+    _reduce's, mirrored in and out: its rows by pivot descending.
+    """
+    rows = _reduce(bytes(_check_vectors(vectors)).translate(_MIRROR))
+    return tuple(bytes(rows[p] for p in sorted(rows, reverse=True)).translate(_MIRROR))
 
 
 def _transpose(vectors, width: int) -> list[int]:
@@ -327,7 +338,7 @@ class GFMatrix:
         return GFMatrix(tuple(a ^ b for a, b in zip(self.cols, other.cols)))
 
     def rank(self) -> int:
-        return len(_rref(self.cols))
+        return len(_echelon(self.cols))
 
     def is_invertible(self) -> bool:
         return self.rank() == DIM
@@ -377,19 +388,19 @@ def _kernel(columns: dict[int, int], nvars: int) -> list[int]:
     """Basis of the x whose columns (columns[j] for the bits j of x) XOR to 0.
 
     A variable missing from columns is fixed at 0.  Variable j contributes
-    its column plus a tag at bit width + nvars - 1 - j, above every column
-    bit.  Forward elimination (_echelon) comes first.  The rows whose pivot
-    is a tag have no column bits, so they span the kernel, and every pivot
-    they carry is a tag: only these rows are then fully reduced, among
-    themselves (_reduce).  The rows with column pivots never reach the
-    answer, so they are never back-substituted.  The reversed tags make each
-    pivot a row's highest variable, so the rows by pivot descending, tag
-    bits reversed, are the canonical basis with ascending free variables.
+    its column, shifted above every tag, plus a tag at bit j.  Forward
+    elimination (_echelon) comes first.  The rows whose pivot is a tag have
+    no column bits, so they span the kernel, and every pivot they carry is a
+    tag: only these rows are then fully reduced, among themselves (_reduce).
+    The rows with column pivots never reach the answer, so they are never
+    back-substituted.  Each pivot is a row's highest variable, so the rows
+    by pivot ascending are the canonical basis with ascending free
+    variables.  Elimination takes the highest column bits first, so a
+    caller orders its column bits by the elimination it wants.
     """
-    width = max(columns.values(), default=0).bit_length()
-    rows = _echelon(c | 1 << width + nvars - 1 - j for j, c in columns.items())
-    rows = _reduce(r for p, r in rows.items() if p >> width)
-    return [int(f"{rows[p] >> width:0{nvars}b}"[::-1], 2) for p in sorted(rows, reverse=True)]
+    rows = _echelon(c << nvars | 1 << j for j, c in columns.items())
+    rows = _reduce(r for p, r in rows.items() if p <= nvars)
+    return [rows[p] for p in sorted(rows)]
 
 
 def kernel(mat: GFMatrix) -> Flat:

@@ -20,9 +20,9 @@ from .gf2 import (
     _UNITS,
     _check_matrices,
     _check_point,
+    _echelon,
     _invert_perm,
     _kernel,
-    _reduce,
     _xor_sums,
     kernel,
     parse_point,
@@ -399,7 +399,7 @@ def centralizer_in_gl(generators) -> MatrixGroup:
     # each matrix as its 8 columns packed into the bytes of an int
     packed = [int.from_bytes(bytes(x.cols), "little") for x in basis]
     products = [int.from_bytes(bytes((a * b).cols), "little") for a in basis for b in basis]
-    if len(_reduce(packed + products)) != len(basis):
+    if len(_echelon(packed + products)) != len(basis):
         raise ConstructionError("commutant basis not closed under product")
     elements = []
     for x in _xor_sums(packed)[1:]:

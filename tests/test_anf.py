@@ -32,6 +32,7 @@ from segre_pg72.gf2 import (
     GFMatrix,
     UNIT,
     _echelon_layouts,
+    _kernel,
     _xor_sums,
     span,
 )
@@ -55,6 +56,7 @@ from segre_pg72.segre import build_model
 from test_gf2 import (
     echelon_bases,
     flats_of_dimension,
+    mirror,
     ref_full_kernel,
     ref_nullspace,
     source_mutant,
@@ -266,6 +268,38 @@ def ref_coefficient_invariant_subspace(generators, max_degree: int) -> list[Anf]
                 vectors[t] |= (mobius(tt[t]) ^ 1 << t) << offset
         offset += 256
     return [Anf(x) for x in ref_full_kernel(vectors, 256)]
+
+
+def ref_natural_columns(generators, max_degree: int) -> dict[int, int]:
+    """The columns of the invariant solve before they were mirrored, point
+    by point: column T holds the truth table of x_T o A + x_T for generator
+    k at bits 256k..256k+255, point x at bit x."""
+    monomials = [mask_of(x for x in range(256) if x & t == t) for t in range(256)]
+    vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
+    for k, mat in enumerate(generators):
+        for t in vectors:
+            image = mask_of(x for x in range(256) if mat(x) & t == t)
+            vectors[t] |= (image ^ monomials[t]) << 256 * k
+    return vectors
+
+
+def solved_columns(solve, generators, max_degree: int) -> dict[int, int]:
+    """The columns solve(generators, max_degree) hands to gf2._kernel, read
+    by a spy in solve's own namespace for the one call."""
+    namespace = solve.__globals__
+    seen = []
+
+    def spy(columns, nvars):
+        seen.append(dict(columns))
+        return _kernel(columns, nvars)
+
+    namespace["_kernel"] = spy
+    try:
+        solve(generators, max_degree)
+    finally:
+        namespace["_kernel"] = _kernel
+    (columns,) = seen
+    return columns
 
 
 def invariant_mismatches(solve, generator_sets) -> list[tuple[int, int]]:
@@ -1043,10 +1077,43 @@ class TestInvariantSubspace:
 
     def test_the_differential_catches_a_column_without_the_monomial(self):
         # column T is the table of x_T o A alone, not of x_T o A - x_T
-        mutant = source_mutant(invariant_subspace, ("tt[t] ^ _MONOMIAL_TABLES[t]", "tt[t]"))
+        mutant = source_mutant(invariant_subspace, ("tt[t] ^ _MIRRORED_MONOMIAL_TABLES[t]", "tt[t]"))
         gens = [element("M"), element("N")]
         assert [len(mutant(gens, d)) for d in range(2, 8)] != [1, 1, 3, 3, 4, 4]
         assert invariant_mismatches(mutant, [gens])
+
+    @pytest.mark.parametrize(
+        "group, seed",
+        [(segre_group, 24), (segre_group_even, 25), (cube_group, 26)],
+        ids=["M,N", "M',N", "M,K12"],
+    )
+    def test_each_column_mirrors_the_natural_truth_tables(self, group, seed):
+        # generator 0's block highest and point x at bit x ^ 255: the column
+        # is the natural one reversed over all its bits, so _kernel's
+        # highest-bit elimination makes the lowest-bit route's row operations
+        rng = random.Random(seed)
+        sets = [list(group().generators)] + [rng.sample(group().elements, 2) for _ in range(3)]
+        sets.append([random_invertible(rng) for _ in range(2)])
+        for gens in sets:
+            for d in (2, 8):
+                natural = ref_natural_columns(gens, d)
+                columns = solved_columns(invariant_subspace, gens, d)
+                assert columns.keys() == natural.keys()
+                width = 256 * len(gens)
+                assert all(columns[t] == mirror(c, width) for t, c in natural.items()), d
+
+    def test_the_layout_check_catches_an_unmirrored_block_order(self):
+        # generator 0's block lowest: the same invariants, the other layout
+        mutant = source_mutant(
+            invariant_subspace,
+            ("offset = 256 * len(generators)", "offset = -256"),
+            ("offset -= 256", "offset += 256"),
+        )
+        gens = [element("M"), element("N")]
+        assert mutant(gens, 7) == invariant_subspace(gens, 7)
+        width = 256 * len(gens)
+        columns = solved_columns(mutant, gens, 7)
+        assert columns != {t: mirror(c, width) for t, c in ref_natural_columns(gens, 7).items()}
 
     def test_the_solve_calls_no_mobius(self, monkeypatch):
         q2 = named_Q()["Q2"]

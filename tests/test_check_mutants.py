@@ -1,0 +1,80 @@
+"""No vacuous check: a check id FAILs when the route it reads is broken.
+
+A mutant is a layer function of `src` with one edit in its source text
+(`source_mutant`). It replaces that function in every package module that
+holds it, and never changes an expected literal in `checks.py`. The
+package caches are cleared before and after each run, so the mutant is
+seen by that run alone.
+
+This table is the slice for the invariant-solving kernel, `gf2._kernel`,
+and the checks that read it.
+"""
+
+import sys
+
+import pytest
+
+from segre_pg72.anf import invariant_subspace
+from segre_pg72.checks import REGISTRY, Run
+from segre_pg72.gf2 import _kernel
+from test_gf2 import source_mutant
+from test_routes import PACKAGE, clear_caches
+
+# the highest-pivot kernel row dropped: every kernel loses one dimension
+DROPS_THE_TOP_KERNEL_ROW = (_kernel, ("for p in sorted(rows)]", "for p in sorted(rows)[:-1]]"))
+# the degree filter reversed: the monomials of degree at least d, so the
+# solved spaces shrink as d grows
+SOLVES_FROM_THE_TOP_DEGREE = (
+    invariant_subspace,
+    ("t.bit_count() <= max_degree", "t.bit_count() >= max_degree"),
+)
+
+MUTANTS = {
+    **dict.fromkeys(
+        [
+            "groups/commutant/dim",
+            "groups/centralizer",
+            "polys/invariant-count",
+            "polys/degree-census",
+            "polys/dim/GB-4",
+            "polys/dim/GS-2",
+            "polys/dim/GS-4",
+            "polys/dim/GS-7",
+        ],
+        DROPS_THE_TOP_KERNEL_ROW,
+    ),
+    # a kernel short of its top row still nests: at each degree the rows
+    # below the top pivot span the invariants of the lower degrees
+    "polys/nesting": SOLVES_FROM_THE_TOP_DEGREE,
+}
+
+
+def run_under(mutant, cid: str, monkeypatch):
+    """The result of check cid with the mutant's function replaced in every
+    package module that holds it (no replacement when mutant is None)."""
+    clear_caches()
+    with monkeypatch.context() as patch:
+        if mutant is not None:
+            fn, edit = mutant
+            replacement = source_mutant(fn, edit)
+            for name, module in list(sys.modules.items()):
+                if name.startswith(PACKAGE) and getattr(module, fn.__name__, None) is fn:
+                    patch.setattr(module, fn.__name__, replacement)
+        result = Run(0).check(REGISTRY[cid])
+    clear_caches()
+    return result
+
+
+def test_every_table_key_is_a_check_id():
+    assert set(MUTANTS) <= set(REGISTRY)
+
+
+@pytest.mark.parametrize("cid", MUTANTS)
+def test_the_check_fails_under_its_mutant(cid, monkeypatch):
+    assert run_under(None, cid, monkeypatch).passed
+    assert not run_under(MUTANTS[cid], cid, monkeypatch).passed
+
+
+def test_nesting_survives_the_kernel_mutant(monkeypatch):
+    # why polys/nesting needs a mutant of its own
+    assert run_under(DROPS_THE_TOP_KERNEL_ROW, "polys/nesting", monkeypatch).passed

@@ -71,15 +71,68 @@ def ref_nullspace(rows, nvars):
     return basis
 
 
-def ref_full_kernel(columns, nvars):
-    """The tagged-elimination kernel with every row fully reduced: _reduce
-    over all tagged columns, then the rows whose pivot is a tag."""
+def ref_lowbit_echelon(vectors):
+    """The forward elimination gf2._echelon replaced: each row's pivot is its
+    lowest set bit, keyed by that bit's power of two."""
+    rows = {}
+    for v in vectors:
+        while v:
+            low = v & -v
+            r = rows.get(low)
+            if r is None:
+                rows[low] = v
+                break
+            v ^= r
+    return rows
+
+
+def ref_lowbit_reduce(vectors):
+    """The Gauss-Jordan pass gf2._reduce replaced: ref_lowbit_echelon, then
+    each row cleared of the higher pivots it carries, pivots descending."""
+    rows = ref_lowbit_echelon(vectors)
+    pivots = sum(rows)
+    for p in sorted(rows, reverse=True):
+        r = rows[p]
+        m = r & pivots ^ p
+        while m:
+            q = m & -m
+            r ^= rows[q]
+            m ^= q
+        rows[p] = r
+    return rows
+
+
+def ref_lowbit_kernel(columns, nvars):
+    """The kernel gf2._kernel replaced: the columns at the low bits, variable
+    j's tag reversed at bit width + nvars - 1 - j above them, lowest-bit
+    elimination, and only the rows whose pivot is a tag fully reduced."""
     width = max(columns.values(), default=0).bit_length()
-    rows = _reduce(c | 1 << width + nvars - 1 - j for j, c in columns.items())
+    rows = ref_lowbit_echelon(c | 1 << width + nvars - 1 - j for j, c in columns.items())
+    rows = ref_lowbit_reduce(r for p, r in rows.items() if p >> width)
+    return [mirror(rows[p] >> width, nvars) for p in sorted(rows, reverse=True)]
+
+
+def ref_full_kernel(columns, nvars):
+    """The tagged-elimination kernel with every row fully reduced:
+    ref_lowbit_reduce over all tagged columns, then the rows whose pivot is
+    a tag."""
+    width = max(columns.values(), default=0).bit_length()
+    rows = ref_lowbit_reduce(c | 1 << width + nvars - 1 - j for j, c in columns.items())
     return [
-        int(f"{rows[p] >> width:0{nvars}b}"[::-1], 2)
+        mirror(rows[p] >> width, nvars)
         for p in sorted((p for p in rows if p >> width), reverse=True)
     ]
+
+
+def mirror(v, width):
+    """v with its lowest width bits in reverse order: bit i moves to width - 1 - i."""
+    return int(f"{v:0{width}b}"[::-1], 2)
+
+
+def mirror_rows(rows, width):
+    """Lowest-bit {pivot: row} rows over width bits, mirrored into the
+    highest-bit form of gf2._echelon and gf2._reduce, keyed by bit length."""
+    return {width + 1 - p.bit_length(): mirror(r, width) for p, r in rows.items()}
 
 
 def source_mutant(fn, *edits: tuple[str, str]):
@@ -97,7 +150,7 @@ def source_mutant(fn, *edits: tuple[str, str]):
 def ref_inverse(mat):
     """Reference inverse: Gauss-Jordan on the (image, preimage) pairs; the row
     with pivot e_i then carries the preimage of e_i in its high byte."""
-    rows = _reduce(c | 1 << (j + 8) for j, c in enumerate(mat.cols))
+    rows = ref_reduce(c | 1 << (j + 8) for j, c in enumerate(mat.cols))
     if any(p > UNIT for p in rows):
         raise ValueError("matrix is singular")
     return GFMatrix(tuple(rows[1 << i] >> 8 for i in range(8)))
@@ -528,20 +581,43 @@ def reduce_cases():
 REDUCE_CASES = reduce_cases()
 
 
+def width_of(vectors):
+    return max((v.bit_length() for v in vectors), default=0)
+
+
 class TestReduce:
-    """The echelon-then-back-substitution _reduce against the pivot-scanning reference."""
+    """The highest-bit _echelon and _reduce against the lowest-bit routes
+    they replaced, on mirrored vectors."""
 
     @pytest.mark.parametrize("name", list(REDUCE_CASES))
-    def test_agrees_with_pivot_scanning_reference(self, name):
+    def test_the_lowest_bit_reference_agrees_with_pivot_scanning(self, name):
         for vectors in REDUCE_CASES[name]:
-            assert _reduce(vectors) == ref_reduce(vectors)
+            assert ref_lowbit_reduce(vectors) == ref_reduce(vectors)
 
     @pytest.mark.parametrize("name", list(REDUCE_CASES))
-    def test_echelon_rows_have_distinct_lowest_bit_pivots_and_the_same_span(self, name):
+    def test_agrees_with_the_mirrored_pivot_scanning_reference(self, name):
+        for vectors in REDUCE_CASES[name]:
+            width = width_of(vectors)
+            mirrored = [mirror(v, width) for v in vectors]
+            assert _reduce(mirrored) == mirror_rows(ref_reduce(vectors), width)
+            assert _reduce(vectors) == mirror_rows(ref_reduce(mirrored), width)
+
+    @pytest.mark.parametrize("name", list(REDUCE_CASES))
+    def test_echelon_rows_have_distinct_highest_bit_pivots_and_the_same_span(self, name):
         for vectors in REDUCE_CASES[name]:
             rows = _echelon(vectors)
-            assert all(r & -r == p for p, r in rows.items())
-            assert _reduce(rows.values()) == ref_reduce(vectors)
+            assert all(r.bit_length() == p for p, r in rows.items())
+            width = width_of(vectors)
+            assert _reduce(rows.values()) == mirror_rows(ref_reduce(mirror(v, width) for v in vectors), width)
+
+    @pytest.mark.parametrize("name", list(REDUCE_CASES))
+    def test_echelon_of_mirrored_vectors_mirrors_the_lowest_bit_elimination(self, name):
+        # the same row operations: every echelon row, not only the reduced
+        # form, is the mirror of the lowest-bit route's row
+        for vectors in REDUCE_CASES[name]:
+            width = width_of(vectors)
+            mirrored = [mirror(v, width) for v in vectors]
+            assert _echelon(mirrored) == mirror_rows(ref_lowbit_echelon(vectors), width)
 
     @pytest.mark.parametrize("name, nvars", [("commutant-shape", 64), ("constraint-rows-255", 255)])
     def test_nullspace_agrees_with_reference(self, name, nvars):
@@ -594,13 +670,20 @@ def shuffled_cases():
     return cases
 
 
-# _kernel mutants, one changed line each: the lowest echelon row is kept even
-# when its pivot is a column bit, and the tag rows are not back-substituted
-KEEPS_A_COLUMN_PIVOT_ROW = ("if p >> width)", "if p >> width or p == min(rows))")
+# _kernel mutants, one changed line each: the highest echelon row is kept
+# even when its pivot is a column bit, and the tag rows are not
+# back-substituted
+KEEPS_A_COLUMN_PIVOT_ROW = ("if p <= nvars)", "if p <= nvars or p == max(rows))")
 LEAVES_TAG_ROWS_UNREDUCED = (
-    "rows = _reduce(r for p, r in rows.items() if p >> width)",
-    "rows = {p: r for p, r in rows.items() if p >> width}",
+    "rows = _reduce(r for p, r in rows.items() if p <= nvars)",
+    "rows = {p: r for p, r in rows.items() if p <= nvars}",
 )
+
+
+def kernel_cases():
+    """Every free-variable, missing-variable and shuffled case."""
+    cases = [case for name in REDUCE_CASES for case in free_variable_cases(name)]
+    return cases + [*missing_variable_cases(), *shuffled_cases()]
 
 
 class TestKernel:
@@ -621,6 +704,11 @@ class TestKernel:
         for columns, nvars, expected in shuffled_cases():
             assert _kernel(columns, nvars) == expected
 
+    def test_agrees_with_the_lowest_bit_kernel_it_replaced(self):
+        for columns, nvars, expected in kernel_cases():
+            assert ref_lowbit_kernel(columns, nvars) == expected
+            assert ref_full_kernel(columns, nvars) == expected
+
     @pytest.mark.parametrize(
         "old, new",
         [KEEPS_A_COLUMN_PIVOT_ROW, LEAVES_TAG_ROWS_UNREDUCED],
@@ -628,9 +716,7 @@ class TestKernel:
     )
     def test_the_differential_catches_a_mutant(self, old, new):
         mutant = source_mutant(_kernel, (old, new))
-        cases = [case for name in REDUCE_CASES for case in free_variable_cases(name)]
-        cases += [*missing_variable_cases(), *shuffled_cases()]
-        assert any(mutant(columns, nvars) != expected for columns, nvars, expected in cases)
+        assert any(mutant(columns, nvars) != expected for columns, nvars, expected in kernel_cases())
 
 
 class TestTransposeAndXorSums:

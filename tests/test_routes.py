@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from segre_pg72.groups import closure, elements, schreier_sims
+from segre_pg72.groups import closure, elements, schreier_sims, segre_group
+from segre_pg72.orbits import definitional_orbits, point_orbits
 
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="names calls by co_qualname")
 
@@ -28,10 +29,7 @@ INPUT_GUARDS = {
     "gf2._check_matrices": "each generator is a GFMatrix",
     "gf2.GFMatrix.is_invertible": "each generator is invertible",
     "gf2.GFMatrix.rank": "is_invertible reads the rank",
-    "gf2._rref": "the rank is the length of the reduced row echelon form",
-    "gf2._check_vectors": "_rref checks that the columns are 8-bit vectors",
-    "gf2._reduce": "_rref eliminates with _reduce",
-    "gf2._echelon": "_reduce starts by forward elimination",
+    "gf2._echelon": "the rank is the number of forward-elimination rows",
 }
 
 
@@ -52,6 +50,13 @@ ROWS = {
         shared=INPUT_GUARDS,
         data={"gf2._UNITS": "the identity's column images: closure's first "
                             "seen key, the chain's identity test"},
+    ),
+    "point orbits: group action vs definition": Row(
+        first=point_orbits,
+        second=lambda group: definitional_orbits(),
+        inputs=(segre_group(),),
+        shared={},
+        data={},
     ),
 }
 
@@ -102,3 +107,9 @@ def test_a_chain_that_asks_closure_for_the_order_is_caught():
     row = ROWS["group order: closure vs stabilizer chain"]
     mutant = replace(row, second=lambda gens: len(closure(gens)))
     assert "groups.closure" in shared_calls(mutant) - set(row.shared)
+
+
+def test_definitional_orbits_that_read_the_group_orbits_are_caught():
+    row = ROWS["point orbits: group action vs definition"]
+    mutant = replace(row, second=lambda group: (definitional_orbits(), point_orbits(group)))
+    assert "orbits.point_orbits" in shared_calls(mutant) - set(row.shared)
