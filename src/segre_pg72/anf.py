@@ -10,6 +10,7 @@ reduce to mask arithmetic on 256-bit ints.
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations
 
 from .gf2 import (
     DIM,
@@ -19,7 +20,6 @@ from .gf2 import (
     _UNITS,
     _check_matrices,
     _digits,
-    _echelon_layouts,
     _kernel,
     _mask_of,
     _set_bits,
@@ -234,20 +234,25 @@ def _swap_masks() -> tuple[int, ...]:
 def _coset_plan(k: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
     """The flats of vector dimension k as (fills, rows) pairs, one per layout.
 
-    The layouts of gf2._echelon_layouts(k) come with the fewest free slots
-    first.  Row 0 has the most fills (each row's free columns include those
-    of every later row), and fills is the 256-bit mask of them all.  rows
-    holds the other rows, row k-1 first and row 1 last, each as its flips:
-    its pivot bit, then the slot column that each step of a Gray walk over
-    its fills toggles.  After flip g the row is the XOR of 1 << b over its
-    first g + 1 flips, so the flips visit each fill of the row once.
+    A layout is a pivot set of k columns: row i of a reduced-echelon
+    basis has pivot bit pivots[i] and may carry its free columns, the
+    non-pivot columns above it, highest first.  Row i has
+    7 - pivots[i] - (k-1-i) free columns, so a stable sort of the pivot
+    sets by -sum(pivots) puts the layouts with the fewest free columns
+    first.  Row 0 has the most fills (each row's free columns include
+    those of every later row), and fills is the 256-bit mask of them all.
+    rows holds the other rows, row k-1 first and row 1 last, each as its
+    flips: its pivot bit, then the free column that each step of a Gray
+    walk over its fills toggles.  After flip g the row is the XOR of
+    1 << b over its first g + 1 flips, so the flips visit each fill of
+    the row once.
     """
     plan = []
-    for base_rows, slots in sorted(_echelon_layouts(k), key=lambda layout: len(layout[1])):
-        cols = [[b for i, b in slots if i == row] for row in range(k)]
-        fills = _mask_of(base_rows[0] ^ s for s in _xor_sums([1 << b for b in cols[0]]))
+    for pivots in sorted(combinations(range(DIM), k), key=lambda pivots: -sum(pivots)):
+        cols = [[b for b in range(DIM - 1, p, -1) if b not in pivots] for p in pivots]
+        fills = _mask_of(1 << pivots[0] ^ s for s in _xor_sums([1 << b for b in cols[0]]))
         rows = tuple(
-            (base_rows[i].bit_length() - 1,)
+            (pivots[i],)
             + tuple(cols[i][(g & -g).bit_length() - 1] for g in range(1, 1 << len(cols[i])))
             for i in range(k - 1, 0, -1)
         )

@@ -7,8 +7,6 @@ and the 255 nonzero vectors double as the points of PG(7,2).
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import combinations
 from operator import itemgetter
 from typing import Iterable
 
@@ -245,28 +243,6 @@ def span(points: Iterable[int]) -> Flat:
     return Flat(pts)
 
 
-@cache
-def _echelon_layouts(k: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, int], ...]], ...]:
-    """The reduced-echelon layouts of k-dim subspaces, pivot sets ascending.
-
-    A layout is (base_rows, slots): base_rows[i] is the unit vector of row i's
-    pivot, and each free slot (i, b) lets row i carry column b, a non-pivot
-    column above its own pivot.  Slots are listed row by row, columns
-    descending, so filling them as the bits of a counter (first slot highest)
-    ascends in the lex order of the row tuples.
-    """
-    layouts = []
-    for pivots in combinations(range(DIM), k):
-        slots = tuple(
-            (i, b)
-            for i, p in enumerate(pivots)
-            for b in range(DIM - 1, p, -1)
-            if b not in pivots
-        )
-        layouts.append((tuple(1 << p for p in pivots), slots))
-    return tuple(layouts)
-
-
 class GFMatrix:
     """An 8x8 matrix over GF(2): its column images plus its point permutation.
 
@@ -388,19 +364,23 @@ def _kernel(columns: dict[int, int], nvars: int) -> list[int]:
     """Basis of the x whose columns (columns[j] for the bits j of x) XOR to 0.
 
     A variable missing from columns is fixed at 0.  Variable j contributes
-    its column, shifted above every tag, plus a tag at bit j.  Forward
-    elimination (_echelon) comes first.  The rows whose pivot is a tag have
-    no column bits, so they span the kernel, and every pivot they carry is a
-    tag: only these rows are then fully reduced, among themselves (_reduce).
-    The rows with column pivots never reach the answer, so they are never
-    back-substituted.  Each pivot is a row's highest variable, so the rows
-    by pivot ascending are the canonical basis with ascending free
-    variables.  Elimination takes the highest column bits first, so a
-    caller orders its column bits by the elimination it wants.
+    its column, shifted above every tag, plus a tag at bit j, and the
+    variables enter one forward elimination (_echelon) in ascending order.
+    The rows whose pivot is a tag have no column bits, so they span the
+    kernel, and they come out fully reduced.  An incoming row meets only
+    rows of lower variables, which carry lower tags only, so its top tag is
+    its own.  While its top bit is a column bit, it meets only rows with
+    column pivots; once its column bits are gone, its top bit is its own
+    tag, which is no pivot yet, and it stops.  So a row with a column pivot
+    carries only the tags of variables that got column pivots, and a tag
+    row carries no tag row's pivot but its own.  Each pivot is a row's
+    highest variable, so the tag rows by pivot ascending, which is by value
+    ascending, are the canonical basis with ascending free variables.
+    Elimination takes the highest column bits first, so a caller orders
+    its column bits by the elimination it wants.
     """
-    rows = _echelon(c << nvars | 1 << j for j, c in columns.items())
-    rows = _reduce(r for p, r in rows.items() if p <= nvars)
-    return [rows[p] for p in sorted(rows)]
+    rows = _echelon(columns[j] << nvars | 1 << j for j in sorted(columns))
+    return sorted(r for p, r in rows.items() if p <= nvars)
 
 
 def kernel(mat: GFMatrix) -> Flat:

@@ -31,7 +31,6 @@ from segre_pg72.gf2 import (
     Flat,
     GFMatrix,
     UNIT,
-    _echelon_layouts,
     _kernel,
     _xor_sums,
     span,
@@ -57,8 +56,10 @@ from test_gf2 import (
     echelon_bases,
     flats_of_dimension,
     mirror,
+    ref_echelon_layouts,
     ref_full_kernel,
     ref_nullspace,
+    row_after,
     source_mutant,
 )
 from test_groups import check_with, random_invertible
@@ -126,8 +127,8 @@ def buffer_flat_parities(layout, table: bytes) -> bytes:
 
     layout is one reduced-echelon layout (base_rows, slots) of the flats; the
     result holds one byte per fill of the free slots, fills counted upward
-    with the first slot as the top bit (the lex order of the flats' rows that
-    gf2._echelon_layouts describes).  One buffer per nonzero coefficient
+    with the first slot as the top bit (the lex order of the flats' rows
+    that ref_echelon_layouts describes).  One buffer per nonzero coefficient
     vector c holds the point c . rows for every fill (the same fill at the
     same offset, built by doubling over the slots), and XORing the parities
     of all 2^k - 1 buffers leaves the parity of each flat.
@@ -153,8 +154,8 @@ def buffer_exists_even_flat(d: int, table: bytes) -> bool:
 
 
 def plan_layouts(k: int):
-    """The layouts of gf2._echelon_layouts(k) in anf._coset_plan(k)'s order."""
-    return sorted(_echelon_layouts(k), key=lambda layout: len(layout[1]))
+    """The layouts of ref_echelon_layouts(k) in anf._coset_plan(k)'s order."""
+    return sorted(ref_echelon_layouts(k), key=lambda layout: len(layout[1]))
 
 
 def coset_even_counts(k: int, psi: int, plan=None, scan=_even_flats) -> list[int]:
@@ -179,17 +180,9 @@ def walk_even_counts(k: int, name: str) -> list[int]:
     parities = iter(walk_parities(name)[k - 1])
     counts = {
         layout: sum(1 for _ in range(1 << len(layout[1])) if next(parities) == 0)
-        for layout in _echelon_layouts(k)
+        for layout in ref_echelon_layouts(k)
     }
     return [counts[layout] for layout in plan_layouts(k)]
-
-
-def row_after(flips, g: int) -> int:
-    # a plan row after flip g: the XOR of 1 << b over its first g + 1 flips
-    v = 0
-    for b in flips[: g + 1]:
-        v ^= 1 << b
-    return v
 
 
 def plan_flat(entry, piece: int, block: int, r: int) -> Flat:
@@ -674,7 +667,8 @@ class TestDegreeByIncidence:
     def test_every_flat_parity_agrees_with_the_gray_code_walk(self, name):
         table = _byte_table(scan_case(name))
         for d in range(8):
-            scanned = b"".join(buffer_flat_parities(lay, table) for lay in _echelon_layouts(d + 1))
+            layouts = ref_echelon_layouts(d + 1)
+            scanned = b"".join(buffer_flat_parities(lay, table) for lay in layouts)
             assert scanned == walk_parities(name)[d], d
 
     def test_random_sets_have_their_exact_degree(self):

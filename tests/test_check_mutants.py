@@ -6,27 +6,40 @@ holds it, and never changes an expected literal in `checks.py`. The
 package caches are cleared before and after each run, so the mutant is
 seen by that run alone.
 
-This table is the slice for the invariant-solving kernel, `gf2._kernel`,
-and the checks that read it.
+This table holds two slices: the invariant-solving kernel, `gf2._kernel`,
+and the checks that read it, and the incidence scan's plan,
+`anf._coset_plan`, and the `polys/incidence/*` checks that read it.
 """
 
 import sys
 
 import pytest
 
-from segre_pg72.anf import invariant_subspace
+from segre_pg72.anf import _coset_plan, invariant_subspace
 from segre_pg72.checks import REGISTRY, Run
 from segre_pg72.gf2 import _kernel
 from test_gf2 import source_mutant
 from test_routes import PACKAGE, clear_caches
 
-# the highest-pivot kernel row dropped: every kernel loses one dimension
-DROPS_THE_TOP_KERNEL_ROW = (_kernel, ("for p in sorted(rows)]", "for p in sorted(rows)[:-1]]"))
+# the highest-pivot kernel row dropped: every kernel loses one dimension.
+# The cut follows the tag-pivot filter; before it, the highest echelon row
+# has a column pivot whenever the columns have rank > 0
+DROPS_THE_TOP_KERNEL_ROW = (_kernel, ("if p <= nvars)", "if p <= nvars)[:-1]"))
 # the degree filter reversed: the monomials of degree at least d, so the
 # solved spaces shrink as d grows
 SOLVES_FROM_THE_TOP_DEGREE = (
     invariant_subspace,
     ("t.bit_count() <= max_degree", "t.bit_count() >= max_degree"),
+)
+# row 0's fills without their pivot bit: each fill then names a flat
+# other than the plan's, so the scans test the wrong flats.
+# A plan that drops its first or its last layout, or the top free column,
+# leaves all four polys/incidence checks passing: plan completeness is
+# pinned by the tier-1 tests of the plan (tests/test_anf.py TestCosetScan,
+# tests/test_gf2.py TestFlatEnumeration), not by a verify check.
+FILLS_WITHOUT_THE_PIVOT = (
+    _coset_plan,
+    ("fills = _mask_of(1 << pivots[0] ^ s", "fills = _mask_of(s"),
 )
 
 MUTANTS = {
@@ -46,6 +59,10 @@ MUTANTS = {
     # a kernel short of its top row still nests: at each degree the rows
     # below the top pivot span the invariants of the lower degrees
     "polys/nesting": SOLVES_FROM_THE_TOP_DEGREE,
+    **dict.fromkeys(
+        [f"polys/incidence/{name}" for name in ("Q2", "Q4", "Q4'", "Q6")],
+        FILLS_WITHOUT_THE_PIVOT,
+    ),
 }
 
 

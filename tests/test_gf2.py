@@ -3,10 +3,11 @@ import random
 import sys
 import textwrap
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from segre_pg72.anf import _coset_plan
 from segre_pg72.gf2 import (
     UNIT,
     Flat,
@@ -14,7 +15,6 @@ from segre_pg72.gf2 import (
     _IDPERM,
     _digits,
     _echelon,
-    _echelon_layouts,
     _invert_perm,
     _kernel,
     _mask_of,
@@ -165,11 +165,34 @@ def random_matrix(rng):
     return GFMatrix([rng.randrange(256) for _ in range(8)])
 
 
+@cache
+def ref_echelon_layouts(k):
+    """The reduced-echelon layouts of k-dim subspaces, pivot sets ascending.
+
+    A layout is (base_rows, slots): base_rows[i] is the unit vector of row i's
+    pivot, and each free slot (i, b) lets row i carry column b, a non-pivot
+    column above its own pivot.  Slots are listed row by row, columns
+    descending, so filling them as the bits of a counter (first slot highest)
+    ascends in the lex order of the row tuples.  anf._coset_plan builds its
+    entries from the pivot sets directly; this is the layout form it replaced.
+    """
+    layouts = []
+    for pivots in combinations(range(8), k):
+        slots = tuple(
+            (i, b)
+            for i, p in enumerate(pivots)
+            for b in range(7, p, -1)
+            if b not in pivots
+        )
+        layouts.append((tuple(1 << p for p in pivots), slots))
+    return tuple(layouts)
+
+
 def echelon_bases(k):
     """Every canonical reduced-echelon basis of a k-dim subspace, layout by
-    layout in gf2._echelon_layouts order: per layout, fills counted upward
+    layout in ref_echelon_layouts order: per layout, fills counted upward
     with the first free slot as the top bit."""
-    for base_rows, slots in _echelon_layouts(k):
+    for base_rows, slots in ref_echelon_layouts(k):
         for fill in range(1 << len(slots)):
             rows = list(base_rows)
             for pos, (i, b) in enumerate(slots):
@@ -184,6 +207,25 @@ def flats_of_dimension(d):
         raise ValueError(f"projective dimension out of range: {d}")
     for rows in echelon_bases(d + 1):
         yield Flat._from_rref(rows)
+
+
+def row_after(flips, g: int) -> int:
+    # a plan row after flip g: the XOR of 1 << b over its first g + 1 flips
+    v = 0
+    for b in flips[: g + 1]:
+        v ^= 1 << b
+    return v
+
+
+def plan_flats(d):
+    """Every d-flat that anf._coset_plan(d + 1) names, in plan order: row 0
+    over the bits of fills, every other row after each of its flips."""
+    for fills, rows in _coset_plan(d + 1):
+        # rows holds row k-1 first; the basis lists row 1 first
+        states = [[row_after(flips, g) for g in range(len(flips))] for flips in reversed(rows)]
+        for r in _set_bits(fills):
+            for others in product(*states):
+                yield Flat._from_rref((r, *others))
 
 
 def gaussian_binomial_oracle(n, k):
@@ -279,32 +321,38 @@ class TestSpan:
 
 
 class TestFlatEnumeration:
+    """The flats anf._coset_plan names, against counts and brute force."""
+
     def test_point_count(self):
-        assert sum(1 for _ in flats_of_dimension(0)) == 255
+        assert sum(1 for _ in plan_flats(0)) == 255
 
     def test_line_count_against_brute_force(self):
         # oracle: canonicalize the span of every point pair
         lines = {span([p, q]) for p, q in combinations(range(1, 256), 2)}
         assert len(lines) == 10795
-        enumerated = list(flats_of_dimension(1))
+        enumerated = list(plan_flats(1))
         assert len(enumerated) == 10795
         assert set(enumerated) == lines
 
     def test_hyperplane_count(self):
         # hyperplanes biject with nonzero dual vectors
-        assert sum(1 for _ in flats_of_dimension(6)) == 255
+        assert sum(1 for _ in plan_flats(6)) == 255
 
     @pytest.mark.parametrize("d", range(8))
     def test_counts_match_gaussian_binomial(self, d):
         expected = gaussian_binomial_oracle(8, d + 1)
-        assert sum(1 for _ in flats_of_dimension(d)) == expected
+        assert sum(1 for _ in plan_flats(d)) == expected
 
     def test_enumeration_is_canonical_and_duplicate_free(self):
         seen = set()
-        for fl in flats_of_dimension(2):
+        for fl in plan_flats(2):
             assert fl.basis == span(fl.points()).basis
             seen.add(fl)
         assert len(seen) == gaussian_binomial_oracle(8, 3)
+
+    def test_the_reference_enumeration_names_the_same_flats(self):
+        for d in (1, 2, 5):
+            assert set(flats_of_dimension(d)) == set(plan_flats(d))
 
     def test_out_of_range_dimension(self):
         with pytest.raises(ValueError):
@@ -671,13 +719,11 @@ def shuffled_cases():
 
 
 # _kernel mutants, one changed line each: the highest echelon row is kept
-# even when its pivot is a column bit, and the tag rows are not
-# back-substituted
+# even when its pivot is a column bit, and the variables enter the
+# elimination in the columns dict's order, so that tag rows can meet rows
+# with higher tags and come out unreduced
 KEEPS_A_COLUMN_PIVOT_ROW = ("if p <= nvars)", "if p <= nvars or p == max(rows))")
-LEAVES_TAG_ROWS_UNREDUCED = (
-    "rows = _reduce(r for p, r in rows.items() if p <= nvars)",
-    "rows = {p: r for p, r in rows.items() if p <= nvars}",
-)
+FEEDS_THE_COLUMNS_UNSORTED = ("for j in sorted(columns))", "for j in columns)")
 
 
 def kernel_cases():
@@ -699,8 +745,8 @@ class TestKernel:
             assert _kernel(columns, nvars) == expected
 
     def test_the_column_order_does_not_matter(self):
-        # with the variables in ascending order the echelon rows whose pivot
-        # is a tag come out reduced; in any other order they need reducing
+        # _kernel feeds the variables in ascending order, whatever the order
+        # of the columns dict: only then do the tag rows come out reduced
         for columns, nvars, expected in shuffled_cases():
             assert _kernel(columns, nvars) == expected
 
@@ -711,8 +757,8 @@ class TestKernel:
 
     @pytest.mark.parametrize(
         "old, new",
-        [KEEPS_A_COLUMN_PIVOT_ROW, LEAVES_TAG_ROWS_UNREDUCED],
-        ids=["keeps-a-column-pivot-row", "leaves-tag-rows-unreduced"],
+        [KEEPS_A_COLUMN_PIVOT_ROW, FEEDS_THE_COLUMNS_UNSORTED],
+        ids=["keeps-a-column-pivot-row", "feeds-the-columns-unsorted"],
     )
     def test_the_differential_catches_a_mutant(self, old, new):
         mutant = source_mutant(_kernel, (old, new))

@@ -16,8 +16,11 @@ from dataclasses import dataclass, replace
 
 import pytest
 
+from segre_pg72.anf import anf_from_pointset, degree_by_incidence, named_Q
+from segre_pg72.checks import _flat_sum, _zero_set_mask
 from segre_pg72.groups import closure, elements, schreier_sims, segre_group
 from segre_pg72.orbits import definitional_orbits, point_orbits
+from segre_pg72.segre import build_model
 
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="names calls by co_qualname")
 
@@ -30,6 +33,25 @@ INPUT_GUARDS = {
     "gf2.GFMatrix.is_invertible": "each generator is invertible",
     "gf2.GFMatrix.rank": "is_invertible reads the rank",
     "gf2._echelon": "the rank is the number of forward-elimination rows",
+}
+
+# what Q2's P-sum route and its point-set route share; Q4's P-sum and
+# flat-sum routes share these and the two Anf sums
+Q_ROUTES = {
+    "anf.Anf.__init__": "each route's result is an Anf",
+    "gf2._echelon": "the P route's invertibility guards (a rank) and the "
+                    "canonical bases of the model's flats (_rref)",
+    "gf2._mask_of": "a monomial-orbit coefficient mask; a point-set mask",
+    "gf2._xor_sums": "the generators' point tables; the points of a flat",
+    "segre.segre_point": "the tensor operators of the cube group; the model's 27 points",
+}
+# the one tensor expansion both Q routes read through segre_point; a
+# comparison of the routes need not see a slip in it, so the literal pins
+# of anf._P_EXPANSIONS (polys/P-catalog) and groups._VALIDATION
+# (groups/catalog) are what catch it
+TENSOR_EXPANSION = {
+    "segre.BASIS_INDEX": "the cube-basis coordinates of the decomposable "
+                         "tensors, read by segre_point on both routes",
 }
 
 
@@ -57,6 +79,31 @@ ROWS = {
         inputs=(segre_group(),),
         shared={},
         data={},
+    ),
+    "incidence degree: coefficients vs flat scan": Row(
+        first=lambda psi: anf_from_pointset(psi).degree,
+        second=degree_by_incidence,
+        inputs=(named_Q()["Q4"].pointset(),),
+        shared={"anf._check_pointset": "each route checks its point-set mask"},
+        data={},
+    ),
+    "Q4: P sum vs flat sum": Row(
+        first=lambda: named_Q()["Q4"],
+        second=lambda: _flat_sum(build_model().ambient_flats.values()),
+        inputs=(),
+        shared={
+            **Q_ROUTES,
+            "anf.Anf.__add__": "each route sums its terms: P's, flat equations",
+            "anf.Anf.zero": "the empty sum each route starts from",
+        },
+        data=TENSOR_EXPANSION,
+    ),
+    "Q2: P sum vs point set": Row(
+        first=lambda: named_Q()["Q2"],
+        second=lambda: anf_from_pointset(_zero_set_mask("O2 O4 O5")),
+        inputs=(),
+        shared=Q_ROUTES,
+        data=TENSOR_EXPANSION,
     ),
 }
 
@@ -113,3 +160,9 @@ def test_definitional_orbits_that_read_the_group_orbits_are_caught():
     row = ROWS["point orbits: group action vs definition"]
     mutant = replace(row, second=lambda group: (definitional_orbits(), point_orbits(group)))
     assert "orbits.point_orbits" in shared_calls(mutant) - set(row.shared)
+
+
+def test_an_incidence_scan_that_reads_the_coefficients_is_caught():
+    row = ROWS["incidence degree: coefficients vs flat scan"]
+    mutant = replace(row, second=lambda psi: (degree_by_incidence(psi), anf_from_pointset(psi)))
+    assert "anf.anf_from_pointset" in shared_calls(mutant) - set(row.shared)
