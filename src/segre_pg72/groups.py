@@ -142,30 +142,45 @@ def elements(label: str) -> tuple[GFMatrix, ...]:
 
 
 class MatrixGroup:
-    """A matrix group given by generators, optionally with explicit elements."""
+    """A matrix group given by generators, optionally with explicit elements.
 
-    __slots__ = ("generators", "elements", "_element_set")
+    A closure lists its elements as point tables and builds their matrices
+    when `elements` is first read; its length reads the tables.
+    """
+
+    __slots__ = ("generators", "_elements", "_tables", "_element_set")
 
     def __init__(self, generators, elements=None):
         self.generators = _check_matrices(generators)
-        self.elements = tuple(elements) if elements is not None else None
+        self._elements = tuple(elements) if elements is not None else None
+        self._tables = None
         self._element_set = None  # built on the first membership test
 
+    @classmethod
+    def _from_tables(cls, generators, tables: tuple[bytes, ...]) -> "MatrixGroup":
+        # trusted constructor: tables are the point tables of the elements
+        group = cls(generators)
+        group._tables = tables
+        return group
+
+    @property
+    def elements(self) -> tuple[GFMatrix, ...] | None:
+        if self._elements is None and self._tables is not None:
+            self._elements = tuple(map(GFMatrix._from_perm, self._tables))
+        return self._elements
+
     def __contains__(self, mat: GFMatrix) -> bool:
-        if self.elements is None:
-            raise ValueError("group has no explicit element list")
         if self._element_set is None:
+            if self.elements is None:
+                raise ValueError("group has no explicit element list")
             self._element_set = frozenset(self.elements)
         return mat in self._element_set
 
     def __len__(self) -> int:
-        if self.elements is None:
+        listed = self._tables if self._tables is not None else self._elements
+        if listed is None:
             raise ValueError("group has no explicit element list")
-        return len(self.elements)
-
-    def __repr__(self) -> str:
-        size = len(self.elements) if self.elements is not None else "?"
-        return f"MatrixGroup(order={size}, ngens={len(self.generators)})"
+        return len(listed)
 
 
 DEFAULT_CAP = 1 << 21
@@ -183,8 +198,9 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
     elements found is the breadth-first order.  A matrix is fixed by its
     column images, so the search dedups on those 8 bytes (f's images e1..e8
     through g's table) and translates f's 256-byte table only for a new
-    element.  A matrix is built once per element, at the end.  The group
-    always holds the identity, so a cap below 1 raises ValueError.
+    element.  The group keeps the tables and builds a matrix per element only
+    when its `elements` are first read.  The group always holds the identity,
+    so a cap below 1 raises ValueError.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -206,7 +222,7 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
                 seen.add(h)
                 images.append(h)
                 found.append(f.translate(g))
-    return MatrixGroup(generators, tuple(map(GFMatrix._from_perm, found)))
+    return MatrixGroup._from_tables(generators, tuple(found))
 
 
 # ---------------------------------------------------------------------------

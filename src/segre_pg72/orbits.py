@@ -12,7 +12,7 @@ from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .gf2 import ConstructionError, Flat, _check_point, _mask_of, parse_point, span
+from .gf2 import ConstructionError, Flat, _check_point, _mask_of, format_point, parse_point, span
 from .groups import MatrixGroup, cube_group, element
 from .segre import build_model
 
@@ -156,34 +156,92 @@ def spread_from_w() -> Spread:
     return Spread(tuple(frozenset(cls.points) for cls in classes))
 
 
+_OFF = 255  # line index of a point on no line; a spread has at most 85 lines
+
+
+@cache
+def _line_tables(lines: tuple[frozenset[int], ...]) -> tuple[bytes, bytes, bytes, bytes, tuple[int, ...]]:
+    """Byte tables of pairwise disjoint lines, keyed by line index.
+
+    The first table sends each point to the index of its line, and a point
+    on no line to _OFF; the next three hold the smallest, middle and largest
+    point of each line; the last entry orders the line indices by minimal
+    point.
+    Raises ValueError unless the lines are pairwise disjoint lines
+    {a, b, a + b} of PG(7,2).
+    """
+    index = bytearray([_OFF]) * 256
+    points = ([], [], [])
+    for i, line in enumerate(lines):
+        for p in line:
+            _check_point(p)
+        pts = sorted(line)
+        if len(pts) != 3 or pts[0] ^ pts[1] != pts[2]:
+            raise ValueError(f"not a line of three points: {' '.join(map(format_point, pts))}")
+        for p, column in zip(pts, points):
+            if index[p] != _OFF:
+                raise ValueError(f"two lines share the point {format_point(p)}")
+            index[p] = i
+            column.append(p)
+    firsts, seconds, thirds = map(bytes, points)
+    by_min = tuple(sorted(range(len(lines)), key=firsts.__getitem__))
+    return bytes(index), firsts, seconds, thirds, by_min
+
+
 def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozenset[int], ...], ...]:
     """Orbits of the group on the spread lines, sorted by minimal point.
 
-    Raises ValueError if the group does not map the spread to itself.
+    The spread's lines must be pairwise disjoint lines {a, b, a + b}; they
+    need not cover all points.  Raises ValueError if they are not, or if a
+    generator maps a line off the spread.
+
+    Each generator g is read through t, the table of p -> the index of the
+    line through g(p): line i goes to line t(first(i)), and g preserves the
+    spread exactly when t agrees on the three points of every line and
+    never gives _OFF.  That is three translates per generator.  It is exact
+    because the lines are lines: if a linear g sends a, b and a + b into
+    one line L, then g(a) != g(b), or g(a + b) = 0 would lie on no line, so
+    g maps {a, b, a + b} onto L.
     """
-    # The classes hold the image frozensets built by this walk, not the
-    # spread's own line objects, and `verify` prints their iteration order
-    # (spread/tangents); a walk over point_orbit builds the lines in another
-    # order and changes the printed reprs, so this walk stays as it is.
-    perms = [g.perm for g in group.generators]
-    remaining = {line: min(line) for line in spread.lines}
+    lines = tuple(spread.lines)
+    index, firsts, seconds, thirds, by_min = _line_tables(lines)
+    moves = []
+    for g in group.generators:
+        t = g.perm.translate(index)
+        move = firsts.translate(t)
+        if move != seconds.translate(t) or move != thirds.translate(t) or _OFF in move:
+            raise ValueError("the group does not preserve the spread")
+        moves.append((g.perm, move))
+    # A class holds its start line as the spread's own object and every other
+    # line as the frozenset built when the walk first finds it, from the
+    # object of the line that found it.  `verify` prints their iteration
+    # order (spread/tangents), so the walk stays depth first in this order
+    # and builds each image once; the tests pin it against
+    # ref_line_orbit_split.
+    found = list(lines)
+    state = bytearray(len(lines))  # 1: in the orbit being walked, 2: in a class
     classes = []
-    while remaining:
-        start = min(remaining, key=remaining.get)
-        orbit = {start}
-        queue = [start]
-        while queue:
-            line = queue.pop()
-            for g in perms:
-                img = frozenset([g[p] for p in line])
-                if img not in remaining:
+    for start in by_min:
+        if state[start]:
+            continue
+        state[start] = 1
+        orbit = [start]
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            line = found[i]
+            for perm, move in moves:
+                j = move[i]
+                if not state[j]:
+                    state[j] = 1
+                    found[j] = frozenset([perm[p] for p in line])
+                    orbit.append(j)
+                    stack.append(j)
+                elif state[j] == 2:  # a singular map can fold a line onto one split off
                     raise ValueError("the group does not preserve the spread")
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-        for line in orbit:
-            del remaining[line]
-        classes.append(tuple(sorted(orbit, key=min)))
+        for i in orbit:
+            state[i] = 2
+        classes.append(tuple(found[i] for i in sorted(orbit, key=firsts.__getitem__)))
     return tuple(classes)
 
 

@@ -594,6 +594,33 @@ class TestClosure:
         for gens in closure_cases():
             assert closure(gens).elements == ref_closure(gens)
 
+    def test_length_agrees_with_the_elements_and_the_chain_on_seeded_subsets(self):
+        for gens in closure_cases():
+            order = len(closure(gens))
+            assert order == len(closure(gens).elements) == schreier_sims(gens)
+
+    def test_length_builds_no_matrix_and_elements_are_built_once(self, monkeypatch):
+        built = []
+        from_perm = GFMatrix._from_perm.__func__
+
+        def counted(cls, perm):
+            built.append(perm)
+            return from_perm(cls, perm)
+
+        monkeypatch.setattr(GFMatrix, "_from_perm", classmethod(counted))
+        group = closure([element("M"), element("N")])
+        assert len(group) == 1296 and built == []
+        first = group.elements
+        assert len(built) == 1296
+        assert group.elements is first and len(built) == 1296
+
+    def test_membership_and_stabilizer_work_on_a_fresh_closure(self):
+        group = closure([element("M"), element("N")])
+        assert element("M") * element("N") in group
+        assert element("K") not in group
+        stab = stabilizer_of_point(closure([element("M"), element("N")]), UNIT)
+        assert set(stab.elements) == set(cube_group().elements)
+
     @pytest.mark.parametrize("names", NAMED_GROUPS, ids=str)
     def test_cap_boundary_agrees_with_product_reference(self, names):
         gens = [element(n) for n in NAMED_GROUPS[names]]

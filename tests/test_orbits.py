@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from segre_pg72 import orbits
-from segre_pg72.gf2 import UNIT, parse_point, weight
+from segre_pg72.gf2 import GFMatrix, UNIT, parse_point, weight
 from segre_pg72.groups import MatrixGroup, cube_group, element, segre_group, segre_group_even
 from segre_pg72.orbits import (
     CUBE_ORBIT_CENSUS,
@@ -73,6 +73,11 @@ def ref_line_orbit_split(spread, group):
             del remaining[line]
         classes.append(tuple(sorted(orbit, key=min)))
     return tuple(classes)
+
+
+def listed(split):
+    """Every line of a split as a tuple, in its frozenset's iteration order."""
+    return [tuple(line) for cls in split for line in cls]
 
 
 def ref_spread():
@@ -259,8 +264,70 @@ class TestLineOrbitSplit:
                     line_orbit_split(spread, group)
             else:
                 preserving += 1
-                assert line_orbit_split(spread, group) == expected
+                split = line_orbit_split(spread, group)
+                assert split == expected
+                # the same frozensets in the same iteration order, which
+                # verify prints
+                assert listed(split) == listed(expected)
         assert preserving > 0 and rejected > 0
+
+    def test_agrees_with_call_reference_on_partial_spreads(self):
+        # unions of line orbits, listed in a shuffled order, stay legal; a
+        # random choice of lines is rarely preserved
+        rng = random.Random(61)
+        spread = spread_from_w()
+        preserving = rejected = 0
+        for group in seeded_groups():
+            try:
+                classes = ref_line_orbit_split(spread, group)
+            except ValueError:
+                continue
+            chosen = [line for cls in classes if rng.random() < 0.5 for line in cls]
+            for lines in (chosen, rng.sample(spread.lines, rng.randint(1, 84))):
+                partial = Spread(tuple(rng.sample(lines, len(lines))))
+                try:
+                    expected = ref_line_orbit_split(partial, group)
+                except ValueError:
+                    rejected += 1
+                    with pytest.raises(ValueError, match="does not preserve the spread"):
+                        line_orbit_split(partial, group)
+                else:
+                    preserving += 1
+                    assert listed(line_orbit_split(partial, group)) == listed(expected)
+        assert preserving > 0 and rejected > 0
+
+    @pytest.mark.parametrize("lines,message", [
+        (((1, 2, 3), (1, 4, 5)), "^two lines share the point 1$"),
+        (((1, 2, 3), (4, 8, 12), (8, 16, 24)), "^two lines share the point 4$"),
+        (((1, 2),), "^not a line of three points: 1 2$"),
+        (((1, 2, 4),), "^not a line of three points: 1 2 3$"),
+        (((0, 1, 1),), "^not a point: 0$"),
+    ], ids=["overlap", "overlap-later", "two-points", "not-a-line", "zero"])
+    def test_lines_that_are_not_disjoint_lines_are_rejected(self, lines, message):
+        spread = Spread(tuple(frozenset(line) for line in lines))
+        with pytest.raises(ValueError, match=message):
+            line_orbit_split(spread, segre_group())
+
+    @pytest.mark.parametrize("lines,cols", [
+        # J sends {e1, e2, e1 + e2} to {e8, e7, e7 + e8}, none of which the
+        # one-line spread covers: every point reads the off-spread index
+        (((1, 2, 3),), (128, 64, 32, 16, 8, 4, 2, 1)),
+        # e1, e2 -> e1 sends e1 and e2 into the line and e1 + e2 to 0
+        (((1, 2, 3),), (1, 1, 4, 8, 16, 32, 64, 128)),
+        # e3 -> e1, e4 -> e2 folds {e3, e4, e3 + e4} onto {e1, e2, e1 + e2},
+        # a line of a class already split off
+        (((1, 2, 3), (4, 8, 12)), (1, 2, 1, 2, 16, 32, 64, 128)),
+    ], ids=["uncovered", "to-zero", "onto-a-finished-class"])
+    def test_a_map_off_a_partial_spread_is_rejected_by_both_routes(self, lines, cols):
+        spread = Spread(tuple(frozenset(line) for line in lines))
+        group = MatrixGroup([GFMatrix(cols)])
+        for route in (line_orbit_split, ref_line_orbit_split):
+            with pytest.raises(ValueError, match="does not preserve the spread"):
+                route(spread, group)
+
+    def test_the_tetrad_alone_is_one_class(self):
+        split = line_orbit_split(Spread(TETRAD_LINES), segre_group())
+        assert [set(cls) for cls in split] == [set(TETRAD_LINES)]
 
     def test_c_cycles_the_tetrad(self):
         c = element("C")
