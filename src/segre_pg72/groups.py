@@ -144,17 +144,21 @@ def elements(label: str) -> tuple[GFMatrix, ...]:
 class MatrixGroup:
     """A matrix group given by generators, optionally with explicit elements.
 
-    A closure lists its elements as point tables and builds their matrices
-    when `elements` is first read; its length reads the tables.
+    The elements are kept as their point tables.  A closure builds their
+    matrices when `elements` is first read; length and membership read the
+    tables alone.
     """
 
-    __slots__ = ("generators", "_elements", "_tables", "_element_set")
+    __slots__ = ("generators", "_elements", "_tables", "_table_set")
 
     def __init__(self, generators, elements=None):
         self.generators = _check_matrices(generators)
-        self._elements = tuple(elements) if elements is not None else None
+        self._elements = None
         self._tables = None
-        self._element_set = None  # built on the first membership test
+        self._table_set = None  # built on the first membership test
+        if elements is not None:
+            self._elements = _check_matrices(elements)
+            self._tables = tuple(m.perm for m in self._elements)
 
     @classmethod
     def _from_tables(cls, generators, tables: tuple[bytes, ...]) -> "MatrixGroup":
@@ -170,17 +174,17 @@ class MatrixGroup:
         return self._elements
 
     def __contains__(self, mat: GFMatrix) -> bool:
-        if self._element_set is None:
-            if self.elements is None:
-                raise ValueError("group has no explicit element list")
-            self._element_set = frozenset(self.elements)
-        return mat in self._element_set
+        if self._table_set is None:
+            self._table_set = frozenset(self._listed())
+        return isinstance(mat, GFMatrix) and mat.perm in self._table_set
 
     def __len__(self) -> int:
-        listed = self._tables if self._tables is not None else self._elements
-        if listed is None:
+        return len(self._listed())
+
+    def _listed(self) -> tuple[bytes, ...]:
+        if self._tables is None:
             raise ValueError("group has no explicit element list")
-        return len(listed)
+        return self._tables
 
 
 DEFAULT_CAP = 1 << 21

@@ -1,0 +1,803 @@
+"""The reference routes the tests check the package against, by layer.
+
+Each reference is a slower or differently built route to a result of
+`segre_pg72`.  Most are the route a faster one replaced; the last line of
+each docstring names the package function it checks and the commit that
+replaced the route (or that added the reference, for one that never lived
+in the package).  A reference that several tests solve on one input keeps
+that input's work: `echelon_bases` is built once per dimension, and
+`monomial_image` once per matrix and monomial.
+"""
+
+from functools import cache
+from itertools import combinations
+from math import prod
+
+from segre_pg72.anf import Anf, _byte_table, mobius
+from segre_pg72.gf2 import UNIT, Flat, GFMatrix, _xor_sums
+from segre_pg72.groups import DEFAULT_CAP, ClosureOverflowError, element
+from segre_pg72.orbits import OrbitClass, Spread
+from segre_pg72.segre import BASIS_INDEX, segre_point
+from support import mask_of, mirror
+
+# ---------------------------------------------------------------------------
+# gf2: point action, elimination, kernels, bit walks and flat enumeration
+
+
+def ref_apply(mat, v):
+    """Reference point action: XOR of the columns selected by v's bits.
+
+    Checks `gf2.GFMatrix.__call__` (the point table); replaced in b973467.
+    """
+    r = 0
+    while v:
+        low = v & -v
+        r ^= mat.cols[low.bit_length() - 1]
+        v ^= low
+    return r
+
+
+def ref_reduce(vectors):
+    """Reference elimination: every pivot checked against every incoming row.
+
+    Checks `gf2._reduce`; replaced in 9174234.
+    """
+    rows = {}
+    for v in vectors:
+        for p, r in rows.items():
+            if v & p:
+                v ^= r
+        if v:
+            low = v & -v
+            for p in rows:
+                if rows[p] & low:
+                    rows[p] ^= v
+            rows[low] = v
+    return rows
+
+
+def ref_nullspace(rows, nvars):
+    """Reference null space on ref_reduce, free variables ascending.
+
+    Checks `gf2._kernel` on transposed rows; replaced in 94cdfd8.
+    """
+    pivots = ref_reduce(rows)
+    basis = []
+    for j in range(nvars):
+        if 1 << j in pivots:
+            continue
+        basis.append(sum((p for p, r in pivots.items() if r >> j & 1), 1 << j))
+    return basis
+
+
+def ref_columns(rows, nvars):
+    """The column of each variable j: bit i set when rows[i] has bit j.
+
+    Builds `gf2._kernel`'s input from parity-check rows; added in 94cdfd8.
+    """
+    return {j: sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(nvars)}
+
+
+def ref_lowbit_echelon(vectors):
+    """The forward elimination gf2._echelon replaced: each row's pivot is its
+    lowest set bit, keyed by that bit's power of two.
+
+    Checks `gf2._echelon`; replaced in 89816bb.
+    """
+    rows = {}
+    for v in vectors:
+        while v:
+            low = v & -v
+            r = rows.get(low)
+            if r is None:
+                rows[low] = v
+                break
+            v ^= r
+    return rows
+
+
+def ref_lowbit_reduce(vectors):
+    """The Gauss-Jordan pass gf2._reduce replaced: ref_lowbit_echelon, then
+    each row cleared of the higher pivots it carries, pivots descending.
+
+    Checks `gf2._reduce`; replaced in 89816bb.
+    """
+    rows = ref_lowbit_echelon(vectors)
+    pivots = sum(rows)
+    for p in sorted(rows, reverse=True):
+        r = rows[p]
+        m = r & pivots ^ p
+        while m:
+            q = m & -m
+            r ^= rows[q]
+            m ^= q
+        rows[p] = r
+    return rows
+
+
+def ref_lowbit_kernel(columns, nvars):
+    """The kernel gf2._kernel replaced: the columns at the low bits, variable
+    j's tag reversed at bit width + nvars - 1 - j above them, lowest-bit
+    elimination, and only the rows whose pivot is a tag fully reduced.
+
+    Checks `gf2._kernel`; replaced in 89816bb.
+    """
+    width = max(columns.values(), default=0).bit_length()
+    rows = ref_lowbit_echelon(c | 1 << width + nvars - 1 - j for j, c in columns.items())
+    rows = ref_lowbit_reduce(r for p, r in rows.items() if p >> width)
+    return [mirror(rows[p] >> width, nvars) for p in sorted(rows, reverse=True)]
+
+
+def ref_full_kernel(columns, nvars):
+    """The tagged-elimination kernel with every row fully reduced:
+    ref_lowbit_reduce over all tagged columns, then the rows whose pivot is
+    a tag.
+
+    Checks `gf2._kernel`; replaced in 8659099.
+    """
+    width = max(columns.values(), default=0).bit_length()
+    rows = ref_lowbit_reduce(c | 1 << width + nvars - 1 - j for j, c in columns.items())
+    return [
+        mirror(rows[p] >> width, nvars)
+        for p in sorted((p for p in rows if p >> width), reverse=True)
+    ]
+
+
+def ref_inverse(mat):
+    """Reference inverse: Gauss-Jordan on the (image, preimage) pairs; the row
+    with pivot e_i then carries the preimage of e_i in its high byte.
+
+    Checks `gf2.GFMatrix.inverse`; replaced in f19b670.
+    """
+    rows = ref_reduce(c | 1 << (j + 8) for j, c in enumerate(mat.cols))
+    if any(p > UNIT for p in rows):
+        raise ValueError("matrix is singular")
+    return GFMatrix(tuple(rows[1 << i] >> 8 for i in range(8)))
+
+
+def ref_set_bits(mask):
+    """Reference bit walk: every position tested in turn.
+
+    Checks `gf2._set_bits` and `gf2._mask_of`; replaced in f19b670.
+    """
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@cache
+def ref_echelon_layouts(k):
+    """The reduced-echelon layouts of k-dim subspaces, pivot sets ascending.
+
+    A layout is (base_rows, slots): base_rows[i] is the unit vector of row i's
+    pivot, and each free slot (i, b) lets row i carry column b, a non-pivot
+    column above its own pivot.  Slots are listed row by row, columns
+    descending, so filling them as the bits of a counter (first slot highest)
+    ascends in the lex order of the row tuples.  anf._coset_plan builds its
+    entries from the pivot sets directly; this is the layout form it replaced.
+
+    Checks `anf._coset_plan`; replaced in 650c00e.
+    """
+    layouts = []
+    for pivots in combinations(range(8), k):
+        slots = tuple(
+            (i, b)
+            for i, p in enumerate(pivots)
+            for b in range(7, p, -1)
+            if b not in pivots
+        )
+        layouts.append((tuple(1 << p for p in pivots), slots))
+    return tuple(layouts)
+
+
+@cache
+def echelon_bases(k):
+    """Every canonical reduced-echelon basis of a k-dim subspace, layout by
+    layout in ref_echelon_layouts order: per layout, fills counted upward
+    with the first free slot as the top bit.  Built once per k.
+
+    Checks `anf._coset_plan`; moved out of the package in 7d8b976.
+    """
+    bases = []
+    for base_rows, slots in ref_echelon_layouts(k):
+        for fill in range(1 << len(slots)):
+            rows = list(base_rows)
+            for pos, (i, b) in enumerate(slots):
+                if fill >> (len(slots) - 1 - pos) & 1:
+                    rows[i] |= 1 << b
+            bases.append(tuple(rows))
+    return tuple(bases)
+
+
+def flats_of_dimension(d):
+    """Every d-flat of PG(7,2) exactly once, in echelon_bases order.
+
+    Checks `anf._coset_plan`; moved out of the package in 7d8b976.
+    """
+    if not 0 <= d <= 7:
+        raise ValueError(f"projective dimension out of range: {d}")
+    for rows in echelon_bases(d + 1):
+        yield Flat._from_rref(rows)
+
+
+def row_after(flips, g: int) -> int:
+    """A plan row after flip g: the XOR of 1 << b over its first g + 1 flips.
+
+    Reads the rows of `anf._coset_plan`; added in ec71c68.
+    """
+    v = 0
+    for b in flips[: g + 1]:
+        v ^= 1 << b
+    return v
+
+
+def gaussian_binomial_oracle(n, k):
+    """The number of k-dim subspaces of GF(2)^n, by the product formula with
+    explicit descending factors.
+
+    Counts the flats of `anf._coset_plan`; added with the first flat
+    enumeration, in e1d4172.
+    """
+    if k < 0 or k > n:
+        return 0
+    num = 1
+    for i in range(n - k + 1, n + 1):
+        num *= 2**i - 1
+    den = 1
+    for i in range(1, k + 1):
+        den *= 2**i - 1
+    assert num % den == 0
+    return num // den
+
+
+# ---------------------------------------------------------------------------
+# segre: the slot families
+
+
+def ref_slot_families():
+    """Reference generator lines and 9-point grids: one spelled-out loop per slot.
+
+    Checks `segre.build_model`'s generators and sub_segres; replaced in f19b670.
+    """
+    rng3 = (0, 1, 2)
+    generators = {}
+    for i in rng3:
+        for j in rng3:
+            generators[(i, j, 1)] = frozenset(segre_point((k, i, j)) for k in rng3)
+            generators[(i, j, 2)] = frozenset(segre_point((i, k, j)) for k in rng3)
+            generators[(i, j, 3)] = frozenset(segre_point((i, j, k)) for k in rng3)
+    sub_segres = {}
+    for i in rng3:
+        sub_segres[(i, 1)] = frozenset(segre_point((i, j, k)) for j in rng3 for k in rng3)
+        sub_segres[(i, 2)] = frozenset(segre_point((j, i, k)) for j in rng3 for k in rng3)
+        sub_segres[(i, 3)] = frozenset(segre_point((j, k, i)) for j in rng3 for k in rng3)
+    return generators, sub_segres
+
+
+# ---------------------------------------------------------------------------
+# groups: operators, closure, stabilizer chain and commutant
+
+
+def ref_tensor_operator(a0, a1, a2) -> GFMatrix:
+    """Reference tensor product: each basis tensor's image expanded over the
+    set bits of the three factor columns.
+
+    Checks `groups.tensor_operator`; replaced in 50dfc71.
+    """
+    cols = [0] * 8
+    for (i, j, k), idx in BASIS_INDEX.items():
+        x, y, z = a0[i], a1[j], a2[k]
+        img = 0
+        for a in (0, 1):
+            if not x >> a & 1:
+                continue
+            for b in (0, 1):
+                if not y >> b & 1:
+                    continue
+                for c in (0, 1):
+                    if z >> c & 1:
+                        img ^= 1 << (BASIS_INDEX[(a, b, c)] - 1)
+        cols[idx - 1] = img
+    return GFMatrix(cols)
+
+
+def ref_sym3_operator(rho) -> GFMatrix:
+    """Reference slot permutation: the inverse of rho as a list, and each
+    column the unit vector of the permuted multi-index.
+
+    Checks `groups.sym3_operator`; replaced in f19b670.
+    """
+    inv = [0, 0, 0]
+    for m, im in enumerate(rho, start=1):
+        inv[im - 1] = m
+    cols = [0] * 8
+    for src, idx in BASIS_INDEX.items():
+        dst = tuple(src[inv[m] - 1] for m in range(3))
+        cols[idx - 1] = 1 << (BASIS_INDEX[dst] - 1)
+    return GFMatrix(cols)
+
+
+def ref_closure(generators, cap=DEFAULT_CAP):
+    """Reference closure: the breadth-first search on GFMatrix products.
+
+    Checks `groups.closure`; replaced in 2cab339.
+    """
+    gens = sorted(set(generators), key=lambda g: g.cols)
+    ident = GFMatrix.identity()
+    elements = [ident]
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for f in frontier:
+            for g in gens:
+                h = g * f
+                if h not in seen:
+                    if len(seen) >= cap:
+                        raise ClosureOverflowError(f"closure exceeded cap of {cap} elements")
+                    seen.add(h)
+                    elements.append(h)
+                    new.append(h)
+        frontier = new
+    return tuple(elements)
+
+
+_IDPERM = bytes(range(256))
+
+
+def ref_compose(a, b):
+    """The point table of a after b.
+
+    Serves ref_schreier_sims; added in 2cab339.
+    """
+    return b.translate(a)
+
+
+def ref_invert_perm(p):
+    """The inverse point table, entry by entry.
+
+    Serves ref_schreier_sims; added in 2cab339.
+    """
+    inv = bytearray(256)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return bytes(inv)
+
+
+class RefLevel:
+    """One level of ref_schreier_sims: base point, strong generators,
+    transversal and its inverse, and the Schreier pairs still to sift.
+
+    Serves ref_schreier_sims; added in 2cab339.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self.gens = []
+        self.transversal = {base: _IDPERM}
+        self.inv_transversal = {base: _IDPERM}
+        self.pending = []
+
+
+def ref_schreier_sims(generators):
+    """Reference stabilizer chain, the slow route: every transversal entry
+    inverted in full, every Schreier pair (tree edges included) queued and
+    sifted, and every residue attached at every level from its stick level
+    down to level 0, whatever level its Schreier pair came from.
+
+    Checks `groups.schreier_sims`; replaced in 2cab339 (the inversions and
+    pairs) and f373bf9 (the attach levels).
+    """
+    perms = [m.perm for m in generators if m.perm != _IDPERM]
+    levels = []
+
+    def sift(g, start):
+        for idx in range(start, len(levels)):
+            lv = levels[idx]
+            img = g[lv.base]
+            if img == lv.base:
+                continue
+            t_inv = lv.inv_transversal.get(img)
+            if t_inv is None:
+                return g, idx
+            g = ref_compose(t_inv, g)
+        return g, len(levels)
+
+    def attach(lv, g):
+        lv.gens.append(g)
+        fresh = []
+        for pt in list(lv.transversal):
+            lv.pending.append((pt, g))
+            img = g[pt]
+            if img not in lv.transversal:
+                t = ref_compose(g, lv.transversal[pt])
+                lv.transversal[img] = t
+                lv.inv_transversal[img] = ref_invert_perm(t)
+                fresh.append(img)
+        qi = 0
+        while qi < len(fresh):
+            pt = fresh[qi]
+            qi += 1
+            for s in lv.gens:
+                lv.pending.append((pt, s))
+                img = s[pt]
+                if img not in lv.transversal:
+                    t = ref_compose(s, lv.transversal[pt])
+                    lv.transversal[img] = t
+                    lv.inv_transversal[img] = ref_invert_perm(t)
+                    fresh.append(img)
+
+    def add_generator(k, g):
+        if k == len(levels):
+            base = next(v for v in range(1, 256) if g[v] != v)
+            levels.append(RefLevel(base))
+        for idx in range(k, -1, -1):
+            attach(levels[idx], g)
+
+    for p in perms:
+        residue, k = sift(p, 0)
+        if residue != _IDPERM:
+            add_generator(k, residue)
+
+    while True:
+        for k in range(len(levels) - 1, -1, -1):
+            if levels[k].pending:
+                break
+        else:
+            break
+        lv = levels[k]
+        pt, s = lv.pending.pop()
+        u = ref_compose(s, lv.transversal[pt])
+        schreier_gen = ref_compose(lv.inv_transversal[s[pt]], u)
+        if schreier_gen == _IDPERM:
+            continue
+        residue, j = sift(schreier_gen, k + 1)
+        if residue != _IDPERM:
+            add_generator(j, residue)
+
+    return prod(len(lv.transversal) for lv in levels)
+
+
+def ref_commutant_basis(generators) -> list[GFMatrix]:
+    """Reference commutant: one parity-check row over the 64 entries of X
+    (bit 8i + j is entry (i, j)) for each entry (i, k) of XA + AX, solved
+    by the free-variable reference null space.
+
+    Checks `groups.commutant_basis`; replaced in 94cdfd8.
+    """
+    rows = []
+    for a in generators:
+        for i in range(8):
+            for k in range(8):
+                mask = 0
+                for j in range(8):
+                    if a.cols[k] >> j & 1:  # entry (j, k) of A
+                        mask ^= 1 << (8 * i + j)
+                    if a.cols[j] >> i & 1:  # entry (i, j) of A
+                        mask ^= 1 << (8 * j + k)
+                if mask:
+                    rows.append(mask)
+    return [
+        GFMatrix(sum((x >> (8 * i + j) & 1) << i for i in range(8)) for j in range(8))
+        for x in ref_nullspace(rows, 64)
+    ]
+
+
+def ref_centralizer(generators) -> list[GFMatrix]:
+    """Reference centralizer: the invertible sums of the reference commutant
+    basis, each summed matrix by matrix, basis subsets in counter order.
+
+    Checks `groups.centralizer_in_gl`; replaced in 94cdfd8.
+    """
+    basis = ref_commutant_basis(generators)
+    found = []
+    for mask in range(1, 1 << len(basis)):
+        x = GFMatrix([0] * 8)
+        for idx, mat in enumerate(basis):
+            if mask >> idx & 1:
+                x = x ^ mat
+        if x.is_invertible():
+            found.append(x)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# orbits: point orbits, line orbits and the spread
+
+
+def ref_point_orbits(group):
+    """Reference point orbits: each image through GFMatrix.__call__.
+
+    Checks `orbits.point_orbits`; replaced in 2cab339.
+    """
+    seen = set()
+    classes = []
+    for p in range(1, 256):
+        if p in seen:
+            continue
+        orbit = [p]
+        seen.add(p)
+        qi = 0
+        while qi < len(orbit):
+            v = orbit[qi]
+            qi += 1
+            for g in group.generators:
+                w = g(v)
+                if w not in seen:
+                    seen.add(w)
+                    orbit.append(w)
+        classes.append(OrbitClass(tuple(sorted(orbit))))
+    return tuple(classes)
+
+
+def ref_line_orbit_split(spread, group):
+    """Reference line orbits: each line image through GFMatrix.__call__.
+
+    Checks `orbits.line_orbit_split`; replaced in 2cab339 and again, by byte
+    tables of line indices, in 09de18d.
+    """
+    remaining = {line: min(line) for line in spread.lines}
+    classes = []
+    while remaining:
+        start = min(remaining, key=remaining.get)
+        orbit = {start}
+        queue = [start]
+        while queue:
+            line = queue.pop()
+            for g in group.generators:
+                img = frozenset(g(p) for p in line)
+                if img not in remaining:
+                    raise ValueError("the group does not preserve the spread")
+                if img not in orbit:
+                    orbit.add(img)
+                    queue.append(img)
+        for line in orbit:
+            del remaining[line]
+        classes.append(tuple(sorted(orbit, key=min)))
+    return tuple(classes)
+
+
+def ref_spread():
+    """Reference spread: the lines {p, Wp, W^2 p} in order of their minimal point.
+
+    Checks `orbits.spread_from_w`; replaced in 50dfc71.
+    """
+    w = element("W")
+    seen = set()
+    lines = []
+    for p in range(1, 256):
+        if p not in seen:
+            line = frozenset((p, w(p), w(w(p))))
+            seen |= line
+            lines.append(line)
+    return Spread(tuple(lines))
+
+
+# ---------------------------------------------------------------------------
+# anf: evaluation, flat equations, substitution, invariant subspaces,
+# monomial orbits and the incidence scans
+
+
+def brute_evaluate(coeffs: int, x: int) -> int:
+    """The value at x of the polynomial with these coefficients, monomial by
+    monomial, independent of the subset-table fast path.
+
+    Checks `anf.Anf.evaluate`; added in e1d4172.
+    """
+    total = 0
+    for t in range(256):
+        if coeffs >> t & 1 and t & x == t:
+            total ^= 1
+    return total
+
+
+def ref_flat_equation(x: Flat) -> Anf:
+    """The dual-form route: 1 + prod(1 + f_i) over the dual forms f_i of the flat.
+
+    Checks `anf.flat_equation`; replaced in 2c76f0a.
+    """
+    poly = Anf.one()
+    for g in ref_nullspace(x.basis, 8):
+        form = sum((Anf.variable(i) for i in range(1, 9) if g >> i - 1 & 1), Anf.zero())
+        poly = poly * (Anf.one() + form)
+    return Anf.one() + poly
+
+
+def ref_substitute(f: Anf, mat: GFMatrix) -> Anf:
+    """The per-bit route: bit x of g's truth table is bit (mat x) of f's.
+
+    Checks `anf.substitute`; replaced in 2c76f0a.
+    """
+    t = f.truth_table()
+    out = 0
+    for x, y in enumerate(mat.perm):
+        if t >> y & 1:
+            out |= 1 << x
+    return Anf(mobius(out))
+
+
+@cache
+def monomial_image(mat: GFMatrix, t: int) -> int:
+    """The coefficients of x_T o mat by ref_substitute, once per pair.
+
+    Serves ref_invariant_subspace; added in 3d5a9a1.
+    """
+    return ref_substitute(Anf(1 << t), mat).coeffs
+
+
+def ref_invariant_subspace(generators, max_degree: int) -> list[Anf]:
+    """The slower route: one per-bit substitution per monomial, transpose,
+    then a null space on the pivot-scanning reference elimination.
+
+    Checks `anf.invariant_subspace`; replaced in 3d5a9a1.
+    """
+    monos = [t for t in range(1, 256) if t.bit_count() <= max_degree]
+    rows = []
+    for mat in generators:
+        images = [monomial_image(mat, t) for t in monos]
+        for pos, u in enumerate(monos):
+            mask = 1 << pos
+            for i, img in enumerate(images):
+                if img >> u & 1:
+                    mask ^= 1 << i
+            if mask:
+                rows.append(mask)
+    return [
+        Anf(sum(1 << t for i, t in enumerate(monos) if sol >> i & 1))
+        for sol in ref_nullspace(rows, len(monos))
+    ]
+
+
+# truth table of x_(j+1): the vectors with bit j set
+COORDINATE_TABLES = [mask_of(v for v in range(256) if v >> j & 1) for j in range(8)]
+
+
+def ref_coefficient_invariant_subspace(generators, max_degree: int) -> list[Anf]:
+    """The coefficient-column route: column T is mobius(tt[T]) ^ 1 << T, the
+    coefficients of x_T o A - x_T (one Moebius transform per monomial and
+    generator), solved by the kernel that fully reduces every row.
+
+    Checks `anf.invariant_subspace`; replaced in 8659099.
+    """
+    vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
+    offset = 0
+    for mat in generators:
+        lin = [0] * 8
+        for j, col in enumerate(mat.cols):
+            for i in range(8):
+                if col >> i & 1:
+                    lin[i] ^= COORDINATE_TABLES[j]
+        tt = [(1 << 256) - 1] * 256
+        for t in range(1, 256):
+            low = t & -t
+            tt[t] = tt[t ^ low] & lin[low.bit_length() - 1]
+            if t in vectors:
+                vectors[t] |= (mobius(tt[t]) ^ 1 << t) << offset
+        offset += 256
+    return [Anf(x) for x in ref_full_kernel(vectors, 256)]
+
+
+def ref_natural_columns(generators, max_degree: int) -> dict[int, int]:
+    """The columns of the invariant solve before they were mirrored, point
+    by point: column T holds the truth table of x_T o A + x_T for generator
+    k at bits 256k..256k+255, point x at bit x.
+
+    Checks the columns `anf.invariant_subspace` solves; replaced in 89816bb.
+    """
+    monomials = [mask_of(x for x in range(256) if x & t == t) for t in range(256)]
+    vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
+    for k, mat in enumerate(generators):
+        for t in vectors:
+            image = mask_of(x for x in range(256) if mat(x) & t == t)
+            vectors[t] |= (image ^ monomials[t]) << 256 * k
+    return vectors
+
+
+def ref_monomial_orbit_poly(rep, group) -> Anf:
+    """Reference monomial orbit: each generator as a map on the indices 1..8,
+    applied to the index set bit by bit.
+
+    Checks `anf.monomial_orbit_poly`; replaced in 50dfc71.
+    """
+    index_maps = []
+    for g in group.generators:
+        images = [g(1 << j) for j in range(8)]
+        if any(img.bit_count() != 1 for img in images):
+            raise ValueError("group contains a non-permutation matrix")
+        index_maps.append([img.bit_length() - 1 for img in images])
+    start = 0
+    for i in rep:
+        start |= 1 << (i - 1)
+    orbit = {start}
+    queue = [start]
+    while queue:
+        t = queue.pop()
+        for pmap in index_maps:
+            img = 0
+            rest = t
+            while rest:
+                low = rest & -rest
+                img |= 1 << pmap[low.bit_length() - 1]
+                rest ^= low
+            if img not in orbit:
+                orbit.add(img)
+                queue.append(img)
+    return Anf(sum(1 << t for t in orbit))
+
+
+def ref_flat_parities(d: int, table):
+    """The Gray-code walk over the points of every d-flat, yielding each
+    flat's parity against table (0/1 per vector) in echelon_bases order.
+
+    Checks `anf.degree_by_incidence`'s scan; replaced in 3d5a9a1.
+    """
+    seq = [(m & -m).bit_length() - 1 for m in range(1, 1 << (d + 1))]
+    for rows in echelon_bases(d + 1):
+        v = parity = 0
+        for r in seq:
+            v ^= rows[r]
+            parity ^= table[v]
+        yield parity
+
+
+def ref_exists_even_flat(d: int, table) -> bool:
+    """Whether some d-flat meets the set of table evenly, by the Gray-code walk.
+
+    Checks `anf.degree_by_incidence`'s scan; replaced in 3d5a9a1.
+    """
+    return 0 in ref_flat_parities(d, table)
+
+
+# FLIP[b] maps each byte v to v ^ 1 << b, for bytes.translate
+FLIP = [bytes(v ^ 1 << b for v in range(256)) for b in range(8)]
+
+
+def buffer_flat_parities(layout, table: bytes) -> bytes:
+    """Parity of the meet with the set of table (0/1 per vector), per flat.
+
+    layout is one reduced-echelon layout (base_rows, slots) of the flats; the
+    result holds one byte per fill of the free slots, fills counted upward
+    with the first slot as the top bit (the lex order of the flats' rows
+    that ref_echelon_layouts describes).  One buffer per nonzero coefficient
+    vector c holds the point c . rows for every fill (the same fill at the
+    same offset, built by doubling over the slots), and XORing the parities
+    of all 2^k - 1 buffers leaves the parity of each flat.
+
+    Checks `anf._even_flats` (the byte-buffer scan); replaced in ec71c68.
+    """
+    base_rows, slots = layout
+    points = _xor_sums(base_rows)  # points[c] = c . base_rows
+    if not slots:
+        # a single flat: no buffers, just the parity of its points
+        return bytes((bytes(points[1:]).translate(table).count(1) & 1,))
+    acc = 0
+    for c in range(1, len(points)):
+        buf = bytes((points[c],))
+        # the last slot doubles first, so the first slot is the top bit of a fill
+        for i, b in reversed(slots):
+            buf += buf.translate(FLIP[b]) if c >> i & 1 else buf
+        acc ^= int.from_bytes(buf.translate(table), "little")
+    return acc.to_bytes(1 << len(slots), "little")
+
+
+def plan_layouts(k: int):
+    """The layouts of ref_echelon_layouts(k) in anf._coset_plan(k)'s order.
+
+    Serves the byte-buffer scan; added in ec71c68.
+    """
+    return sorted(ref_echelon_layouts(k), key=lambda layout: len(layout[1]))
+
+
+def buffer_exists_even_flat(d: int, table: bytes) -> bool:
+    """Whether some d-flat meets the set of table (0/1 per vector) evenly.
+
+    Checks `anf.degree_by_incidence`'s scan; replaced in ec71c68.
+    """
+    return any(b"\x00" in buffer_flat_parities(layout, table) for layout in plan_layouts(d + 1))
+
+
+def buffer_even_counts(k: int, psi: int) -> list[int]:
+    """Even (k-1)-flats per layout, in plan order, from the byte-buffer scan.
+
+    Checks `anf._even_flats`; replaced in ec71c68.
+    """
+    table = _byte_table(psi)
+    return [buffer_flat_parities(layout, table).count(0) for layout in plan_layouts(k)]

@@ -1,0 +1,106 @@
+"""Machinery the test modules share.
+
+This module holds tools, not routes: the unit-vector table, source
+mutants, cache clearing, check runs with a mutated catalog, seeded random
+matrices and a wall-clock deadline.  The reference routes that the tests
+compare the package against live in `refs.py`.  No test module imports
+another test module; both of these are plain modules the tests import.
+"""
+
+import inspect
+import signal
+import sys
+import textwrap
+from contextlib import contextmanager
+
+import pytest
+
+from segre_pg72.checks import REGISTRY, Result, Run
+from segre_pg72.gf2 import GFMatrix
+
+E = [0] + [1 << i for i in range(8)]  # E[i] = e_i, 1-indexed
+
+PACKAGE = "segre_pg72."
+
+
+def mask_of(points) -> int:
+    """The mask with bit p set for every p of points."""
+    m = 0
+    for p in points:
+        m |= 1 << p
+    return m
+
+
+def mirror(v, width):
+    """v with its lowest width bits in reverse order: bit i moves to width - 1 - i."""
+    return int(f"{v:0{width}b}"[::-1], 2)
+
+
+def source_mutant(fn, *edits: tuple[str, str]):
+    """fn recompiled in a copy of its module's namespace, with each edit's
+    old text (found exactly once) replaced by its new text."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(sys.modules[fn.__module__]))
+    exec(source, namespace)
+    return namespace[fn.__name__]
+
+
+def clear_caches() -> None:
+    """Clear every functools.cache in the loaded package modules."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith(PACKAGE):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def check_with(builder, table: dict, name: str, value, cid: str) -> Result:
+    """The result of the check cid with table[name] set to value.
+
+    The cached builder that reads the table is rebuilt from the mutant,
+    which it must return without raising.  Its cache is cleared before and
+    after, and the entry is restored, so the mutant is seen by this call
+    alone.
+    """
+    saved = table[name]
+    builder.cache_clear()
+    table[name] = value
+    try:
+        builder()
+        return Run().check(REGISTRY[cid])
+    finally:
+        table[name] = saved
+        builder.cache_clear()
+
+
+def random_invertible(rng):
+    """A seeded invertible matrix: random columns until one is invertible."""
+    while True:
+        mat = GFMatrix([rng.randrange(256) for _ in range(8)])
+        if mat.is_invertible():
+            return mat
+
+
+class Hang(BaseException):
+    """Raised by the alarm; a BaseException, so no except Exception hides it."""
+
+
+def _hang(signum, frame):
+    raise Hang
+
+
+@contextmanager
+def deadline(seconds: int, what: str):
+    """Fail the test if the block runs longer than seconds (a SIGALRM)."""
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(seconds)
+    try:
+        yield
+    except Hang:
+        pytest.fail(f"{what} did not return within {seconds} s")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,11 +1,28 @@
 import random
 from functools import cache
-from importlib.util import module_from_spec, spec_from_file_location
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
+from refs import (
+    brute_evaluate,
+    buffer_even_counts,
+    buffer_exists_even_flat,
+    buffer_flat_parities,
+    flats_of_dimension,
+    gaussian_binomial_oracle,
+    plan_layouts,
+    ref_coefficient_invariant_subspace,
+    ref_echelon_layouts,
+    ref_exists_even_flat,
+    ref_flat_equation,
+    ref_flat_parities,
+    ref_invariant_subspace,
+    ref_monomial_orbit_poly,
+    ref_natural_columns,
+    ref_substitute,
+    row_after,
+)
 from segre_pg72 import anf
 from segre_pg72.anf import (
     Anf,
@@ -32,7 +49,6 @@ from segre_pg72.gf2 import (
     GFMatrix,
     UNIT,
     _kernel,
-    _xor_sums,
     span,
 )
 from segre_pg72.groups import (
@@ -52,56 +68,7 @@ from segre_pg72.orbits import (
     tetrad_three_flats,
 )
 from segre_pg72.segre import build_model
-from test_gf2 import (
-    echelon_bases,
-    flats_of_dimension,
-    mirror,
-    ref_echelon_layouts,
-    ref_full_kernel,
-    ref_nullspace,
-    row_after,
-    source_mutant,
-)
-from test_groups import check_with, random_invertible
-
-E = [0] + [1 << i for i in range(8)]
-
-_ORACLE_PATH = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
-_spec = spec_from_file_location("bench_oracle", _ORACLE_PATH)
-oracle = module_from_spec(_spec)
-_spec.loader.exec_module(oracle)
-
-
-def mask_of(points) -> int:
-    m = 0
-    for p in points:
-        m |= 1 << p
-    return m
-
-
-def brute_evaluate(coeffs: int, x: int) -> int:
-    # independent of the subset-table fast path
-    total = 0
-    for t in range(256):
-        if coeffs >> t & 1 and t & x == t:
-            total ^= 1
-    return total
-
-
-def ref_flat_parities(d: int, table):
-    # the slower route: a Gray-code walk over the points of every d-flat,
-    # yielding each flat's parity in enumeration order
-    seq = [(m & -m).bit_length() - 1 for m in range(1, 1 << (d + 1))]
-    for rows in echelon_bases(d + 1):
-        v = parity = 0
-        for r in seq:
-            v ^= rows[r]
-            parity ^= table[v]
-        yield parity
-
-
-def ref_exists_even_flat(d: int, table) -> bool:
-    return 0 in ref_flat_parities(d, table)
+from support import E, check_with, mask_of, mirror, random_invertible, source_mutant
 
 
 @cache
@@ -116,56 +83,9 @@ def coset_exists_even_flat(d: int, psi: int, scan=_even_flats) -> bool:
     return any(any(scan(entry, psi)) for entry in _coset_plan(d + 1))
 
 
-# The byte-buffer scan that the coset tables of anf._even_flats replaced,
-# kept as a second reference.  FLIP[b] maps each byte v to v ^ 1 << b, for
-# bytes.translate.
-FLIP = [bytes(v ^ 1 << b for v in range(256)) for b in range(8)]
-
-
-def buffer_flat_parities(layout, table: bytes) -> bytes:
-    """Parity of the meet with the set of table (0/1 per vector), per flat.
-
-    layout is one reduced-echelon layout (base_rows, slots) of the flats; the
-    result holds one byte per fill of the free slots, fills counted upward
-    with the first slot as the top bit (the lex order of the flats' rows
-    that ref_echelon_layouts describes).  One buffer per nonzero coefficient
-    vector c holds the point c . rows for every fill (the same fill at the
-    same offset, built by doubling over the slots), and XORing the parities
-    of all 2^k - 1 buffers leaves the parity of each flat.
-    """
-    base_rows, slots = layout
-    points = _xor_sums(base_rows)  # points[c] = c . base_rows
-    if not slots:
-        # a single flat: no buffers, just the parity of its points
-        return bytes((bytes(points[1:]).translate(table).count(1) & 1,))
-    acc = 0
-    for c in range(1, len(points)):
-        buf = bytes((points[c],))
-        # the last slot doubles first, so the first slot is the top bit of a fill
-        for i, b in reversed(slots):
-            buf += buf.translate(FLIP[b]) if c >> i & 1 else buf
-        acc ^= int.from_bytes(buf.translate(table), "little")
-    return acc.to_bytes(1 << len(slots), "little")
-
-
-def buffer_exists_even_flat(d: int, table: bytes) -> bool:
-    """Whether some d-flat meets the set of table (0/1 per vector) evenly."""
-    return any(b"\x00" in buffer_flat_parities(layout, table) for layout in plan_layouts(d + 1))
-
-
-def plan_layouts(k: int):
-    """The layouts of ref_echelon_layouts(k) in anf._coset_plan(k)'s order."""
-    return sorted(ref_echelon_layouts(k), key=lambda layout: len(layout[1]))
-
-
 def coset_even_counts(k: int, psi: int, plan=None, scan=_even_flats) -> list[int]:
     """Even flats per layout, in plan order, from the coset-table scan."""
     return [sum(even.bit_count() for even in scan(entry, psi)) for entry in plan or _coset_plan(k)]
-
-
-def buffer_even_counts(k: int, psi: int) -> list[int]:
-    table = _byte_table(psi)
-    return [buffer_flat_parities(layout, table).count(0) for layout in plan_layouts(k)]
 
 
 @cache
@@ -198,84 +118,6 @@ def plan_flat(entry, piece: int, block: int, r: int) -> Flat:
     return Flat(vectors)
 
 
-def ref_flat_equation(x: Flat) -> Anf:
-    # the dual-form route: 1 + prod(1 + f_i) over the dual forms f_i of the flat
-    poly = Anf.one()
-    for g in ref_nullspace(x.basis, 8):
-        form = sum((Anf.variable(i) for i in range(1, 9) if g >> i - 1 & 1), Anf.zero())
-        poly = poly * (Anf.one() + form)
-    return Anf.one() + poly
-
-
-def ref_substitute(f: Anf, mat: GFMatrix) -> Anf:
-    # the per-bit route: bit x of g's truth table is bit (mat x) of f's
-    t = f.truth_table()
-    out = 0
-    for x, y in enumerate(mat.perm):
-        if t >> y & 1:
-            out |= 1 << x
-    return Anf(mobius(out))
-
-
-def ref_invariant_subspace(generators, max_degree: int) -> list[Anf]:
-    # the slower route: one per-bit substitution per monomial, transpose,
-    # then a null space on the pivot-scanning reference elimination
-    monos = [t for t in range(1, 256) if t.bit_count() <= max_degree]
-    rows = []
-    for mat in generators:
-        images = [ref_substitute(Anf(1 << t), mat).coeffs for t in monos]
-        for pos, u in enumerate(monos):
-            mask = 1 << pos
-            for i, img in enumerate(images):
-                if img >> u & 1:
-                    mask ^= 1 << i
-            if mask:
-                rows.append(mask)
-    return [
-        Anf(sum(1 << t for i, t in enumerate(monos) if sol >> i & 1))
-        for sol in ref_nullspace(rows, len(monos))
-    ]
-
-
-# truth table of x_(j+1): the vectors with bit j set
-COORDINATE_TABLES = [mask_of(v for v in range(256) if v >> j & 1) for j in range(8)]
-
-
-def ref_coefficient_invariant_subspace(generators, max_degree: int) -> list[Anf]:
-    # the coefficient-column route: column T is mobius(tt[T]) ^ 1 << T, the
-    # coefficients of x_T o A - x_T (one Moebius transform per monomial and
-    # generator), solved by the kernel that fully reduces every row
-    vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
-    offset = 0
-    for mat in generators:
-        lin = [0] * 8
-        for j, col in enumerate(mat.cols):
-            for i in range(8):
-                if col >> i & 1:
-                    lin[i] ^= COORDINATE_TABLES[j]
-        tt = [(1 << 256) - 1] * 256
-        for t in range(1, 256):
-            low = t & -t
-            tt[t] = tt[t ^ low] & lin[low.bit_length() - 1]
-            if t in vectors:
-                vectors[t] |= (mobius(tt[t]) ^ 1 << t) << offset
-        offset += 256
-    return [Anf(x) for x in ref_full_kernel(vectors, 256)]
-
-
-def ref_natural_columns(generators, max_degree: int) -> dict[int, int]:
-    """The columns of the invariant solve before they were mirrored, point
-    by point: column T holds the truth table of x_T o A + x_T for generator
-    k at bits 256k..256k+255, point x at bit x."""
-    monomials = [mask_of(x for x in range(256) if x & t == t) for t in range(256)]
-    vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
-    for k, mat in enumerate(generators):
-        for t in vectors:
-            image = mask_of(x for x in range(256) if mat(x) & t == t)
-            vectors[t] |= (image ^ monomials[t]) << 256 * k
-    return vectors
-
-
 def solved_columns(solve, generators, max_degree: int) -> dict[int, int]:
     """The columns solve(generators, max_degree) hands to gf2._kernel, read
     by a spy in solve's own namespace for the one call."""
@@ -306,35 +148,6 @@ def invariant_mismatches(solve, generator_sets) -> list[tuple[int, int]]:
         == ref_invariant_subspace(gens, d)
         == ref_coefficient_invariant_subspace(gens, d)
     ]
-
-
-def ref_monomial_orbit_poly(rep, group) -> Anf:
-    """Reference monomial orbit: each generator as a map on the indices 1..8,
-    applied to the index set bit by bit."""
-    index_maps = []
-    for g in group.generators:
-        images = [g(1 << j) for j in range(8)]
-        if any(img.bit_count() != 1 for img in images):
-            raise ValueError("group contains a non-permutation matrix")
-        index_maps.append([img.bit_length() - 1 for img in images])
-    start = 0
-    for i in rep:
-        start |= 1 << (i - 1)
-    orbit = {start}
-    queue = [start]
-    while queue:
-        t = queue.pop()
-        for pmap in index_maps:
-            img = 0
-            rest = t
-            while rest:
-                low = rest & -rest
-                img |= 1 << pmap[low.bit_length() - 1]
-                rest ^= low
-            if img not in orbit:
-                orbit.add(img)
-                queue.append(img)
-    return Anf(sum(1 << t for t in orbit))
 
 
 INVARIANT_SET_CLASSES = [
@@ -731,7 +544,7 @@ class TestCosetScan:
             covered += fills.bit_count() * blocks
             # the packed table, all rows but the last, fits the 512-block masks
             assert (blocks // len(rows[-1]) if rows else 1) <= 512
-        assert covered == oracle.gaussian_binomial(8, k)
+        assert covered == gaussian_binomial_oracle(8, k)
 
     @pytest.mark.parametrize("k", [1, 2, 6, 7, 8])
     @pytest.mark.parametrize("name", ["invariant-O5+O2", "random-odd-1"])

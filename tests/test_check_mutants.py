@@ -18,8 +18,7 @@ import pytest
 from segre_pg72.anf import _coset_plan, invariant_subspace
 from segre_pg72.checks import REGISTRY, Run
 from segre_pg72.gf2 import _kernel
-from test_gf2 import source_mutant
-from test_routes import PACKAGE, clear_caches
+from support import PACKAGE, clear_caches, source_mutant
 
 # the highest-pivot kernel row dropped: every kernel loses one dimension.
 # The cut follows the tag-pivot filter; before it, the highest echelon row

@@ -1,12 +1,24 @@
-import inspect
 import random
-import sys
-import textwrap
 from functools import cache
 from itertools import combinations, product
 
 import pytest
 
+from refs import (
+    flats_of_dimension,
+    gaussian_binomial_oracle,
+    ref_apply,
+    ref_columns,
+    ref_full_kernel,
+    ref_inverse,
+    ref_lowbit_echelon,
+    ref_lowbit_kernel,
+    ref_lowbit_reduce,
+    ref_nullspace,
+    ref_reduce,
+    ref_set_bits,
+    row_after,
+)
 from segre_pg72.anf import _coset_plan
 from segre_pg72.gf2 import (
     UNIT,
@@ -30,103 +42,7 @@ from segre_pg72.gf2 import (
 )
 from segre_pg72.groups import cube_group, segre_group, stabilizer_of_point
 from segre_pg72.orbits import classify_point, point_orbits
-
-E = [0] + [1 << i for i in range(8)]  # E[i] = e_i, 1-indexed
-
-
-def ref_apply(mat, v):
-    """Reference point action: XOR of the columns selected by v's bits."""
-    r = 0
-    while v:
-        low = v & -v
-        r ^= mat.cols[low.bit_length() - 1]
-        v ^= low
-    return r
-
-
-def ref_reduce(vectors):
-    """Reference elimination: every pivot checked against every incoming row."""
-    rows = {}
-    for v in vectors:
-        for p, r in rows.items():
-            if v & p:
-                v ^= r
-        if v:
-            low = v & -v
-            for p in rows:
-                if rows[p] & low:
-                    rows[p] ^= v
-            rows[low] = v
-    return rows
-
-
-def ref_nullspace(rows, nvars):
-    """Reference null space on ref_reduce, free variables ascending."""
-    pivots = ref_reduce(rows)
-    basis = []
-    for j in range(nvars):
-        if 1 << j in pivots:
-            continue
-        basis.append(sum((p for p, r in pivots.items() if r >> j & 1), 1 << j))
-    return basis
-
-
-def ref_lowbit_echelon(vectors):
-    """The forward elimination gf2._echelon replaced: each row's pivot is its
-    lowest set bit, keyed by that bit's power of two."""
-    rows = {}
-    for v in vectors:
-        while v:
-            low = v & -v
-            r = rows.get(low)
-            if r is None:
-                rows[low] = v
-                break
-            v ^= r
-    return rows
-
-
-def ref_lowbit_reduce(vectors):
-    """The Gauss-Jordan pass gf2._reduce replaced: ref_lowbit_echelon, then
-    each row cleared of the higher pivots it carries, pivots descending."""
-    rows = ref_lowbit_echelon(vectors)
-    pivots = sum(rows)
-    for p in sorted(rows, reverse=True):
-        r = rows[p]
-        m = r & pivots ^ p
-        while m:
-            q = m & -m
-            r ^= rows[q]
-            m ^= q
-        rows[p] = r
-    return rows
-
-
-def ref_lowbit_kernel(columns, nvars):
-    """The kernel gf2._kernel replaced: the columns at the low bits, variable
-    j's tag reversed at bit width + nvars - 1 - j above them, lowest-bit
-    elimination, and only the rows whose pivot is a tag fully reduced."""
-    width = max(columns.values(), default=0).bit_length()
-    rows = ref_lowbit_echelon(c | 1 << width + nvars - 1 - j for j, c in columns.items())
-    rows = ref_lowbit_reduce(r for p, r in rows.items() if p >> width)
-    return [mirror(rows[p] >> width, nvars) for p in sorted(rows, reverse=True)]
-
-
-def ref_full_kernel(columns, nvars):
-    """The tagged-elimination kernel with every row fully reduced:
-    ref_lowbit_reduce over all tagged columns, then the rows whose pivot is
-    a tag."""
-    width = max(columns.values(), default=0).bit_length()
-    rows = ref_lowbit_reduce(c | 1 << width + nvars - 1 - j for j, c in columns.items())
-    return [
-        mirror(rows[p] >> width, nvars)
-        for p in sorted((p for p in rows if p >> width), reverse=True)
-    ]
-
-
-def mirror(v, width):
-    """v with its lowest width bits in reverse order: bit i moves to width - 1 - i."""
-    return int(f"{v:0{width}b}"[::-1], 2)
+from support import E, mirror, source_mutant
 
 
 def mirror_rows(rows, width):
@@ -135,86 +51,8 @@ def mirror_rows(rows, width):
     return {width + 1 - p.bit_length(): mirror(r, width) for p, r in rows.items()}
 
 
-def source_mutant(fn, *edits: tuple[str, str]):
-    """fn recompiled in a copy of its module's namespace, with each edit's
-    old text (found exactly once) replaced by its new text."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    for old, new in edits:
-        assert source.count(old) == 1, old
-        source = source.replace(old, new)
-    namespace = dict(vars(sys.modules[fn.__module__]))
-    exec(source, namespace)
-    return namespace[fn.__name__]
-
-
-def ref_inverse(mat):
-    """Reference inverse: Gauss-Jordan on the (image, preimage) pairs; the row
-    with pivot e_i then carries the preimage of e_i in its high byte."""
-    rows = ref_reduce(c | 1 << (j + 8) for j, c in enumerate(mat.cols))
-    if any(p > UNIT for p in rows):
-        raise ValueError("matrix is singular")
-    return GFMatrix(tuple(rows[1 << i] >> 8 for i in range(8)))
-
-
-def ref_set_bits(mask):
-    """Reference bit walk: every position tested in turn."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 def random_matrix(rng):
     return GFMatrix([rng.randrange(256) for _ in range(8)])
-
-
-@cache
-def ref_echelon_layouts(k):
-    """The reduced-echelon layouts of k-dim subspaces, pivot sets ascending.
-
-    A layout is (base_rows, slots): base_rows[i] is the unit vector of row i's
-    pivot, and each free slot (i, b) lets row i carry column b, a non-pivot
-    column above its own pivot.  Slots are listed row by row, columns
-    descending, so filling them as the bits of a counter (first slot highest)
-    ascends in the lex order of the row tuples.  anf._coset_plan builds its
-    entries from the pivot sets directly; this is the layout form it replaced.
-    """
-    layouts = []
-    for pivots in combinations(range(8), k):
-        slots = tuple(
-            (i, b)
-            for i, p in enumerate(pivots)
-            for b in range(7, p, -1)
-            if b not in pivots
-        )
-        layouts.append((tuple(1 << p for p in pivots), slots))
-    return tuple(layouts)
-
-
-def echelon_bases(k):
-    """Every canonical reduced-echelon basis of a k-dim subspace, layout by
-    layout in ref_echelon_layouts order: per layout, fills counted upward
-    with the first free slot as the top bit."""
-    for base_rows, slots in ref_echelon_layouts(k):
-        for fill in range(1 << len(slots)):
-            rows = list(base_rows)
-            for pos, (i, b) in enumerate(slots):
-                if fill >> (len(slots) - 1 - pos) & 1:
-                    rows[i] |= 1 << b
-            yield tuple(rows)
-
-
-def flats_of_dimension(d):
-    """Every d-flat of PG(7,2) exactly once, in echelon_bases order."""
-    if not 0 <= d <= 7:
-        raise ValueError(f"projective dimension out of range: {d}")
-    for rows in echelon_bases(d + 1):
-        yield Flat._from_rref(rows)
-
-
-def row_after(flips, g: int) -> int:
-    # a plan row after flip g: the XOR of 1 << b over its first g + 1 flips
-    v = 0
-    for b in flips[: g + 1]:
-        v ^= 1 << b
-    return v
 
 
 def plan_flats(d):
@@ -226,20 +64,6 @@ def plan_flats(d):
         for r in _set_bits(fills):
             for others in product(*states):
                 yield Flat._from_rref((r, *others))
-
-
-def gaussian_binomial_oracle(n, k):
-    # independent product formula evaluated with explicit descending factors
-    if k < 0 or k > n:
-        return 0
-    num = 1
-    for i in range(n - k + 1, n + 1):
-        num *= 2**i - 1
-    den = 1
-    for i in range(1, k + 1):
-        den *= 2**i - 1
-    assert num % den == 0
-    return num // den
 
 
 class TestParsePoint:
@@ -672,11 +496,6 @@ class TestReduce:
         # the null space of the rows, as _kernel of their transpose
         for rows in REDUCE_CASES[name]:
             assert _kernel(dict(enumerate(_transpose(rows, nvars))), nvars) == ref_nullspace(rows, nvars)
-
-
-def ref_columns(rows, nvars):
-    """The column of each variable j: bit i set when rows[i] has bit j."""
-    return {j: sum(1 << i for i, r in enumerate(rows) if r >> j & 1) for j in range(nvars)}
 
 
 @cache

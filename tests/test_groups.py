@@ -5,11 +5,18 @@ from math import prod
 
 import pytest
 
+from refs import (
+    ref_centralizer,
+    ref_closure,
+    ref_commutant_basis,
+    ref_schreier_sims,
+    ref_sym3_operator,
+    ref_tensor_operator,
+)
 from segre_pg72 import groups
-from segre_pg72.checks import REGISTRY, Result, Run
+from segre_pg72.checks import REGISTRY, Run
 from segre_pg72.gf2 import ConstructionError, Flat, GFMatrix, UNIT, _reduce, parse_point, span, weight
 from segre_pg72.groups import (
-    DEFAULT_CAP,
     ClosureOverflowError,
     I2,
     MatrixGroup,
@@ -30,30 +37,8 @@ from segre_pg72.groups import (
     sym3_operator,
     tensor_operator,
 )
-from segre_pg72.segre import BASIS_INDEX, build_model
-from test_gf2 import ref_nullspace, source_mutant
-from test_package import deadline
-
-E = [0] + [1 << i for i in range(8)]
-
-
-def check_with(builder, table: dict, name: str, value, cid: str) -> Result:
-    """The result of the check cid with table[name] set to value.
-
-    The cached builder that reads the table is rebuilt from the mutant,
-    which it must return without raising.  Its cache is cleared before and
-    after, and the entry is restored, so the mutant is seen by this call
-    alone.
-    """
-    saved = table[name]
-    builder.cache_clear()
-    table[name] = value
-    try:
-        builder()
-        return Run().check(REGISTRY[cid])
-    finally:
-        table[name] = saved
-        builder.cache_clear()
+from segre_pg72.segre import build_model
+from support import E, check_with, deadline, random_invertible, source_mutant
 
 
 def gl2_elements() -> list[tuple[int, int]]:
@@ -61,172 +46,11 @@ def gl2_elements() -> list[tuple[int, int]]:
     return [(c0, c1) for c0 in (1, 2, 3) for c1 in (1, 2, 3) if c0 != c1]
 
 
-def ref_tensor_operator(a0, a1, a2) -> GFMatrix:
-    """Reference tensor product: each basis tensor's image expanded over the
-    set bits of the three factor columns."""
-    cols = [0] * 8
-    for (i, j, k), idx in BASIS_INDEX.items():
-        x, y, z = a0[i], a1[j], a2[k]
-        img = 0
-        for a in (0, 1):
-            if not x >> a & 1:
-                continue
-            for b in (0, 1):
-                if not y >> b & 1:
-                    continue
-                for c in (0, 1):
-                    if z >> c & 1:
-                        img ^= 1 << (BASIS_INDEX[(a, b, c)] - 1)
-        cols[idx - 1] = img
-    return GFMatrix(cols)
-
-
-def ref_sym3_operator(rho) -> GFMatrix:
-    """Reference slot permutation: the inverse of rho as a list, and each
-    column the unit vector of the permuted multi-index."""
-    inv = [0, 0, 0]
-    for m, im in enumerate(rho, start=1):
-        inv[im - 1] = m
-    cols = [0] * 8
-    for src, idx in BASIS_INDEX.items():
-        dst = tuple(src[inv[m] - 1] for m in range(3))
-        cols[idx - 1] = 1 << (BASIS_INDEX[dst] - 1)
-    return GFMatrix(cols)
-
-
 def perm_images(mat):
     return {i: mat(E[i]) for i in range(1, 9)}
 
 
 GL82_ORDER = prod((1 << 8) - (1 << i) for i in range(8))  # 5,348,063,769,211,699,200
-
-
-def ref_closure(generators, cap=DEFAULT_CAP):
-    """Reference closure: the breadth-first search on GFMatrix products."""
-    gens = sorted(set(generators), key=lambda g: g.cols)
-    ident = GFMatrix.identity()
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for f in frontier:
-            for g in gens:
-                h = g * f
-                if h not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureOverflowError(f"closure exceeded cap of {cap} elements")
-                    seen.add(h)
-                    elements.append(h)
-                    new.append(h)
-        frontier = new
-    return tuple(elements)
-
-
-_IDPERM = bytes(range(256))
-
-
-def ref_compose(a, b):
-    # apply b first
-    return b.translate(a)
-
-
-def ref_invert_perm(p):
-    inv = bytearray(256)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return bytes(inv)
-
-
-class RefLevel:
-    def __init__(self, base):
-        self.base = base
-        self.gens = []
-        self.transversal = {base: _IDPERM}
-        self.inv_transversal = {base: _IDPERM}
-        self.pending = []
-
-
-def ref_schreier_sims(generators):
-    """Reference stabilizer chain, the slow route: every transversal entry
-    inverted in full, every Schreier pair (tree edges included) queued and
-    sifted, and every residue attached at every level from its stick level
-    down to level 0, whatever level its Schreier pair came from."""
-    perms = [m.perm for m in generators if m.perm != _IDPERM]
-    levels = []
-
-    def sift(g, start):
-        for idx in range(start, len(levels)):
-            lv = levels[idx]
-            img = g[lv.base]
-            if img == lv.base:
-                continue
-            t_inv = lv.inv_transversal.get(img)
-            if t_inv is None:
-                return g, idx
-            g = ref_compose(t_inv, g)
-        return g, len(levels)
-
-    def attach(lv, g):
-        lv.gens.append(g)
-        fresh = []
-        for pt in list(lv.transversal):
-            lv.pending.append((pt, g))
-            img = g[pt]
-            if img not in lv.transversal:
-                t = ref_compose(g, lv.transversal[pt])
-                lv.transversal[img] = t
-                lv.inv_transversal[img] = ref_invert_perm(t)
-                fresh.append(img)
-        qi = 0
-        while qi < len(fresh):
-            pt = fresh[qi]
-            qi += 1
-            for s in lv.gens:
-                lv.pending.append((pt, s))
-                img = s[pt]
-                if img not in lv.transversal:
-                    t = ref_compose(s, lv.transversal[pt])
-                    lv.transversal[img] = t
-                    lv.inv_transversal[img] = ref_invert_perm(t)
-                    fresh.append(img)
-
-    def add_generator(k, g):
-        if k == len(levels):
-            base = next(v for v in range(1, 256) if g[v] != v)
-            levels.append(RefLevel(base))
-        for idx in range(k, -1, -1):
-            attach(levels[idx], g)
-
-    for p in perms:
-        residue, k = sift(p, 0)
-        if residue != _IDPERM:
-            add_generator(k, residue)
-
-    while True:
-        for k in range(len(levels) - 1, -1, -1):
-            if levels[k].pending:
-                break
-        else:
-            break
-        lv = levels[k]
-        pt, s = lv.pending.pop()
-        u = ref_compose(s, lv.transversal[pt])
-        schreier_gen = ref_compose(lv.inv_transversal[s[pt]], u)
-        if schreier_gen == _IDPERM:
-            continue
-        residue, j = sift(schreier_gen, k + 1)
-        if residue != _IDPERM:
-            add_generator(j, residue)
-
-    return prod(len(lv.transversal) for lv in levels)
-
-
-def random_invertible(rng):
-    while True:
-        mat = GFMatrix([rng.randrange(256) for _ in range(8)])
-        if mat.is_invertible():
-            return mat
 
 
 def seeded_subsets(seed, count):
@@ -300,43 +124,6 @@ UNDER_ATTACHING = {
     "stick-level-only": ("for idx in range(k, low - 1, -1):", "for idx in (k,):"),
     "skips-level-i+1": ("add_generator(j, residue, k + 1)", "add_generator(j, residue, k + 2)"),
 }
-
-
-def ref_commutant_basis(generators) -> list[GFMatrix]:
-    """Reference commutant: one parity-check row over the 64 entries of X
-    (bit 8i + j is entry (i, j)) for each entry (i, k) of XA + AX, solved
-    by the free-variable reference null space."""
-    rows = []
-    for a in generators:
-        for i in range(8):
-            for k in range(8):
-                mask = 0
-                for j in range(8):
-                    if a.cols[k] >> j & 1:  # entry (j, k) of A
-                        mask ^= 1 << (8 * i + j)
-                    if a.cols[j] >> i & 1:  # entry (i, j) of A
-                        mask ^= 1 << (8 * j + k)
-                if mask:
-                    rows.append(mask)
-    return [
-        GFMatrix(sum((x >> (8 * i + j) & 1) << i for i in range(8)) for j in range(8))
-        for x in ref_nullspace(rows, 64)
-    ]
-
-
-def ref_centralizer(generators) -> list[GFMatrix]:
-    """Reference centralizer: the invertible sums of the reference commutant
-    basis, each summed matrix by matrix, basis subsets in counter order."""
-    basis = ref_commutant_basis(generators)
-    found = []
-    for mask in range(1, 1 << len(basis)):
-        x = GFMatrix([0] * 8)
-        for idx, mat in enumerate(basis):
-            if mask >> idx & 1:
-                x = x ^ mat
-        if x.is_invertible():
-            found.append(x)
-    return found
 
 
 def commutant_cases():
@@ -613,6 +400,51 @@ class TestClosure:
         first = group.elements
         assert len(built) == 1296
         assert group.elements is first and len(built) == 1296
+
+    def test_membership_builds_no_matrix(self, monkeypatch):
+        gens = [element("M'"), element("N")]
+        inside, outside = element("M'") * element("N"), element("J")
+        built = []
+        from_perm = GFMatrix._from_perm.__func__
+
+        def counted(cls, perm):
+            built.append(perm)
+            return from_perm(cls, perm)
+
+        monkeypatch.setattr(GFMatrix, "_from_perm", classmethod(counted))
+        group = closure(gens)
+        assert inside in group and outside not in group
+        assert built == []
+
+    def test_a_value_that_is_no_matrix_is_no_member(self):
+        group = closure([element("M"), element("N")])
+        for value in ("x", None, 0, element("M").perm, element("M").cols, [element("M")]):
+            assert value not in group, value
+
+    def test_membership_agrees_with_the_element_set(self):
+        # closures, centralizers and stabilizers, each asked before its
+        # elements are read, against every element of <M,N> and C_GL(M)
+        # and seeded invertible matrices
+        rng = random.Random(71)
+        probes = [*segre_group().elements, *centralizer_in_gl([element("M")]).elements]
+        probes += [random_invertible(rng) for _ in range(200)]
+        probes = list(dict.fromkeys(probes))
+        made = [lambda gens=gens: closure(gens) for gens in seeded_subsets(71, 20)]
+        made += [
+            lambda: centralizer_in_gl([element("M")]),
+            lambda: centralizer_in_gl(elements("M',N")),
+            lambda: centralizer_in_gl(elements("M,N")),
+        ]
+        made += [
+            lambda p=p: stabilizer_of_point(closure(elements("M,N")), p)
+            for p in (E[1], UNIT, E[1] ^ E[2], E[1] ^ E[8])
+        ]
+        for make in made:
+            group = make()
+            answers = [mat in group for mat in probes]
+            listed = set(group.elements)
+            assert answers == [mat in listed for mat in probes]
+            assert sum(answers) <= len(group) == len(listed)
 
     def test_membership_and_stabilizer_work_on_a_fresh_closure(self):
         group = closure([element("M"), element("N")])
@@ -929,9 +761,11 @@ class TestStabilizer:
         assert set(stab.elements) == {GFMatrix.identity()}
 
 
-# every entry point that takes generators shares MatrixGroup's one check
+# every entry point that takes generators, and MatrixGroup's explicit
+# elements, share one matrix check
 NOT_A_MATRIX = {
     "MatrixGroup": lambda: MatrixGroup(["x"]),
+    "MatrixGroup elements": lambda: MatrixGroup([element("M")], ["x"]),
     "closure": lambda: closure([1]),
     "schreier_sims": lambda: schreier_sims([1]),
     "commutant_basis": lambda: commutant_basis([1]),

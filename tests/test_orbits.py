@@ -4,12 +4,12 @@ from itertools import combinations
 
 import pytest
 
+from refs import ref_line_orbit_split, ref_point_orbits, ref_spread
 from segre_pg72 import orbits
 from segre_pg72.gf2 import GFMatrix, UNIT, parse_point, weight
 from segre_pg72.groups import MatrixGroup, cube_group, element, segre_group, segre_group_even
 from segre_pg72.orbits import (
     CUBE_ORBIT_CENSUS,
-    OrbitClass,
     Spread,
     TETRAD_LINES,
     classify_point,
@@ -25,72 +25,12 @@ from segre_pg72.orbits import (
     tetrad_three_flats,
 )
 from segre_pg72.segre import build_model
-from test_groups import check_with
-
-E = [0] + [1 << i for i in range(8)]
-
-
-def ref_point_orbits(group):
-    """Reference point orbits: each image through GFMatrix.__call__."""
-    seen = set()
-    classes = []
-    for p in range(1, 256):
-        if p in seen:
-            continue
-        orbit = [p]
-        seen.add(p)
-        qi = 0
-        while qi < len(orbit):
-            v = orbit[qi]
-            qi += 1
-            for g in group.generators:
-                w = g(v)
-                if w not in seen:
-                    seen.add(w)
-                    orbit.append(w)
-        classes.append(OrbitClass(tuple(sorted(orbit))))
-    return tuple(classes)
-
-
-def ref_line_orbit_split(spread, group):
-    """Reference line orbits: each line image through GFMatrix.__call__."""
-    remaining = {line: min(line) for line in spread.lines}
-    classes = []
-    while remaining:
-        start = min(remaining, key=remaining.get)
-        orbit = {start}
-        queue = [start]
-        while queue:
-            line = queue.pop()
-            for g in group.generators:
-                img = frozenset(g(p) for p in line)
-                if img not in remaining:
-                    raise ValueError("the group does not preserve the spread")
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-        for line in orbit:
-            del remaining[line]
-        classes.append(tuple(sorted(orbit, key=min)))
-    return tuple(classes)
+from support import E, check_with
 
 
 def listed(split):
     """Every line of a split as a tuple, in its frozenset's iteration order."""
     return [tuple(line) for cls in split for line in cls]
-
-
-def ref_spread():
-    """Reference spread: the lines {p, Wp, W^2 p} in order of their minimal point."""
-    w = element("W")
-    seen = set()
-    lines = []
-    for p in range(1, 256):
-        if p not in seen:
-            line = frozenset((p, w(p), w(w(p))))
-            seen |= line
-            lines.append(line)
-    return Spread(tuple(lines))
 
 
 def seeded_groups():

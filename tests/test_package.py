@@ -5,12 +5,11 @@ its home module on access.  A command loads only the modules it runs, which
 is checked in a fresh interpreter through ``sys.modules``.
 """
 
+import ast
 import inspect
 import os
-import signal
 import subprocess
 import sys
-from contextlib import contextmanager
 from importlib import import_module
 from pathlib import Path
 
@@ -20,6 +19,7 @@ import segre_pg72
 from segre_pg72 import groups
 from segre_pg72.orbits import OrbitClass, OrbitPartition, Spread
 from segre_pg72.segre import SegreModel, build_model
+from support import deadline
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -186,6 +186,8 @@ def one_argument_callables() -> dict:
 
 
 SWEPT = one_argument_callables()
+# MatrixGroup's optional element list meets the sweep too
+SWEPT["MatrixGroup elements"] = lambda value: segre_pg72.MatrixGroup([], [value])
 
 # The calls that may return: the records store what they are given,
 # orbit_mask with no labels is the empty mask, and the rest are valid
@@ -196,28 +198,6 @@ SWEEP_RETURNS = {
     "Anf": (0, 256), "anf_from_pointset": (0, 256), "mobius": (0, 256),
     "degree_by_incidence": (256,), "weight": (0,),
 }
-
-
-class Hang(BaseException):
-    """Raised by the alarm; a BaseException, so no except Exception hides it."""
-
-
-def _hang(signum, frame):
-    raise Hang
-
-
-@contextmanager
-def deadline(seconds: int, what: str):
-    """Fail the test if the block runs longer than seconds (a SIGALRM)."""
-    previous = signal.signal(signal.SIGALRM, _hang)
-    signal.alarm(seconds)
-    try:
-        yield
-    except Hang:
-        pytest.fail(f"{what} did not return within {seconds} s")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_the_sweep_covers_the_public_callables():
@@ -237,3 +217,34 @@ def test_bad_inputs_raise_at_once(name):
                 continue
         returned.append(value)
     assert tuple(returned) == SWEEP_RETURNS.get(name, ())
+
+
+# ---------------------------------------------------------------------------
+# The layout of the tests: shared machinery lives in tests/support.py and
+# the reference routes in tests/refs.py, so no test module imports another.
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The top-level names of every module the file imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            # `from . import x` names its modules in the aliases
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found |= {name.split(".")[0] for name in names}
+    return found
+
+
+def test_no_test_module_imports_another():
+    # support.py and refs.py are held to it too, so no import reaches a
+    # test module through them
+    modules = sorted((ROOT / "tests").glob("*.py"))
+    assert {"support.py", "refs.py"} < {path.name for path in modules}
+    assert len(modules) >= 14
+    offenders = {
+        path.name: sorted(name for name in imported_modules(path) if name.startswith("test_"))
+        for path in modules
+    }
+    assert {name: found for name, found in offenders.items() if found} == {}

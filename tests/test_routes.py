@@ -21,10 +21,9 @@ from segre_pg72.checks import _flat_sum, _zero_set_mask
 from segre_pg72.groups import closure, elements, schreier_sims, segre_group
 from segre_pg72.orbits import definitional_orbits, point_orbits
 from segre_pg72.segre import build_model
+from support import PACKAGE, clear_caches
 
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="names calls by co_qualname")
-
-PACKAGE = "segre_pg72."
 
 # the checks every generator passes on the way in: a GFMatrix, and
 # invertible by the rank of its columns
@@ -106,14 +105,6 @@ ROWS = {
         data=TENSOR_EXPANSION,
     ),
 }
-
-
-def clear_caches() -> None:
-    for name, module in list(sys.modules.items()):
-        if name.startswith(PACKAGE):
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
 
 
 def calls(route, inputs) -> set[str]:

@@ -1,5 +1,6 @@
 import pytest
 
+from refs import ref_slot_families
 from segre_pg72.gf2 import UNIT, parse_point, span
 from segre_pg72.segre import (
     MULTI_INDICES,
@@ -7,25 +8,8 @@ from segre_pg72.segre import (
     build_model,
     segre_point,
 )
+from support import E
 
-E = [0] + [1 << i for i in range(8)]
-
-
-def ref_slot_families():
-    """Reference generator lines and 9-point grids: one spelled-out loop per slot."""
-    rng3 = (0, 1, 2)
-    generators = {}
-    for i in rng3:
-        for j in rng3:
-            generators[(i, j, 1)] = frozenset(segre_point((k, i, j)) for k in rng3)
-            generators[(i, j, 2)] = frozenset(segre_point((i, k, j)) for k in rng3)
-            generators[(i, j, 3)] = frozenset(segre_point((i, j, k)) for k in rng3)
-    sub_segres = {}
-    for i in rng3:
-        sub_segres[(i, 1)] = frozenset(segre_point((i, j, k)) for j in rng3 for k in rng3)
-        sub_segres[(i, 2)] = frozenset(segre_point((j, i, k)) for j in rng3 for k in rng3)
-        sub_segres[(i, 3)] = frozenset(segre_point((j, k, i)) for j in rng3 for k in rng3)
-    return generators, sub_segres
 
 
 class TestSegrePoint:
