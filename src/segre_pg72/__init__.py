@@ -34,10 +34,10 @@ _HOME = {
             "BASIS_INDEX", "MULTI_INDICES", "SegreModel", "build_model", "segre_point",
         )),
         ("groups", (
-            "ClosureOverflowError", "MatrixGroup", "centralizer_in_gl",
+            "Chain", "ClosureOverflowError", "MatrixGroup", "centralizer_in_gl",
             "closure", "commutant_basis", "cube_group", "element", "elements", "fix_subspace",
             "named_elements", "schreier_sims", "segre_group", "segre_group_even",
-            "stabilizer_of_point", "sym3_operator", "tensor_operator",
+            "stabilizer_chain", "stabilizer_of_point", "sym3_operator", "tensor_operator",
         )),
         ("orbits", (
             "CUBE_ORBIT_CENSUS", "TETRAD_LINES", "OrbitClass", "OrbitPartition",

@@ -19,6 +19,7 @@ from .gf2 import (
     GFMatrix,
     _UNITS,
     _check_matrices,
+    _check_vectors,
     _digits,
     _kernel,
     _mask_of,
@@ -127,6 +128,8 @@ class Anf:
 
     def evaluate(self, x: int) -> int:
         """Value at the vector x: parity of the monomials contained in x."""
+        if not 0 <= x <= UNIT:
+            _check_vectors((x,))  # raises: x is no 8-bit vector
         return (self.coeffs & _SUBSETS[x]).bit_count() & 1
 
     def truth_table(self) -> int:

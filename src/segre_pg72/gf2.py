@@ -134,42 +134,23 @@ def _echelon(vectors: Iterable[int]) -> dict[int, int]:
     return rows
 
 
-def _reduce(vectors: Iterable[int]) -> dict[int, int]:
-    """Gauss-Jordan elimination over GF(2): {pivot: row}, fully reduced.
-
-    Each row's pivot is its highest set bit, keyed by the row's bit length,
-    and no other row has that bit.  Forward elimination (_echelon) comes
-    first.  One back-substitution pass over the pivots in ascending order
-    then clears, from each row, only the lower pivot bits it carries; those
-    rows are already fully reduced.  The fully reduced form of a row space
-    is unique, so any Gauss-Jordan route gives the same rows.
-    """
-    rows = _echelon(vectors)
-    lower = 0  # the pivot bits below the current row's
-    for p in sorted(rows):
-        r = rows[p]
-        m = r & lower
-        while m:
-            q = m.bit_length()
-            r ^= rows[q]
-            m ^= 1 << q - 1
-        rows[p] = r
-        lower |= 1 << p - 1
-    return rows
-
-
-# _MIRROR[v] is v with its 8 bits in reverse order: bit i moves to bit 7 - i
-_MIRROR = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
-
-
 def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon form; pivots are lowest set bits, rows sorted by pivot.
 
-    Mirroring the bits turns lowest bits into highest ones, so the form is
-    _reduce's, mirrored in and out: its rows by pivot descending.
+    Gauss-Jordan on at most 8 rows: each vector is reduced by the rows so
+    far, and its lowest remaining bit, a new pivot, is cleared from the
+    other rows.
     """
-    rows = _reduce(bytes(_check_vectors(vectors)).translate(_MIRROR))
-    return tuple(bytes(rows[p] for p in sorted(rows, reverse=True)).translate(_MIRROR))
+    rows: list[int] = []
+    for v in _check_vectors(vectors):
+        for r in rows:
+            if v & (r & -r):
+                v ^= r
+        if v:
+            low = v & -v
+            rows = [r ^ v if r & low else r for r in rows]
+            rows.append(v)
+    return tuple(sorted(rows, key=lambda r: r & -r))
 
 
 def _transpose(vectors, width: int) -> list[int]:
@@ -304,6 +285,8 @@ class GFMatrix:
         return tuple(_transpose(self.cols, DIM))
 
     def __call__(self, v: int) -> int:
+        if not 0 <= v <= UNIT:
+            _check_vectors((v,))  # raises: v is no 8-bit vector
         return self.perm[v]
 
     def __mul__(self, other: "GFMatrix") -> "GFMatrix":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import prod
+from typing import NamedTuple
 
 from .gf2 import (
     ConstructionError,
@@ -236,8 +237,26 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
 # table, so the product a*b of a table a and images b is again b.translate(a).
 
 
+class Chain(NamedTuple):
+    """A stabilizer chain on the 255 points, one entry per level, top level first.
+
+    The product of the basic orbit lengths is the group's order.  A level's
+    strong generators are their 8 column images, in attach order.  sifted
+    counts the Schreier generators of the level's pairs that were sifted (a
+    pair whose Schreier generator is the identity is not), and
+    sifted_to_identity those that sifted to the identity.
+    """
+
+    bases: tuple[int, ...]  # unit vectors
+    orbit_lengths: tuple[int, ...]
+    strong_generators: tuple[tuple[bytes, ...], ...]
+    sifted: tuple[int, ...]
+    sifted_to_identity: tuple[int, ...]
+
+
 class _Level:
-    __slots__ = ("base", "pos", "gens", "transversal", "inv_transversal", "pending")
+    __slots__ = ("base", "pos", "gens", "transversal", "inv_transversal", "pending",
+                 "sifted", "sifted_to_identity")
 
     def __init__(self, base: int):
         self.base = base
@@ -246,6 +265,7 @@ class _Level:
         self.transversal = {base: _IDPERM}
         self.inv_transversal = {base: _IDPERM}
         self.pending: list[tuple[int, bytes]] = []
+        self.sifted = self.sifted_to_identity = 0
 
 
 def _smallest_moved(g: bytes) -> int:
@@ -254,7 +274,12 @@ def _smallest_moved(g: bytes) -> int:
 
 
 def schreier_sims(generators) -> int:
-    """Order of the generated group via a stabilizer chain on the 255 points.
+    """Order of the generated group: the product of its chain's orbit lengths."""
+    return prod(stabilizer_chain(generators).orbit_lengths)
+
+
+def stabilizer_chain(generators) -> Chain:
+    """A stabilizer chain of the generated group on the 255 points.
 
     Base points are picked greedily as the smallest point (integer order)
     moved by the stabilizer being extended.  Each strong generator g is
@@ -362,12 +387,21 @@ def schreier_sims(generators) -> int:
             lv.inv_transversal[s[pt]])
         if schreier_gen == _UNITS:
             continue
+        lv.sifted += 1
         residue, j = sift(schreier_gen, k + 1)
-        if residue != _UNITS:
+        if residue == _UNITS:
+            lv.sifted_to_identity += 1
+        else:
             add_generator(j, residue, k + 1)
             k = j
 
-    return prod(len(lv.transversal) for lv in levels) if levels else 1
+    return Chain(
+        tuple(lv.base for lv in levels),
+        tuple(len(lv.transversal) for lv in levels),
+        tuple(tuple(_UNITS.translate(g) for g, _ in lv.gens) for lv in levels),
+        tuple(lv.sifted for lv in levels),
+        tuple(lv.sifted_to_identity for lv in levels),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ def ref_apply(mat, v):
 def ref_reduce(vectors):
     """Reference elimination: every pivot checked against every incoming row.
 
-    Checks `gf2._reduce`; replaced in 9174234.
+    Checks the span of `gf2._echelon`'s rows; replaced in 9174234 by
+    `gf2._reduce`, since retired.
     """
     rows = {}
     for v in vectors:
@@ -100,7 +101,7 @@ def ref_lowbit_reduce(vectors):
     """The Gauss-Jordan pass gf2._reduce replaced: ref_lowbit_echelon, then
     each row cleared of the higher pivots it carries, pivots descending.
 
-    Checks `gf2._reduce`; replaced in 89816bb.
+    Checks `gf2._rref`; replaced in 89816bb by `gf2._reduce`, since retired.
     """
     rows = ref_lowbit_echelon(vectors)
     pivots = sum(rows)

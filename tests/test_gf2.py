@@ -19,7 +19,7 @@ from refs import (
     ref_set_bits,
     row_after,
 )
-from segre_pg72.anf import _coset_plan
+from segre_pg72.anf import _coset_plan, named_Q, symplectic_form
 from segre_pg72.gf2 import (
     UNIT,
     Flat,
@@ -30,7 +30,7 @@ from segre_pg72.gf2 import (
     _invert_perm,
     _kernel,
     _mask_of,
-    _reduce,
+    _rref,
     _set_bits,
     _transpose,
     _xor_sums,
@@ -47,7 +47,7 @@ from support import E, mirror, source_mutant
 
 def mirror_rows(rows, width):
     """Lowest-bit {pivot: row} rows over width bits, mirrored into the
-    highest-bit form of gf2._echelon and gf2._reduce, keyed by bit length."""
+    highest-bit form of gf2._echelon, keyed by bit length."""
     return {width + 1 - p.bit_length(): mirror(r, width) for p, r in rows.items()}
 
 
@@ -376,8 +376,13 @@ class TestPointCheck:
 
 
 class TestVectorCheck:
-    @pytest.mark.parametrize("v", [-1, 256, 1 << 300])
-    @pytest.mark.parametrize("caller", [weight, lambda v: Flat([E[1], v])], ids=["weight", "Flat"])
+    # a point map or an evaluation that indexed a table with v would answer
+    # for v + 256 when v is negative
+    @pytest.mark.parametrize("v", [-1, -255, 256, 1 << 300])
+    @pytest.mark.parametrize("caller", [
+        weight, lambda v: Flat([E[1], v]), lambda v: GFMatrix.identity()(v),
+        lambda v: named_Q()["Q2"].evaluate(v), lambda v: symplectic_form(v, 0),
+    ], ids=["weight", "Flat", "GFMatrix", "Anf.evaluate", "symplectic_form"])
     def test_non_vectors_are_rejected(self, caller, v):
         with pytest.raises(ValueError, match=f"^not an 8-bit vector: {v}$"):
             caller(v)
@@ -427,7 +432,7 @@ def tagged_rows(rng, width):
 
 
 def reduce_cases():
-    """Seeded systems by name, each a list of vector lists for _reduce."""
+    """Seeded systems by name, each a list of vector lists for the eliminations."""
     rng = random.Random(31)
     return {
         "empty": [[]],
@@ -458,8 +463,8 @@ def width_of(vectors):
 
 
 class TestReduce:
-    """The highest-bit _echelon and _reduce against the lowest-bit routes
-    they replaced, on mirrored vectors."""
+    """The highest-bit _echelon and the lowest-bit _rref against the
+    lowest-bit routes and the pivot-scanning reference."""
 
     @pytest.mark.parametrize("name", list(REDUCE_CASES))
     def test_the_lowest_bit_reference_agrees_with_pivot_scanning(self, name):
@@ -467,20 +472,21 @@ class TestReduce:
             assert ref_lowbit_reduce(vectors) == ref_reduce(vectors)
 
     @pytest.mark.parametrize("name", list(REDUCE_CASES))
-    def test_agrees_with_the_mirrored_pivot_scanning_reference(self, name):
-        for vectors in REDUCE_CASES[name]:
-            width = width_of(vectors)
-            mirrored = [mirror(v, width) for v in vectors]
-            assert _reduce(mirrored) == mirror_rows(ref_reduce(vectors), width)
-            assert _reduce(vectors) == mirror_rows(ref_reduce(mirrored), width)
-
-    @pytest.mark.parametrize("name", list(REDUCE_CASES))
     def test_echelon_rows_have_distinct_highest_bit_pivots_and_the_same_span(self, name):
         for vectors in REDUCE_CASES[name]:
             rows = _echelon(vectors)
             assert all(r.bit_length() == p for p, r in rows.items())
-            width = width_of(vectors)
-            assert _reduce(rows.values()) == mirror_rows(ref_reduce(mirror(v, width) for v in vectors), width)
+            assert ref_reduce(rows.values()) == ref_reduce(vectors)
+
+    def test_rref_agrees_with_the_lowest_bit_reference(self):
+        # every 8-bit system of REDUCE_CASES, then seeded lists of 0-11 bytes
+        rng = random.Random(61)
+        systems = [v for cases in REDUCE_CASES.values() for v in cases if width_of(v) <= 8]
+        assert len(systems) > 200
+        systems += [[rng.randrange(256) for _ in range(rng.randrange(12))] for _ in range(5000)]
+        for vectors in systems:
+            rows = ref_lowbit_reduce(vectors)
+            assert _rref(vectors) == tuple(rows[p] for p in sorted(rows)), vectors
 
     @pytest.mark.parametrize("name", list(REDUCE_CASES))
     def test_echelon_of_mirrored_vectors_mirrors_the_lowest_bit_elimination(self, name):

@@ -15,8 +15,9 @@ from refs import (
 )
 from segre_pg72 import groups
 from segre_pg72.checks import REGISTRY, Run
-from segre_pg72.gf2 import ConstructionError, Flat, GFMatrix, UNIT, _reduce, parse_point, span, weight
+from segre_pg72.gf2 import ConstructionError, Flat, GFMatrix, UNIT, _echelon, parse_point, span, weight
 from segre_pg72.groups import (
+    Chain,
     ClosureOverflowError,
     I2,
     MatrixGroup,
@@ -33,6 +34,7 @@ from segre_pg72.groups import (
     schreier_sims,
     segre_group,
     segre_group_even,
+    stabilizer_chain,
     stabilizer_of_point,
     sym3_operator,
     tensor_operator,
@@ -79,43 +81,23 @@ VERIFY_CHAIN_SETS = {
 }
 
 
-def chain_placements(generators, monkeypatch):
-    """schreier_sims run through a recording _Level.
+# each verify set's chain: strong generators per level, Schreier pairs
+# checked (orbit length times strong generators, summed over the levels)
+# and (Schreier generators sifted, sifted to the identity)
+CHAIN_RECORDS = {
+    "M,N": ((2, 2, 2, 1), 84, (37, 35)),
+    "M',N": ((2, 3, 2), 80, (33, 29)),
+    "M,K12": ((2, 2, 1), 24, (9, 7)),
+    "M,N,K": ((3, 3, 6, 9, 6, 3, 1), 1037, (655, 642)),
+    "M,N,K'": ((3, 3, 4, 6, 6, 3, 1), 869, (521, 508)),
+}
 
-    Returns the order, the levels in the order they were opened, and for
-    each strong generator its origin and the levels it was attached at, in
-    attach order.  The origin is the level whose Schreier pair was popped
-    last before the generator was attached, or None for an input generator,
-    which is attached before any pair is popped.
-    """
-    log, levels = [], []
 
-    class Pending(list):
-        def pop(self):
-            log.append((self.level, None))
-            return super().pop()
-
-    class Gens(list):
-        def append(self, pair):
-            log.append((self.level, pair[0]))
-            super().append(pair)
-
-    class Level(groups._Level):
-        def __init__(self, base):
-            super().__init__(base)
-            self.pending, self.gens = Pending(), Gens()
-            self.pending.level = self.gens.level = len(levels)
-            levels.append(self)
-
-    monkeypatch.setattr(groups, "_Level", Level)
-    order = schreier_sims(generators)
-    placements, origin = {}, None
-    for level, g in log:
-        if g is None:
-            origin = level
-        else:
-            placements.setdefault(g, (origin, []))[1].append(level)
-    return order, levels, list(placements.values())
+def chain_record(chain):
+    """The chain's entry in CHAIN_RECORDS' form."""
+    strong = tuple(map(len, chain.strong_generators))
+    pairs = sum(n * k for n, k in zip(chain.orbit_lengths, strong))
+    return strong, pairs, (sum(chain.sifted), sum(chain.sifted_to_identity))
 
 
 # chains that attach a residue at too few levels; each misses part of a
@@ -124,6 +106,10 @@ UNDER_ATTACHING = {
     "stick-level-only": ("for idx in range(k, low - 1, -1):", "for idx in (k,):"),
     "skips-level-i+1": ("add_generator(j, residue, k + 1)", "add_generator(j, residue, k + 2)"),
 }
+# a chain that attaches every Schreier residue down to level 0, as an input
+# generator is: the orders stay right, but the chain carries more strong
+# generators and checks more Schreier pairs
+OVER_ATTACHING = ("add_generator(j, residue, k + 1)", "add_generator(j, residue, 0)")
 
 
 def commutant_cases():
@@ -511,6 +497,7 @@ class TestSchreierSims:
         assert schreier_sims([element("M"), element("N"), element("K'")]) == 174_182_400
 
     def test_trivial_and_small_groups(self):
+        assert stabilizer_chain([]) == stabilizer_chain([GFMatrix.identity()]) == Chain(*[()] * 5)
         assert schreier_sims([]) == 1
         assert schreier_sims([GFMatrix.identity()]) == 1
         assert schreier_sims([element("J")]) == 2
@@ -535,28 +522,55 @@ class TestSchreierSims:
         assert schreier_sims(gens) == ref_schreier_sims(gens) == VERIFY_CHAIN_SETS[label]
 
     @pytest.mark.parametrize("label", VERIFY_CHAIN_SETS)
-    def test_a_schreier_residue_is_attached_only_below_its_pair_level(self, label, monkeypatch):
-        # an input generator sticking at level k goes to levels k..0; a
-        # residue of a level-i pair sticking at level j to levels j..i+1
-        order, _, placements = chain_placements(elements(label), monkeypatch)
-        assert order == VERIFY_CHAIN_SETS[label]
-        for origin, attached in placements:
-            low = 0 if origin is None else origin + 1
-            assert attached == list(range(attached[0], low - 1, -1))
-        assert any(origin is not None for origin, _ in placements)
+    def test_a_schreier_residue_is_attached_only_below_its_pair_level(self, label):
+        # an input generator sticking at level k goes to levels 0..k; a
+        # residue of a level-i pair sticking at level j to levels i+1..j.
+        # Attaching at more levels keeps the order, so the record is pinned
+        chain = stabilizer_chain(elements(label))
+        assert prod(chain.orbit_lengths) == VERIFY_CHAIN_SETS[label]
+        assert chain_record(chain) == CHAIN_RECORDS[label]
+        distinct = {g for gens in chain.strong_generators for g in gens}
+        for g in distinct:
+            levels = [i for i, gens in enumerate(chain.strong_generators) if g in gens]
+            assert levels == list(range(levels[0], levels[-1] + 1))
+        # each sift that misses the identity adds one strong generator; the
+        # others are the residues of the input generators, the only ones
+        # attached at level 0
+        assert len(chain.strong_generators[0]) <= len(elements(label))
+        sifted, to_identity = CHAIN_RECORDS[label][2]
+        assert sifted - to_identity == len(distinct) - len(chain.strong_generators[0])
 
-    def test_the_orthogonal_group_chain_checks_few_schreier_pairs(self, monkeypatch):
-        # sum over levels of orbit length times strong generators: 3,659
-        # when every residue was attached down to level 0
-        order, levels, _ = chain_placements(elements("M,N,K"), monkeypatch)
-        assert order == VERIFY_CHAIN_SETS["M,N,K"]
-        assert sum(len(lv.transversal) * len(lv.gens) for lv in levels) <= 1100
+    def test_a_chain_that_attaches_residues_down_to_level_0_fails_the_pin(self):
+        mutant = source_mutant(stabilizer_chain, OVER_ATTACHING)
+        chains = {label: mutant(elements(label)) for label in VERIFY_CHAIN_SETS}
+        assert {label: prod(c.orbit_lengths) for label, c in chains.items()} == VERIFY_CHAIN_SETS
+        assert all(chain_record(chains[label]) != CHAIN_RECORDS[label] for label in chains)
+        assert chain_record(chains["M,N,K"])[:2] == ((15, 14, 12, 10, 6, 3, 1), 3659)
+
+    def test_the_orthogonal_group_chain_checks_few_schreier_pairs(self):
+        # 3,659 when every residue was attached down to level 0
+        chain = stabilizer_chain(elements("M,N,K"))
+        assert chain_record(chain)[1] == 1037
+        assert chain.bases == (E[1], E[3], E[2], E[5], E[6], E[7], E[4])
+
+    @pytest.mark.parametrize("label", ["M,N", "M',N", "M,K12"])
+    def test_each_level_generates_the_stabilizer_of_the_bases_above(self, label):
+        # level i's strong generators fix the bases above it, move base i
+        # through its basic orbit, and generate a group of the product of
+        # the orbit lengths from i on
+        chain = stabilizer_chain(elements(label))
+        for i, gens in enumerate(chain.strong_generators):
+            level = closure(GFMatrix(g) for g in gens)
+            assert len(level) == prod(chain.orbit_lengths[i:])
+            assert all(m(b) == b for m in level.elements for b in chain.bases[:i])
+            assert len({m(chain.bases[i]) for m in level.elements}) == chain.orbit_lengths[i]
 
     @pytest.mark.parametrize("edit", UNDER_ATTACHING.values(), ids=list(UNDER_ATTACHING))
     def test_a_chain_that_attaches_too_few_gives_a_wrong_order(self, edit):
-        mutant = source_mutant(schreier_sims, edit)
+        mutant = source_mutant(stabilizer_chain, edit)
         with deadline(10, "an under-attaching chain"):
-            orders = {label: mutant(elements(label)) for label in VERIFY_CHAIN_SETS}
+            orders = {label: prod(mutant(elements(label)).orbit_lengths)
+                      for label in VERIFY_CHAIN_SETS}
         assert orders != VERIFY_CHAIN_SETS
         assert all(orders[label] <= VERIFY_CHAIN_SETS[label] for label in orders)
 
@@ -584,21 +598,11 @@ class TestColumnSift:
                 assert v & (v - 1) == 0, mat.cols
 
     @pytest.mark.parametrize("label", VERIFY_CHAIN_SETS)
-    def test_every_residue_the_chain_adds_moves_a_unit_vector_first(self, label, monkeypatch):
-        # each residue added as a strong generator is inverted exactly once
-        residues = []
-        invert = groups._invert_perm
-
-        def recording(p):
-            residues.append(p)
-            return invert(p)
-
-        monkeypatch.setattr(groups, "_invert_perm", recording)
-        assert schreier_sims(elements(label)) == VERIFY_CHAIN_SETS[label]
-        assert residues
-        for p in residues:
-            v = smallest_moved(GFMatrix._from_perm(p))
-            assert v & (v - 1) == 0
+    def test_every_residue_the_chain_adds_moves_a_unit_vector_first(self, label):
+        chain = stabilizer_chain(elements(label))
+        moved = {smallest_moved(GFMatrix(g)) for gens in chain.strong_generators for g in gens}
+        assert moved and all(v & (v - 1) == 0 for v in moved)
+        assert set(chain.bases) <= moved
 
     def test_a_base_point_that_is_no_unit_vector_is_rejected(self, monkeypatch):
         monkeypatch.setattr(
@@ -607,25 +611,19 @@ class TestColumnSift:
         with pytest.raises(ConstructionError, match="^base point is not a unit vector$"):
             schreier_sims([element("J")])
 
-    def test_a_sift_that_misses_an_orbit_point_is_stopped(self, monkeypatch):
+    def test_a_sift_that_misses_an_orbit_point_is_stopped(self):
         # every level's inverse transversal forgets e4, which lies in the
         # first level's orbit (the variety), so a sift can stop there with a
         # residue that adds no orbit point; without the guard this chain for
         # <M,N> adds such residues without end
-        class Forgetful(dict):
-            def get(self, key, default=None):
-                return default if key == E[4] else super().get(key, default)
-
-        class Level(groups._Level):
-            def __init__(self, base):
-                super().__init__(base)
-                self.inv_transversal = Forgetful(self.inv_transversal)
-
-        monkeypatch.setattr(groups, "_Level", Level)
-        with deadline(2, "schreier_sims with a forgetful level"):
+        forgetful = source_mutant(stabilizer_chain, (
+            "t_inv = lv.inv_transversal.get(img)",
+            f"t_inv = None if img == {E[4]} else lv.inv_transversal.get(img)",
+        ))
+        with deadline(2, "a chain with a forgetful level"):
             with pytest.raises(ConstructionError,
                                match="^sifted residue adds no point to the orbit of its level$"):
-                schreier_sims(elements("M,N"))
+                forgetful(elements("M,N"))
 
 
 class TestFixSubspace:
@@ -670,7 +668,7 @@ class TestCommutantAndCentralizer:
             for x in basis:
                 assert all(x * a == a * x for a in gens), name
             packed = [int.from_bytes(bytes(x.cols), "little") for x in basis]
-            assert len(_reduce(packed)) == len(basis), name
+            assert len(_echelon(packed)) == len(basis), name
 
     def test_centralizer_agrees_with_matrix_sum_reference(self):
         checked = 0
@@ -768,6 +766,7 @@ NOT_A_MATRIX = {
     "MatrixGroup elements": lambda: MatrixGroup([element("M")], ["x"]),
     "closure": lambda: closure([1]),
     "schreier_sims": lambda: schreier_sims([1]),
+    "stabilizer_chain": lambda: stabilizer_chain([1]),
     "commutant_basis": lambda: commutant_basis([1]),
     "centralizer_in_gl": lambda: centralizer_in_gl(["x"]),
 }

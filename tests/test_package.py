@@ -17,6 +17,7 @@ import pytest
 
 import segre_pg72
 from segre_pg72 import groups
+from segre_pg72.groups import elements, stabilizer_chain
 from segre_pg72.orbits import OrbitClass, OrbitPartition, Spread
 from segre_pg72.segre import SegreModel, build_model
 from support import deadline
@@ -130,7 +131,8 @@ def test_unknown_name_is_an_attribute_error():
     lambda: OrbitClass((3, 5, 6)),
     lambda: OrbitPartition((OrbitClass((1,)), OrbitClass((2, 3)))),
     lambda: Spread((frozenset((1, 2, 3)), frozenset((4, 8, 12)))),
-], ids=["OrbitClass", "OrbitPartition", "Spread"])
+    lambda: stabilizer_chain(elements("M,N")),
+], ids=["OrbitClass", "OrbitPartition", "Spread", "Chain"])
 def test_records_compare_and_hash_by_value_and_are_immutable(make):
     a, b = make(), make()
     assert a is not b and a == b and hash(a) == hash(b)

@@ -38,8 +38,6 @@ INPUT_GUARDS = {
 # flat-sum routes share these and the two Anf sums
 Q_ROUTES = {
     "anf.Anf.__init__": "each route's result is an Anf",
-    "gf2._echelon": "the P route's invertibility guards (a rank) and the "
-                    "canonical bases of the model's flats (_rref)",
     "gf2._mask_of": "a monomial-orbit coefficient mask; a point-set mask",
     "gf2._xor_sums": "the generators' point tables; the points of a flat",
     "segre.segre_point": "the tensor operators of the cube group; the model's 27 points",
