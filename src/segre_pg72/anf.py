@@ -31,7 +31,8 @@ from .orbits import point_orbit
 
 TABLE_FULL = (1 << 256) - 1
 
-# butterfly masks: positions whose index has bit i clear
+# butterfly masks: positions whose index has bit i clear.  Mask j is also the
+# truth table of the mirrored coordinate y -> x_(j+1)(y + u), u the unit point
 _MOBIUS_MASKS = []
 for _i in range(DIM):
     _step = 1 << _i
@@ -53,17 +54,6 @@ def mobius(table: int) -> int:
     return table
 
 
-# _SUBSETS[x] has bit T set exactly when T is a submask of x
-_SUBSETS = [1] * 256
-for _x in range(1, 256):
-    _low = _x & -_x
-    _rest = _SUBSETS[_x ^ _low]
-    _SUBSETS[_x] = _rest | (_rest << _low)
-
-# _COORDINATE_TABLES[j] is the truth table of x_(j+1): the vectors with bit j set
-_COORDINATE_TABLES = [TABLE_FULL ^ m for m in _MOBIUS_MASKS]
-
-
 def _product_tables(forms) -> list[int]:
     """Entry T: the truth table of the product of forms[i] over the bits i of T.
 
@@ -78,8 +68,12 @@ def _product_tables(forms) -> list[int]:
 
 
 # _MIRRORED_MONOMIAL_TABLES[T] is the truth table of y -> x_T(y + u): the
-# vectors that miss T, a product of the complemented coordinate tables
+# vectors that miss T, a product of the mirrored coordinate tables
 _MIRRORED_MONOMIAL_TABLES = _product_tables(_MOBIUS_MASKS)
+
+# _SUBSETS[x] has bit T set exactly when T is a submask of x, that is when T
+# misses x ^ 255: the same relation, read from the other side
+_SUBSETS = _MIRRORED_MONOMIAL_TABLES[::-1]
 
 # _BY_DEGREE[d] has bit T set exactly when T has popcount d
 _BY_DEGREE = [0] * 9
@@ -102,10 +96,6 @@ class Anf:
         return cls(0)
 
     @classmethod
-    def one(cls) -> "Anf":
-        return cls(1)
-
-    @classmethod
     def monomial(cls, indices) -> "Anf":
         mask = 0
         for i in indices:
@@ -113,10 +103,6 @@ class Anf:
                 raise ValueError(f"bad monomial indices {indices!r}")
             mask |= 1 << (i - 1)
         return cls(1 << mask)
-
-    @classmethod
-    def variable(cls, i: int) -> "Anf":
-        return cls.monomial((i,))
 
     def __add__(self, other: "Anf") -> "Anf":
         return Anf(self.coeffs ^ other.coeffs)
@@ -441,9 +427,10 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
     lowest-bit elimination of the natural tables: generator 0's 256-bit
     block is highest, and point x of a block sits at bit x ^ 255.  That
     block is the truth table of y -> image(x_T)(y + u) + x_T(y + u), u the
-    unit point; (A(y + u))_i is the form (A y)_i, complemented when bit i
-    of A u is set.  The basis lists the invariants by their highest
-    monomial, ascending.
+    unit point.  Bit j of y + u is 1 exactly where bit j of y is clear, so
+    the mirrored coordinate tables are the _MOBIUS_MASKS, and the form
+    (A(y + u))_i is the XOR of the masks j with a_ij = 1.  The basis lists
+    the invariants by their highest monomial, ascending.
     """
     if not 1 <= max_degree <= 8:
         raise ValueError("degree must be between 1 and 8")
@@ -456,13 +443,12 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
         if not mat.is_invertible():
             raise ValueError("substitution requires an invertible matrix")
         offset -= 256
-        # lin[i]: truth table of y -> bit i of A(y + u), a sum of coordinate
-        # tables, complemented when bit i of A u is set
-        unit_image = mat.perm[UNIT]
-        lin = [TABLE_FULL if unit_image >> i & 1 else 0 for i in range(DIM)]
+        # lin[i]: truth table of y -> bit i of A(y + u), a sum of mirrored
+        # coordinate tables
+        lin = [0] * DIM
         for j, col in enumerate(mat.cols):
             for i in _set_bits(col):
-                lin[i] ^= _COORDINATE_TABLES[j]
+                lin[i] ^= _MOBIUS_MASKS[j]
         tt = _product_tables(lin)
         for t in vectors:
             vectors[t] |= (tt[t] ^ _MIRRORED_MONOMIAL_TABLES[t]) << offset
@@ -502,19 +488,6 @@ def named_Q() -> dict[str, Anf]:
     """Q2, Q4, Q4', Q6, Q6', read from the _Q_CLOSED_FORMS table of P sums."""
     p = named_P_basis()
     return {name: _sum_of(text, p) for name, text in _Q_CLOSED_FORMS.items()}
-
-
-# value on (O1, O2, O3, O4, O5) and size of the zero set, for each invariant
-# of degree at most 4
-SEVEN_TABLE = (
-    ("Q2", (1, 0, 1, 0, 0), 135),
-    ("Q4", (1, 0, 1, 1, 0), 81),
-    ("Q4'", (1, 1, 0, 0, 0), 189),
-    ("Q4+Q4'", (0, 1, 1, 1, 0), 39),
-    ("Q2+Q4", (0, 0, 0, 1, 0), 201),
-    ("Q2+Q4'", (0, 1, 1, 0, 0), 93),
-    ("Q2+Q4+Q4'", (1, 1, 0, 1, 0), 135),
-)
 
 
 def resolve_poly_name(name: str) -> Anf:

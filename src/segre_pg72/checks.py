@@ -441,7 +441,18 @@ for _name, _labels, _degree in _ZERO_SETS:
     check(f"polys/incidence/{_name}", f"incidence degree of the zero set of {_name}",
           lambda run, labels=_labels, degree=_degree: (
               degree, anf.degree_by_incidence(_zero_set_mask(labels))))
-for _name, _values, _size in anf.SEVEN_TABLE:
+# value on (O1, O2, O3, O4, O5) and size of the zero set, for each invariant
+# of degree at most 4
+SEVEN_TABLE = (
+    ("Q2", (1, 0, 1, 0, 0), 135),
+    ("Q4", (1, 0, 1, 1, 0), 81),
+    ("Q4'", (1, 1, 0, 0, 0), 189),
+    ("Q4+Q4'", (0, 1, 1, 1, 0), 39),
+    ("Q2+Q4", (0, 0, 0, 1, 0), 201),
+    ("Q2+Q4'", (0, 1, 1, 0, 0), 93),
+    ("Q2+Q4+Q4'", (1, 1, 0, 1, 0), 135),
+)
+for _name, _values, _size in SEVEN_TABLE:
     check(f"polys/seven-table/{_name}/values", f"{_name} on (O1..O5)",
           partial(_class_values, _name, _values))
     check(f"polys/seven-table/{_name}/zeros", f"|zero set of {_name}|",

@@ -268,11 +268,6 @@ class _Level:
         self.sifted = self.sifted_to_identity = 0
 
 
-def _smallest_moved(g: bytes) -> int:
-    """The smallest point a non-identity point table moves."""
-    return next(v for v in range(1, 256) if g[v] != v)
-
-
 def schreier_sims(generators) -> int:
     """Order of the generated group: the product of its chain's orbit lengths."""
     return prod(stabilizer_chain(generators).orbit_lengths)
@@ -359,7 +354,7 @@ def stabilizer_chain(generators) -> Chain:
             raise ConstructionError("sifted residue moves a base point of a higher level")
         g = bytes(_xor_sums(e))
         if k == len(levels):
-            base = _smallest_moved(g)
+            base = next(v for v in range(1, 256) if g[v] != v)
             if base & (base - 1):
                 raise ConstructionError("base point is not a unit vector")
             levels.append(_Level(base))

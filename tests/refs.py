@@ -595,11 +595,11 @@ def ref_flat_equation(x: Flat) -> Anf:
 
     Checks `anf.flat_equation`; replaced in 2c76f0a.
     """
-    poly = Anf.one()
+    poly = Anf(1)
     for g in ref_nullspace(x.basis, 8):
-        form = sum((Anf.variable(i) for i in range(1, 9) if g >> i - 1 & 1), Anf.zero())
-        poly = poly * (Anf.one() + form)
-    return Anf.one() + poly
+        form = sum((Anf.monomial((i,)) for i in range(1, 9) if g >> i - 1 & 1), Anf.zero())
+        poly = poly * (Anf(1) + form)
+    return Anf(1) + poly
 
 
 def ref_substitute(f: Anf, mat: GFMatrix) -> Anf:

@@ -13,8 +13,8 @@ import sys
 import time
 from pathlib import Path
 
-from segre_pg72.anf import SEVEN_TABLE, named_Q
-from segre_pg72.checks import Run
+from segre_pg72.anf import named_Q
+from segre_pg72.checks import SEVEN_TABLE, Run
 from segre_pg72.orbits import CUBE_ORBIT_CENSUS, definitional_orbits, orbit_mask
 
 ROOT = Path(__file__).resolve().parent.parent

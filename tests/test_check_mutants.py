@@ -6,11 +6,13 @@ holds it, and never changes an expected literal in `checks.py`. The
 package caches are cleared before and after each run, so the mutant is
 seen by that run alone.
 
-This table holds three slices: the invariant-solving kernel, `gf2._kernel`,
+This table holds five slices: the invariant-solving kernel, `gf2._kernel`,
 and the checks that read it; the incidence scan's plan, `anf._coset_plan`,
-and the `polys/incidence/*` checks that read it; and the stabilizer chain,
+and the `polys/incidence/*` checks that read it; the stabilizer chain,
 `groups.stabilizer_chain`, and the `groups/chain/*` checks that read its
-orders.
+orders; the point orbits, `orbits.point_orbits`, and the `orbits/*` and
+`table1/*` checks that read the partition; and the line split,
+`orbits.line_orbit_split`, and the `spread/*` checks that read its classes.
 """
 
 import sys
@@ -21,6 +23,7 @@ from segre_pg72.anf import _coset_plan, invariant_subspace
 from segre_pg72.checks import REGISTRY, Run
 from segre_pg72.gf2 import _kernel
 from segre_pg72.groups import stabilizer_chain
+from segre_pg72.orbits import line_orbit_split, point_orbits
 from support import PACKAGE, clear_caches, source_mutant
 
 # the highest-pivot kernel row dropped: every kernel loses one dimension.
@@ -50,6 +53,17 @@ SKIPS_THE_LEVEL_BELOW_THE_PAIR = (
     stabilizer_chain,
     ("add_generator(j, residue, k + 1)", "add_generator(j, residue, k + 2)"),
 )
+# the orbits of the first generator alone: every partition splits finer
+ORBITS_OF_THE_FIRST_GENERATOR = (
+    point_orbits,
+    ("for g in group.generators]", "for g in group.generators[:1]]"),
+)
+# the line walk follows the first generator alone: every class of the split
+# splits finer
+SPLITS_BY_THE_FIRST_GENERATOR = (
+    line_orbit_split,
+    ("for perm, move in moves:", "for perm, move in moves[:1]:"),
+)
 
 MUTANTS = {
     **dict.fromkeys(
@@ -75,6 +89,23 @@ MUTANTS = {
     **dict.fromkeys(
         [f"groups/chain/{label}" for label in ("M,N", "M',N", "M,K12", "M,N,K", "M,N,K'")],
         SKIPS_THE_LEVEL_BELOW_THE_PAIR,
+    ),
+    **dict.fromkeys(
+        [
+            "orbits/sizes",
+            "orbits/classifier",
+            "orbits/even-count",
+            "orbits/even-classes",
+            "table1/count",
+            "table1/coverage",
+            *(f"table1/O{k}" for k in range(1, 6)),
+        ],
+        ORBITS_OF_THE_FIRST_GENERATOR,
+    ),
+    **dict.fromkeys(
+        [f"spread/{name}" for name in
+         ("orbit-sizes", "L4", "L18", "L36", "L27", "tetrad", "tangents")],
+        SPLITS_BY_THE_FIRST_GENERATOR,
     ),
 }
 

@@ -604,12 +604,11 @@ class TestColumnSift:
         assert moved and all(v & (v - 1) == 0 for v in moved)
         assert set(chain.bases) <= moved
 
-    def test_a_base_point_that_is_no_unit_vector_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(
-            groups, "_smallest_moved",
-            lambda g: next(v for v in range(1, 256) if g[v] != v and v & (v - 1)))
+    def test_a_base_point_that_is_no_unit_vector_is_rejected(self):
+        # the smallest moved point that is no unit vector: 3 on <J>
+        mutant = source_mutant(stabilizer_chain, ("if g[v] != v)", "if g[v] != v and v & (v - 1))"))
         with pytest.raises(ConstructionError, match="^base point is not a unit vector$"):
-            schreier_sims([element("J")])
+            mutant([element("J")])
 
     def test_a_sift_that_misses_an_orbit_point_is_stopped(self):
         # every level's inverse transversal forgets e4, which lies in the
