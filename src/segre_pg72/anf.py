@@ -24,25 +24,24 @@ from .gf2 import (
     _kernel,
     _mask_of,
     _set_bits,
-    _xor_sums,
 )
 from .groups import MatrixGroup, cube_group
 from .orbits import point_orbit
 
 TABLE_FULL = (1 << 256) - 1
 
+
+def _tiled(block: int, period: int, width: int) -> int:
+    """block repeated every period bits up to width bits (powers of two)."""
+    while period < width:
+        block |= block << period
+        period <<= 1
+    return block
+
+
 # butterfly masks: positions whose index has bit i clear.  Mask j is also the
 # truth table of the mirrored coordinate y -> x_(j+1)(y + u), u the unit point
-_MOBIUS_MASKS = []
-for _i in range(DIM):
-    _step = 1 << _i
-    _block = (1 << _step) - 1
-    _mask = 0
-    _pos = 0
-    while _pos < 256:
-        _mask |= _block << _pos
-        _pos += 2 * _step
-    _MOBIUS_MASKS.append(_mask)
+_MOBIUS_MASKS = [_tiled((1 << (1 << i)) - 1, 2 << i, 256) for i in range(DIM)]
 
 
 def mobius(table: int) -> int:
@@ -206,93 +205,90 @@ def _byte_table(mask: int) -> bytes:
     return f"{mask:0256b}".encode()[::-1].translate(_BITS)
 
 
-@cache
-def _swap_masks() -> tuple[int, ...]:
-    """Masks over 512 blocks of 256 bits, the most a packed coset table holds.
-
-    Entry b < 8 marks the positions whose bit b is clear (_MOBIUS_MASKS[b]
-    in every block), and entry 8 marks position 0 of every block.
-    """
-    rep = 1
-    for i in range(9):
-        rep |= rep << (256 << i)
-    return tuple(m * rep for m in _MOBIUS_MASKS) + (rep,)
+# the widest packed table: 2^17 bits, for the pivot set {1, 2, 3}
+_WIDEST = 1 << 17
 
 
 @cache
-def _coset_plan(k: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
-    """The flats of vector dimension k as (fills, rows) pairs, one per layout.
+def _scan_tables() -> tuple[tuple[int, ...], tuple[bytes, ...]]:
+    """The masks and flips that every _quotient_plan entry shares.
 
-    A layout is a pivot set of k columns: row i of a reduced-echelon
-    basis has pivot bit pivots[i] and may carry its free columns, the
-    non-pivot columns above it, highest first.  Row i has
-    7 - pivots[i] - (k-1-i) free columns, so a stable sort of the pivot
-    sets by -sum(pivots) puts the layouts with the fewest free columns
-    first.  Row 0 has the most fills (each row's free columns include
-    those of every later row), and fills is the 256-bit mask of them all.
-    rows holds the other rows, row k-1 first and row 1 last, each as its
-    flips: its pivot bit, then the free column that each step of a Gray
-    walk over its fills toggles.  After flip g the row is the XOR of
-    1 << b over its first g + 1 flips, so the flips visit each fill of
-    the row once.
+    masks[b] marks the positions of the widest packed table whose bit b is
+    clear; flips[c] is the point table of v -> v ^ (1 << c).
     """
+    masks = tuple(_tiled(m, 256, _WIDEST) for m in _MOBIUS_MASKS)
+    return masks, tuple(bytes(v ^ 1 << c for v in range(256)) for c in range(DIM))
+
+
+@cache
+def _quotient_plan(k: int) -> tuple[tuple[bytes, tuple, int, int, int], ...]:
+    """The flats of vector dimension k, one entry per pivot set of rows 1..k-1.
+
+    Row i of a flat's reduced-echelon basis has pivot (lowest) bit p_i and
+    may carry the non-pivot columns above it.  Rows 1..k-1 span H, with
+    pivots S, a subset of 1..7; row 0 is a vector r that is 0 on S and has
+    a bit below min S.  psi meets the flat <H, r> in T_H(0) ^ T_H(r) points
+    mod 2, T_H(x) being the parity of psi on x + H.  T_H is constant on the
+    cosets of H, so it is a table over the quotient columns, those not in S.
+
+    An entry is (perm, rows, quot, origins, targets), entries in ascending
+    order of their flat count.  perm is the point table of the coordinate
+    order "quotient columns low, S columns high", each ascending; index bit
+    i of a packed table stands for column i of that order.  rows holds the
+    rows of H, highest pivot first, as (step, keep, doublings): step is
+    1 << the pivot's index bit and keep its swap mask.  A row folds psi
+    into T_H(x) ^ T_H(x ^ row) at the positions with that bit clear, then
+    doubles the table once per free column as (shift, flip, flip_keep):
+    the copy with the column flipped goes to positions `shift` higher, to
+    the pivot's own bit first and then to fresh top bits.  A row with no
+    free column has the top bit, and halves the table.  The result holds one
+    quot-bit table T_H per fill of all rows; origins marks position 0 of
+    each and targets the allowed r.  So bit j of _even_bits names the flat
+    spanned by perm[j % quot] and, per row, perm[step ^ the flip of each
+    doubling whose shift is a bit of j].
+    """
+    masks, flips = _scan_tables()
     plan = []
-    for pivots in sorted(combinations(range(DIM), k), key=lambda pivots: -sum(pivots)):
-        cols = [[b for b in range(DIM - 1, p, -1) if b not in pivots] for p in pivots]
-        fills = _mask_of(1 << pivots[0] ^ s for s in _xor_sums([1 << b for b in cols[0]]))
-        rows = tuple(
-            (pivots[i],)
-            + tuple(cols[i][(g & -g).bit_length() - 1] for g in range(1, 1 << len(cols[i])))
-            for i in range(k - 1, 0, -1)
-        )
-        plan.append((fills, rows))
-    return tuple(plan)
+    for pivots in combinations(range(1, DIM), k - 1):
+        low = [c for c in range(DIM) if c not in pivots]
+        order = low + list(pivots)
+        perm = b"\0"
+        for c in order:
+            perm += perm.translate(flips[c])
+        width, rows = 256, []
+        for b in range(DIM - 1, len(low) - 1, -1):
+            cols = [c for c, col in enumerate(low) if col > order[b]]
+            if not cols:  # a top pivot: its fold halves the table
+                width >>= 1
+            shifts = [1 << b]
+            for _ in cols[1:]:
+                shifts.append(width)
+                width <<= 1
+            doublings = tuple((s, 1 << c, masks[c]) for s, c in zip(shifts, cols))
+            rows.append((1 << b, masks[b], doublings))
+        quot, below = 1 << len(low), 1 << (pivots[0] if pivots else DIM)
+        origins = _tiled(1, quot, width)
+        targets = _tiled((1 << below) - 2, below, width)  # r with a bit below min S
+        plan.append((perm, tuple(rows), quot, origins, targets))
+    return tuple(sorted(plan, key=lambda entry: entry[4].bit_count()))
 
 
-def _coset_sums(table: int, flips, masks):
-    """Yield table ^ table(x ^ s) after each flip of s, blockwise.
+def _even_bits(entry, table: bytes) -> int:
+    """The flats of one _quotient_plan entry that meet psi evenly, as bits.
 
-    table packs blocks T_H(x) = sum of psi(x ^ h) over h in H, for subspaces
-    H; flipping bit b of x is one shift each way under masks[b].  The yielded
-    block is T_(H + <s>), since T_(H+<s>)(x) = T_H(x) ^ T_H(x ^ s).
+    table is psi's byte table; one bytes.translate gathers psi in the
+    entry's coordinate order, and the rows fold it into the packed T_H.
     """
-    moved = table
-    for b in flips:
-        step, keep = 1 << b, masks[b]
-        moved = (moved & keep) << step | (moved >> step) & keep
-        yield table ^ moved
-
-
-def _even_flats(entry, psi: int):
-    """Yield the flats of one _coset_plan entry that meet psi evenly.
-
-    A flat is <H, r> with r a fill of row 0 and H the span of the other
-    rows, and it meets psi in T_H(0) ^ T_H(r) points, mod 2.  So one packed
-    table of T_H per fill of the other rows answers all fills of row 0 at
-    once.  The rows but the last are packed into one int, each new row's
-    fills as the high digit of the block index; the last row's fills are
-    yielded one piece each, unjoined.
-
-    Bit r of block j of the g-th piece is set exactly when the flat with
-    these rows meets psi evenly: row 0 is r itself, row 1 (the last of
-    rows) stands after its flip g, and j, read in mixed radix with one digit
-    per packed row (row k-1 the lowest, each radix the number of that row's
-    flips), gives the flip after which each of rows k-1..2 stands.
-    """
-    fills, rows = entry
-    masks = _swap_masks()
-    table, width = psi, 256
-    for flips in rows[:-1]:
-        packed = 0
-        for g, t in enumerate(_coset_sums(table, flips, masks)):
-            packed |= t << g * width
-        table, width = packed, width * len(flips)
-    rep = masks[DIM] & (1 << width) - 1
-    targets = fills * rep
-    for t in _coset_sums(table, rows[-1], masks) if rows else (table,):
-        origin = t & rep  # T_H(0) per block; times TABLE_FULL, it fills the block
-        parities = t ^ (origin << 256) - origin
-        yield parities & targets ^ targets
+    perm, rows, quot, origins, targets = entry
+    t = int(perm.translate(table)[::-1].translate(_DIGITS), 2)
+    for step, keep, doublings in rows:
+        lo, hi = t & keep, t >> step & keep
+        for shift, flip, flip_keep in doublings:
+            hi |= ((hi & flip_keep) << flip | (hi >> flip) & flip_keep) << shift
+            lo |= lo << shift
+        t = lo ^ hi
+    origin = t & origins  # T_H(0) per table; times 2^quot - 1, it fills the table
+    return (t ^ (origin << quot) - origin) & targets ^ targets
 
 
 def degree_by_incidence(psi: int) -> int:
@@ -303,17 +299,18 @@ def degree_by_incidence(psi: int) -> int:
     the (d-1)-flats has already found one meeting psi evenly: the witness
     that d is minimal.  This route never touches the coefficient algebra, so
     it can cross-check it.
-    Each scan reads only the indicator of psi, through coset tables: per
-    layout of _coset_plan, one 256-bit block of subspace sums per fill of
-    all rows but row 0, whose fills are tested as one bit mask (see
-    _even_flats).  A packed table lives for one layout, at most 512 blocks
-    (16 KB), and none is cached.
+    Each scan reads only the indicator of psi, through quotient tables: per
+    entry of _quotient_plan, one packed table of T_H over the quotient
+    columns per fill of the rows of H, whose every row 0 is tested as one
+    bit mask (see _even_bits).  The plans and their masks are built on the
+    first scan and cached, about 0.4 MB; a packed table is at most 16 KB.
     """
     _check_pointset(psi)
     if psi.bit_count() % 2 == 0:
         raise ValueError("incidence criterion requires an odd point count")
+    table = _byte_table(psi)
     for d in range(8):
-        if not any(any(_even_flats(entry, psi)) for entry in _coset_plan(d + 1)):
+        if not any(_even_bits(entry, table) for entry in _quotient_plan(d + 1)):
             return d
     raise AssertionError("unreachable: the full space meets an odd set oddly")
 

@@ -5,16 +5,17 @@ Each reference is a slower or differently built route to a result of
 each docstring names the package function it checks and the commit that
 replaced the route (or that added the reference, for one that never lived
 in the package).  A reference that several tests solve on one input keeps
-that input's work: `echelon_bases` is built once per dimension, and
-`monomial_image` once per matrix and monomial.
+that input's work: `echelon_bases` is built once per dimension,
+`monomial_image` once per matrix and monomial, and `coefficient_columns`
+once per matrix.
 """
 
 from functools import cache
 from itertools import combinations
 from math import prod
 
-from segre_pg72.anf import Anf, _byte_table, mobius
-from segre_pg72.gf2 import UNIT, Flat, GFMatrix, _xor_sums
+from segre_pg72.anf import _MOBIUS_MASKS, Anf, _byte_table, mobius
+from segre_pg72.gf2 import UNIT, Flat, GFMatrix, _set_bits, _xor_sums
 from segre_pg72.groups import DEFAULT_CAP, ClosureOverflowError, element
 from segre_pg72.orbits import OrbitClass, Spread
 from segre_pg72.segre import BASIS_INDEX, segre_point
@@ -172,10 +173,10 @@ def ref_echelon_layouts(k):
     pivot, and each free slot (i, b) lets row i carry column b, a non-pivot
     column above its own pivot.  Slots are listed row by row, columns
     descending, so filling them as the bits of a counter (first slot highest)
-    ascends in the lex order of the row tuples.  anf._coset_plan builds its
+    ascends in the lex order of the row tuples.  ref_coset_plan builds its
     entries from the pivot sets directly; this is the layout form it replaced.
 
-    Checks `anf._coset_plan`; replaced in 650c00e.
+    Checks the incidence plan (`anf._quotient_plan`); replaced in 650c00e.
     """
     layouts = []
     for pivots in combinations(range(8), k):
@@ -195,7 +196,7 @@ def echelon_bases(k):
     layout in ref_echelon_layouts order: per layout, fills counted upward
     with the first free slot as the top bit.  Built once per k.
 
-    Checks `anf._coset_plan`; moved out of the package in 7d8b976.
+    Checks `anf._quotient_plan`; moved out of the package in 7d8b976.
     """
     bases = []
     for base_rows, slots in ref_echelon_layouts(k):
@@ -211,7 +212,7 @@ def echelon_bases(k):
 def flats_of_dimension(d):
     """Every d-flat of PG(7,2) exactly once, in echelon_bases order.
 
-    Checks `anf._coset_plan`; moved out of the package in 7d8b976.
+    Checks `anf._quotient_plan`; moved out of the package in 7d8b976.
     """
     if not 0 <= d <= 7:
         raise ValueError(f"projective dimension out of range: {d}")
@@ -222,7 +223,7 @@ def flats_of_dimension(d):
 def row_after(flips, g: int) -> int:
     """A plan row after flip g: the XOR of 1 << b over its first g + 1 flips.
 
-    Reads the rows of `anf._coset_plan`; added in ec71c68.
+    Reads the rows of `ref_coset_plan`; added in ec71c68.
     """
     v = 0
     for b in flips[: g + 1]:
@@ -234,7 +235,7 @@ def gaussian_binomial_oracle(n, k):
     """The number of k-dim subspaces of GF(2)^n, by the product formula with
     explicit descending factors.
 
-    Counts the flats of `anf._coset_plan`; added with the first flat
+    Counts the flats of `anf._quotient_plan`; added with the first flat
     enumeration, in e1d4172.
     """
     if k < 0 or k > n:
@@ -651,28 +652,40 @@ def ref_invariant_subspace(generators, max_degree: int) -> list[Anf]:
 COORDINATE_TABLES = [mask_of(v for v in range(256) if v >> j & 1) for j in range(8)]
 
 
+@cache
+def coefficient_columns(mat: GFMatrix) -> tuple[int, ...]:
+    """Entry T (1..255): mobius(tt[T]) ^ 1 << T, the coefficients of
+    x_T o mat - x_T, one Moebius transform per monomial, once per matrix.
+
+    Serves ref_coefficient_invariant_subspace; added in the commit after
+    fee1785.
+    """
+    lin = [0] * 8
+    for j, col in enumerate(mat.cols):
+        for i in range(8):
+            if col >> i & 1:
+                lin[i] ^= COORDINATE_TABLES[j]
+    tt = [(1 << 256) - 1] * 256
+    columns = [0] * 256
+    for t in range(1, 256):
+        low = t & -t
+        tt[t] = tt[t ^ low] & lin[low.bit_length() - 1]
+        columns[t] = mobius(tt[t]) ^ 1 << t
+    return tuple(columns)
+
+
 def ref_coefficient_invariant_subspace(generators, max_degree: int) -> list[Anf]:
     """The coefficient-column route: column T is mobius(tt[T]) ^ 1 << T, the
-    coefficients of x_T o A - x_T (one Moebius transform per monomial and
-    generator), solved by the kernel that fully reduces every row.
+    coefficients of x_T o A - x_T (coefficient_columns), solved by the
+    kernel that fully reduces every row.
 
     Checks `anf.invariant_subspace`; replaced in 8659099.
     """
     vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
-    offset = 0
-    for mat in generators:
-        lin = [0] * 8
-        for j, col in enumerate(mat.cols):
-            for i in range(8):
-                if col >> i & 1:
-                    lin[i] ^= COORDINATE_TABLES[j]
-        tt = [(1 << 256) - 1] * 256
-        for t in range(1, 256):
-            low = t & -t
-            tt[t] = tt[t ^ low] & lin[low.bit_length() - 1]
-            if t in vectors:
-                vectors[t] |= (mobius(tt[t]) ^ 1 << t) << offset
-        offset += 256
+    for k, mat in enumerate(generators):
+        columns = coefficient_columns(mat)
+        for t in vectors:
+            vectors[t] |= columns[t] << 256 * k
     return [Anf(x) for x in ref_full_kernel(vectors, 256)]
 
 
@@ -762,7 +775,7 @@ def buffer_flat_parities(layout, table: bytes) -> bytes:
     same offset, built by doubling over the slots), and XORing the parities
     of all 2^k - 1 buffers leaves the parity of each flat.
 
-    Checks `anf._even_flats` (the byte-buffer scan); replaced in ec71c68.
+    Checks the incidence scan (`anf._even_bits`); replaced in ec71c68.
     """
     base_rows, slots = layout
     points = _xor_sums(base_rows)  # points[c] = c . base_rows
@@ -780,7 +793,7 @@ def buffer_flat_parities(layout, table: bytes) -> bytes:
 
 
 def plan_layouts(k: int):
-    """The layouts of ref_echelon_layouts(k) in anf._coset_plan(k)'s order.
+    """The layouts of ref_echelon_layouts(k) in ref_coset_plan(k)'s order.
 
     Serves the byte-buffer scan; added in ec71c68.
     """
@@ -798,7 +811,140 @@ def buffer_exists_even_flat(d: int, table: bytes) -> bool:
 def buffer_even_counts(k: int, psi: int) -> list[int]:
     """Even (k-1)-flats per layout, in plan order, from the byte-buffer scan.
 
-    Checks `anf._even_flats`; replaced in ec71c68.
+    Checks the incidence scan (`anf._even_bits`); replaced in ec71c68.
     """
     table = _byte_table(psi)
     return [buffer_flat_parities(layout, table).count(0) for layout in plan_layouts(k)]
+
+
+
+# ---------------------------------------------------------------------------
+# anf: the coset-table scan that the quotient tables replaced
+
+
+@cache
+def ref_swap_masks() -> tuple[int, ...]:
+    """Masks over 512 blocks of 256 bits, the most a packed coset table holds.
+
+    Entry b < 8 marks the positions whose bit b is clear (_MOBIUS_MASKS[b]
+    in every block), and entry 8 marks position 0 of every block.
+
+    Serves ref_even_flats; replaced in the commit after fee1785.
+    """
+    rep = 1
+    for i in range(9):
+        rep |= rep << (256 << i)
+    return tuple(m * rep for m in _MOBIUS_MASKS) + (rep,)
+
+
+@cache
+def ref_coset_plan(k: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...]:
+    """The flats of vector dimension k as (fills, rows) pairs, one per layout.
+
+    A layout is a pivot set of k columns: row i of a reduced-echelon
+    basis has pivot bit pivots[i] and may carry its free columns, the
+    non-pivot columns above it, highest first.  Row i has
+    7 - pivots[i] - (k-1-i) free columns, so a stable sort of the pivot
+    sets by -sum(pivots) puts the layouts with the fewest free columns
+    first.  Row 0 has the most fills (each row's free columns include
+    those of every later row), and fills is the 256-bit mask of them all.
+    rows holds the other rows, row k-1 first and row 1 last, each as its
+    flips: its pivot bit, then the free column that each step of a Gray
+    walk over its fills toggles.  After flip g the row is the XOR of
+    1 << b over its first g + 1 flips, so the flips visit each fill of
+    the row once.
+
+    Checks `anf._quotient_plan`; replaced in the commit after fee1785.
+    """
+    plan = []
+    for pivots in sorted(combinations(range(8), k), key=lambda pivots: -sum(pivots)):
+        cols = [[b for b in range(7, p, -1) if b not in pivots] for p in pivots]
+        fills = mask_of(1 << pivots[0] ^ s for s in _xor_sums([1 << b for b in cols[0]]))
+        rows = tuple(
+            (pivots[i],)
+            + tuple(cols[i][(g & -g).bit_length() - 1] for g in range(1, 1 << len(cols[i])))
+            for i in range(k - 1, 0, -1)
+        )
+        plan.append((fills, rows))
+    return tuple(plan)
+
+
+def ref_coset_sums(table: int, flips, masks):
+    """Yield table ^ table(x ^ s) after each flip of s, blockwise.
+
+    table packs blocks T_H(x) = sum of psi(x ^ h) over h in H, for subspaces
+    H; flipping bit b of x is one shift each way under masks[b].  The yielded
+    block is T_(H + <s>), since T_(H+<s>)(x) = T_H(x) ^ T_H(x ^ s).
+
+    Serves ref_even_flats; replaced in the commit after fee1785.
+    """
+    moved = table
+    for b in flips:
+        step, keep = 1 << b, masks[b]
+        moved = (moved & keep) << step | (moved >> step) & keep
+        yield table ^ moved
+
+
+def ref_even_flats(entry, psi: int):
+    """Yield the flats of one ref_coset_plan entry that meet psi evenly.
+
+    A flat is <H, r> with r a fill of row 0 and H the span of the other
+    rows, and it meets psi in T_H(0) ^ T_H(r) points, mod 2.  So one packed
+    table of T_H per fill of the other rows answers all fills of row 0 at
+    once.  The rows but the last are packed into one int, each new row's
+    fills as the high digit of the block index; the last row's fills are
+    yielded one piece each, unjoined.
+
+    Bit r of block j of the g-th piece is set exactly when the flat with
+    these rows meets psi evenly (ref_coset_flat reads it).
+
+    Checks `anf._even_bits`; replaced in the commit after fee1785.
+    """
+    fills, rows = entry
+    masks = ref_swap_masks()
+    table, width = psi, 256
+    for flips in rows[:-1]:
+        packed = 0
+        for g, t in enumerate(ref_coset_sums(table, flips, masks)):
+            packed |= t << g * width
+        table, width = packed, width * len(flips)
+    rep = masks[8] & (1 << width) - 1
+    targets = fills * rep
+    for t in ref_coset_sums(table, rows[-1], masks) if rows else (table,):
+        origin = t & rep  # T_H(0) per block; times TABLE_FULL, it fills the block
+        parities = t ^ (origin << 256) - origin
+        yield parities & targets ^ targets
+
+
+def ref_coset_flat(entry, piece: int, block: int, r: int) -> Flat:
+    """The flat that bit r of block `block` of piece `piece` of
+    ref_even_flats names: row 0 is r itself, row 1 (the last of rows)
+    stands after its flip `piece`, and the block index, read in mixed radix
+    with one digit per packed row (row k-1 the lowest, each radix the
+    number of that row's flips), gives the flip after which each of rows
+    k-1..2 stands.
+
+    Reads the bits of ref_even_flats; moved out of test_anf.py in the commit
+    after fee1785.
+    """
+    _, rows = entry
+    others = []
+    if rows:
+        for flips in rows[:-1]:  # row k-1 first, the lowest digit
+            block, g = divmod(block, len(flips))
+            others.append(row_after(flips, g))
+        others.append(row_after(rows[-1], piece))
+    return Flat._from_rref((r, *reversed(others)))
+
+
+def ref_coset_even_flats(k: int, psi: int) -> set[Flat]:
+    """Every (k-1)-flat that the coset-table scan finds meeting psi evenly.
+
+    Checks `anf._even_bits`; replaced in the commit after fee1785.
+    """
+    named = set()
+    for entry in ref_coset_plan(k):
+        for piece, even in enumerate(ref_even_flats(entry, psi)):
+            for bit in _set_bits(even):
+                named.add(ref_coset_flat(entry, piece, bit >> 8, bit & 255))
+    return named

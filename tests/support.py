@@ -1,8 +1,8 @@
 """Machinery the test modules share.
 
-This module holds tools, not routes: the unit-vector table, source
-mutants, cache clearing, check runs with a mutated catalog, seeded random
-matrices and a wall-clock deadline.  The reference routes that the tests
+This module holds tools, not routes: the unit-vector table, the reader
+of the incidence plan's bits, source mutants, cache clearing, check runs
+with a mutated catalog, seeded random matrices and a wall-clock deadline.  The reference routes that the tests
 compare the package against live in `refs.py`.  No test module imports
 another test module; both of these are plain modules the tests import.
 """
@@ -16,7 +16,7 @@ from contextlib import contextmanager
 import pytest
 
 from segre_pg72.checks import REGISTRY, Result, Run
-from segre_pg72.gf2 import GFMatrix
+from segre_pg72.gf2 import Flat, GFMatrix
 
 E = [0] + [1 << i for i in range(8)]  # E[i] = e_i, 1-indexed
 
@@ -34,6 +34,21 @@ def mask_of(points) -> int:
 def mirror(v, width):
     """v with its lowest width bits in reverse order: bit i moves to width - 1 - i."""
     return int(f"{v:0{width}b}"[::-1], 2)
+
+
+def plan_flat(entry, bit: int) -> Flat:
+    """The flat that bit `bit` of anf._even_bits names for one
+    anf._quotient_plan entry, as that plan's docstring reads it: row 0 is
+    perm[bit % quot], and each row of H is perm[step ^ the flip of each
+    doubling whose shift is a bit of `bit`]."""
+    perm, rows, quot, _, _ = entry
+    others = []
+    for step, _, doublings in rows:  # the highest pivot first
+        for shift, flip, _ in doublings:
+            if bit & shift:
+                step ^= flip
+        others.append(perm[step])
+    return Flat._from_rref((perm[bit % quot], *reversed(others)))
 
 
 def source_mutant(fn, *edits: tuple[str, str]):

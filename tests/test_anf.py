@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import cache
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from refs import (
     gaussian_binomial_oracle,
     plan_layouts,
     ref_coefficient_invariant_subspace,
+    ref_coset_even_flats,
     ref_echelon_layouts,
     ref_exists_even_flat,
     ref_flat_equation,
@@ -21,15 +23,15 @@ from refs import (
     ref_monomial_orbit_poly,
     ref_natural_columns,
     ref_substitute,
-    row_after,
 )
 from segre_pg72 import anf
 from segre_pg72.anf import (
     Anf,
     _BY_DEGREE,
+    _WIDEST,
     _byte_table,
-    _coset_plan,
-    _even_flats,
+    _even_bits,
+    _quotient_plan,
     anf_from_pointset,
     degree_by_incidence,
     flat_equation,
@@ -48,6 +50,7 @@ from segre_pg72.gf2 import (
     GFMatrix,
     UNIT,
     _kernel,
+    _set_bits,
     span,
 )
 from segre_pg72.groups import (
@@ -67,7 +70,7 @@ from segre_pg72.orbits import (
     tetrad_three_flats,
 )
 from segre_pg72.segre import build_model
-from support import E, check_with, mask_of, mirror, random_invertible, source_mutant
+from support import E, check_with, mask_of, mirror, plan_flat, random_invertible, source_mutant
 
 
 @cache
@@ -78,13 +81,25 @@ def walk_exists_even_flat(name: str) -> tuple[bool, ...]:
     return tuple(ref_exists_even_flat(d, table) for d in range(8))
 
 
-def coset_exists_even_flat(d: int, psi: int, scan=_even_flats) -> bool:
-    return any(any(scan(entry, psi)) for entry in _coset_plan(d + 1))
+def quotient_exists_even_flat(d: int, psi: int, scan=_even_bits) -> bool:
+    table = _byte_table(psi)
+    return any(scan(entry, table) for entry in _quotient_plan(d + 1))
 
 
-def coset_even_counts(k: int, psi: int, plan=None, scan=_even_flats) -> list[int]:
-    """Even flats per layout, in plan order, from the coset-table scan."""
-    return [sum(even.bit_count() for even in scan(entry, psi)) for entry in plan or _coset_plan(k)]
+def quotient_even_counts(k: int, psi: int, plan=None, scan=_even_bits) -> list[int]:
+    """Even flats per layout, in plan_layouts order, from the quotient scan.
+
+    A layout is the pivots of an entry's rows of H plus row 0's pivot, the
+    lowest bit of r; bit j of an entry's mask has r = perm[j % quot]."""
+    table = _byte_table(psi)
+    counts = Counter()
+    for entry in plan or _quotient_plan(k):
+        perm, rows, quot, _, _ = entry
+        pivots = [perm[step] for step, _, _ in rows]
+        bits = f"{scan(entry, table):b}"[::-1]
+        for r in range(1, quot):
+            counts[tuple(sorted(pivots + [perm[r] & -perm[r]]))] += bits[r::quot].count("1")
+    return [counts[base_rows] for base_rows, _ in plan_layouts(k)]
 
 
 @cache
@@ -102,19 +117,6 @@ def walk_even_counts(k: int, name: str) -> list[int]:
         for layout in ref_echelon_layouts(k)
     }
     return [counts[layout] for layout in plan_layouts(k)]
-
-
-def plan_flat(entry, piece: int, block: int, r: int) -> Flat:
-    """The flat that bit r of block `block` of piece `piece` names, as the
-    anf._even_flats docstring reads it."""
-    _, rows = entry
-    vectors = [r]
-    if rows:
-        vectors.append(row_after(rows[-1], piece))
-        for flips in rows[:-1]:  # row k-1 first, the lowest digit
-            block, g = divmod(block, len(flips))
-            vectors.append(row_after(flips, g))
-    return Flat(vectors)
 
 
 def solved_columns(solve, generators, max_degree: int) -> dict[int, int]:
@@ -457,7 +459,7 @@ class TestDegreeByIncidence:
         table = bytes(psi >> v & 1 for v in range(256))
         for d, expected in enumerate(walk_exists_even_flat(name)):
             assert buffer_exists_even_flat(d, table) == expected, d
-            assert coset_exists_even_flat(d, psi) == expected, d
+            assert quotient_exists_even_flat(d, psi) == expected, d
 
     @pytest.mark.parametrize("name", ZERO_SETS)
     def test_zero_sets_have_no_even_flat_from_their_degree(self, name):
@@ -467,12 +469,12 @@ class TestDegreeByIncidence:
         assert walk_exists_even_flat(name).index(False) == degree
 
     def test_an_always_even_scan_fails_every_zero_set_row(self):
-        def always_even(entry, psi):
-            yield 1
+        def always_even(entry, table):
+            return 1
 
         for name in ZERO_SETS:
             psi = incidence_cases()[name]
-            answers = [coset_exists_even_flat(d, psi, always_even) for d in range(8)]
+            answers = [quotient_exists_even_flat(d, psi, always_even) for d in range(8)]
             assert answers != list(walk_exists_even_flat(name)), name
 
     @pytest.mark.parametrize("name", WALK_SETS)
@@ -496,37 +498,42 @@ class TestDegreeByIncidence:
         assert all(psi.bit_count() < 255 for psi in sets)
 
 
-def pivot_flip_dropped(plan):
-    return tuple((fills, tuple(flips[1:] for flips in rows)) for fills, rows in plan)
-
-
-def last_gray_step_skipped(plan):
-    return tuple(
-        (fills, tuple(flips[:-1] if len(flips) > 1 else flips for flips in rows))
-        for fills, rows in plan
-    )
-
-
-# a scan whose block-origin mask (and so its targets) runs one block past the table
-REP_ONE_BLOCK_TOO_LONG = (
-    "rep = masks[DIM] & (1 << width) - 1", "rep = masks[DIM] & (1 << width + 256) - 1"
-)
+# one-edit mutants of the quotient scan, each with the edit it makes
+QUOTIENT_MUTANTS = {
+    # every row folds psi with itself, not with its translate by the pivot
+    "pivot-fold-dropped": (_even_bits, ("t >> step & keep", "t & keep")),
+    # each row loses its top free column, so the plan misses flats
+    "top-free-column-dropped": (
+        _quotient_plan, ("if col > order[b]]", "if col > order[b]][:-1]"),
+    ),
+    # targets run one table past the packed table, where every parity reads even
+    "targets-one-table-too-long": (
+        _quotient_plan,
+        ("_tiled((1 << below) - 2, below, width)", "_tiled((1 << below) - 2, below, 2 * width)"),
+    ),
+    # row 0 over every nonzero representative: flats of other entries again
+    "targets-every-representative": (
+        _quotient_plan,
+        ("1 << (pivots[0] if pivots else DIM)", "1 << len(low)"),
+    ),
+}
 
 
 class TestCosetScan:
-    """anf._even_flats against the byte-buffer scan and the Gray-code walk."""
+    """anf._even_bits, the quotient-table scan, against the coset-table scan
+    it replaced, the byte-buffer scan, the Gray-code walk and brute force."""
 
     @pytest.mark.parametrize("name", SCAN_CASES)
     def test_even_flat_counts_agree_with_the_byte_buffer_scan(self, name):
         psi = scan_case(name)
         for k in range(1, 9):
-            assert coset_even_counts(k, psi) == buffer_even_counts(k, psi), k
+            assert quotient_even_counts(k, psi) == buffer_even_counts(k, psi), k
 
     @pytest.mark.parametrize("name", WALK_SETS)
     def test_even_flat_counts_agree_with_the_gray_code_walk(self, name):
         psi = scan_case(name)
         for k in range(1, 9):
-            assert coset_even_counts(k, psi) == walk_even_counts(k, name), k
+            assert quotient_even_counts(k, psi) == walk_even_counts(k, name), k
 
     def test_random_sets_have_both_parities(self):
         sizes = [psi.bit_count() % 2 for psi in random_sets().values()]
@@ -535,46 +542,56 @@ class TestCosetScan:
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_the_plans_cover_every_flat_once(self, k):
-        covered = 0
-        for fills, rows in _coset_plan(k):
-            blocks = 1
-            for flips in rows:
-                blocks *= len(flips)
-            covered += fills.bit_count() * blocks
-            # the packed table, all rows but the last, fits the 512-block masks
-            assert (blocks // len(rows[-1]) if rows else 1) <= 512
-        assert covered == gaussian_binomial_oracle(8, k)
+        counts = []
+        for perm, rows, quot, origins, targets in _quotient_plan(k):
+            counts.append(targets.bit_count())
+            # one quot-bit table per fill of the rows, within the masks
+            width = quot << sum(len(doublings) for _, _, doublings in rows)
+            assert width <= _WIDEST
+            assert width - quot < origins.bit_length() <= width
+            assert targets.bit_length() <= width
+        assert counts == sorted(counts)
+        assert sum(counts) == gaussian_binomial_oracle(8, k)
 
-    @pytest.mark.parametrize("k", [1, 2, 6, 7, 8])
-    @pytest.mark.parametrize("name", ["invariant-O5+O2", "random-odd-1"])
-    def test_block_and_bit_name_the_even_flat(self, k, name):
+    # every k on one set; the costly middle k (about 1-3 s each) once
+    @pytest.mark.parametrize("name, k", [
+        *(("random-odd-1", k) for k in range(1, 9)),
+        *(("invariant-O5+O2", k) for k in (1, 2, 6, 7, 8)),
+    ])
+    def test_block_and_bit_name_the_even_flat(self, name, k):
         psi = scan_case(name)
-        named = set()
-        for entry in _coset_plan(k):
-            for piece, even in enumerate(_even_flats(entry, psi)):
-                for bit in range(even.bit_length()):
-                    if even >> bit & 1:
-                        named.add(plan_flat(entry, piece, bit >> 8, bit & 255))
+        table = _byte_table(psi)
+        bits = [(entry, _set_bits(_even_bits(entry, table))) for entry in _quotient_plan(k)]
+        named = [plan_flat(entry, bit) for entry, found in bits for bit in found]
         expected = {
             fl for fl in flats_of_dimension(k - 1)
-            if sum(1 for p in fl.points() if psi >> p & 1) % 2 == 0
+            if bytes(fl.points()).translate(table).count(1) % 2 == 0
         }
-        assert named == expected
+        assert len(named) == len(expected)
+        assert set(named) == ref_coset_even_flats(k, psi) == expected
 
-    @pytest.mark.parametrize("mutate", [
-        lambda plan: (pivot_flip_dropped(plan), _even_flats),
-        lambda plan: (last_gray_step_skipped(plan), _even_flats),
-        lambda plan: (plan, source_mutant(_even_flats, REP_ONE_BLOCK_TOO_LONG)),
-    ], ids=["pivot-flip-dropped", "last-gray-step-skipped", "rep-one-block-too-long"])
-    def test_the_differential_catches_a_mutant(self, mutate):
+    @pytest.mark.parametrize("name", QUOTIENT_MUTANTS)
+    def test_the_differential_catches_a_mutant(self, name):
+        fn, edit = QUOTIENT_MUTANTS[name]
+        mutant = source_mutant(fn, edit)
         caught = set()
-        for name in SCAN_CASES[:4]:
-            psi = scan_case(name)
+        for case in SCAN_CASES[:4]:
+            psi = scan_case(case)
             for k in range(1, 9):
-                plan, scan = mutate(_coset_plan(k))
-                if coset_even_counts(k, psi, plan, scan) != buffer_even_counts(k, psi):
+                plan, scan = (mutant(k), _even_bits) if fn is _quotient_plan else (_quotient_plan(k), mutant)
+                if quotient_even_counts(k, psi, plan, scan) != buffer_even_counts(k, psi):
                     caught.add(k)
         assert caught
+
+    def test_origins_past_the_table_are_harmless(self):
+        # a surviving mutant: origins only select from the table, so the
+        # origins mask may run past it without changing a bit
+        mutant = source_mutant(_quotient_plan, ("_tiled(1, quot, width)", "_tiled(1, quot, 2 * width)"))
+        table = _byte_table(scan_case("random-odd-1"))
+        for k in range(1, 9):
+            assert [_even_bits(e, table) for e in mutant(k)] == [
+                _even_bits(e, table) for e in _quotient_plan(k)
+            ]
 
     def test_the_degree_route_calls_neither_mobius_nor_anf(self, monkeypatch):
         q = named_Q()
@@ -586,8 +603,8 @@ class TestCosetScan:
 
         monkeypatch.setattr(anf, "mobius", refuse)
         monkeypatch.setattr(anf, "Anf", refuse)
-        anf._coset_plan.cache_clear()
-        anf._swap_masks.cache_clear()
+        anf._quotient_plan.cache_clear()
+        anf._scan_tables.cache_clear()
         assert {name: degree_by_incidence(psi) for name, psi in zero_sets.items()} == {
             "Q2": 2, "Q4": 4, "Q4'": 4, "Q6": 6,
         }

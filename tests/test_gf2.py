@@ -1,6 +1,6 @@
 import random
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -17,9 +17,8 @@ from refs import (
     ref_nullspace,
     ref_reduce,
     ref_set_bits,
-    row_after,
 )
-from segre_pg72.anf import _coset_plan, named_Q, symplectic_form
+from segre_pg72.anf import _quotient_plan, named_Q, symplectic_form
 from segre_pg72.gf2 import (
     UNIT,
     Flat,
@@ -42,7 +41,7 @@ from segre_pg72.gf2 import (
 )
 from segre_pg72.groups import cube_group, segre_group, stabilizer_of_point
 from segre_pg72.orbits import classify_point, point_orbits
-from support import E, mirror, source_mutant
+from support import E, mirror, plan_flat, source_mutant
 
 
 def mirror_rows(rows, width):
@@ -56,14 +55,15 @@ def random_matrix(rng):
 
 
 def plan_flats(d):
-    """Every d-flat that anf._coset_plan(d + 1) names, in plan order: row 0
-    over the bits of fills, every other row after each of its flips."""
-    for fills, rows in _coset_plan(d + 1):
-        # rows holds row k-1 first; the basis lists row 1 first
-        states = [[row_after(flips, g) for g in range(len(flips))] for flips in reversed(rows)]
-        for r in _set_bits(fills):
-            for others in product(*states):
-                yield Flat._from_rref((r, *others))
+    """Every d-flat that anf._quotient_plan(d + 1) names, in plan order: per
+    entry and per quot-bit table, the flat of each bit of its targets
+    (support.plan_flat), with the rows of H read once per table."""
+    for entry in _quotient_plan(d + 1):
+        perm, _, quot, _, targets = entry
+        for start in range(0, targets.bit_length(), quot):
+            rows = plan_flat(entry, start).basis[1:]
+            for r in _set_bits(targets >> start & (1 << quot) - 1):
+                yield Flat._from_rref((perm[r], *rows))
 
 
 class TestParsePoint:
@@ -145,7 +145,7 @@ class TestSpan:
 
 
 class TestFlatEnumeration:
-    """The flats anf._coset_plan names, against counts and brute force."""
+    """The flats anf._quotient_plan names, against counts and brute force."""
 
     def test_point_count(self):
         assert sum(1 for _ in plan_flats(0)) == 255
