@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
+from math import comb
 
 from .gf2 import (
     DIM,
@@ -53,22 +54,33 @@ def mobius(table: int) -> int:
     return table
 
 
-def _product_tables(forms) -> list[int]:
-    """Entry T: the truth table of the product of forms[i] over the bits i of T.
+# (T, T minus its lowest bit i, i) by size of T: the first _UP_TO[d] make each |T| <= d
+_STEPS = [(t, t & t - 1, (t & -t).bit_length() - 1) for t in sorted(range(1, 256), key=int.bit_count)]
+_UP_TO = [sum(comb(DIM, k) for k in range(1, d + 1)) for d in range(DIM + 1)]
 
-    forms holds eight truth tables; each product is built from T minus its
-    lowest bit, and the empty product is 1.
-    """
-    tables = [TABLE_FULL] * 256
-    for t in range(1, 256):
-        low = t & -t
-        tables[t] = tables[t ^ low] & forms[low.bit_length() - 1]
+
+def _product_tables(forms, empty: int = TABLE_FULL, max_degree: int = DIM) -> list[int]:
+    """Entry T, for |T| <= max_degree: the product of forms[i] over the bits i of T.
+
+    Entry 0 (the empty product) and the entries above max_degree are empty.
+    An AND, so forms laid side by side in blocks multiply blockwise."""
+    tables = [empty] * 256
+    for t, rest, i in _STEPS[: _UP_TO[max_degree]]:
+        tables[t] = tables[rest] & forms[i]
     return tables
 
 
 # _MIRRORED_MONOMIAL_TABLES[T] is the truth table of y -> x_T(y + u): the
 # vectors that miss T, a product of the mirrored coordinate tables
 _MIRRORED_MONOMIAL_TABLES = _product_tables(_MOBIUS_MASKS)
+
+
+@cache
+def _repeated_monomial_tables(count: int) -> tuple[int, ...]:
+    """_MIRRORED_MONOMIAL_TABLES[T] in each of count 256-bit blocks."""
+    copies = sum(1 << 256 * k for k in range(count))
+    return tuple(m * copies for m in _MIRRORED_MONOMIAL_TABLES)
+
 
 # _SUBSETS[x] has bit T set exactly when T is a submask of x, that is when T
 # misses x ^ 255: the same relation, read from the other side
@@ -414,10 +426,10 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
     of the map sending x_T to image(x_T) + x_T under every generator.  The
     columns are truth tables, with no transform: the Moebius transform is
     invertible and acts on each generator's block alone, so it would not
-    change the kernel.  The truth tables of all images under one generator
-    come from one recurrence (_product_tables): the image of x_T is the
-    product of the coordinate forms (A x)_i for i in T.  It has degree |T|
-    and no constant term, so it stays among the monomials solved for.
+    change the kernel.  The images under all generators come from one
+    recurrence (_product_tables) over forms holding each generator's block
+    side by side: the image of x_T is the product of the forms (A x)_i for
+    i in T.  It has degree |T| and no constant term, so it stays solved for.
 
     Monomial T is variable T of gf2._kernel.  Its column is mirrored, so
     that _kernel's highest-bit elimination makes the row operations of a
@@ -432,23 +444,19 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
     if not 1 <= max_degree <= 8:
         raise ValueError("degree must be between 1 and 8")
     generators = _check_matrices(generators)
-    # vectors[T]: the mirrored tables of image(x_T) + x_T so far, one
-    # 256-bit block each, generator 0's highest
-    vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
-    offset = 256 * len(generators)
+    # lin[i]: truth table of y -> bit i of A(y + u), a sum of mirrored
+    # coordinate tables, for every generator, generator 0's block highest
+    lin = [0] * DIM
     for mat in generators:
         if not mat.is_invertible():
             raise ValueError("substitution requires an invertible matrix")
-        offset -= 256
-        # lin[i]: truth table of y -> bit i of A(y + u), a sum of mirrored
-        # coordinate tables
-        lin = [0] * DIM
+        lin = [form << 256 for form in lin]
         for j, col in enumerate(mat.cols):
             for i in _set_bits(col):
                 lin[i] ^= _MOBIUS_MASKS[j]
-        tt = _product_tables(lin)
-        for t in vectors:
-            vectors[t] |= (tt[t] ^ _MIRRORED_MONOMIAL_TABLES[t]) << offset
+    monomials = _repeated_monomial_tables(len(generators))
+    tt = _product_tables(lin, monomials[0], max_degree)
+    vectors = {t: tt[t] ^ monomials[t] for t in range(1, 256) if t.bit_count() <= max_degree}
     return [Anf(x) for x in _kernel(vectors, 256)]
 
 

@@ -113,21 +113,21 @@ def format_point(v: int) -> str:
     return _digits(v) if weight(v) <= 4 else _digits(v ^ UNIT) + "u"
 
 
-def _echelon(vectors: Iterable[int]) -> dict[int, int]:
-    """Forward elimination over GF(2): {pivot: row}, in echelon form.
+def _echelon(vectors: Iterable[int], width: int) -> list[int]:
+    """Forward elimination over GF(2): rows[p] is the row with pivot p, or 0.
 
-    Each row's pivot is its highest set bit, keyed by the row's bit length,
-    and no two rows share one.  Each incoming vector is brought to echelon
-    form: while its highest bit is a pivot, that pivot's row is added.  A row
-    may still carry lower pivots.  The key costs O(1) and is a small int, so
-    the lookup hashes no long row.
+    Each row's pivot is its highest set bit, read as its bit length, at
+    most width, and no two rows share one.  Each incoming vector is brought
+    to echelon form: while its highest bit is a pivot, that pivot's row is
+    added.  A row may still carry lower pivots.  The pivot indexes a list,
+    so a step costs O(1) and hashes no long row.
     """
-    rows: dict[int, int] = {}
+    rows = [0] * (width + 1)
     for v in vectors:
         while v:
             p = v.bit_length()
-            r = rows.get(p)
-            if r is None:
+            r = rows[p]
+            if not r:
                 rows[p] = v
                 break
             v ^= r
@@ -297,7 +297,7 @@ class GFMatrix:
         return GFMatrix(tuple(a ^ b for a, b in zip(self.cols, other.cols)))
 
     def rank(self) -> int:
-        return len(_echelon(self.cols))
+        return DIM + 1 - _echelon(self.cols, DIM).count(0)  # the nonzero entries
 
     def is_invertible(self) -> bool:
         return self.rank() == DIM
@@ -357,13 +357,15 @@ def _kernel(columns: dict[int, int], nvars: int) -> list[int]:
     tag, which is no pivot yet, and it stops.  So a row with a column pivot
     carries only the tags of variables that got column pivots, and a tag
     row carries no tag row's pivot but its own.  Each pivot is a row's
-    highest variable, so the tag rows by pivot ascending, which is by value
-    ascending, are the canonical basis with ascending free variables.
-    Elimination takes the highest column bits first, so a caller orders
-    its column bits by the elimination it wants.
+    highest variable, so the tag rows, the nonzero entries 1..nvars of
+    _echelon's list (as wide as nvars plus the widest column), are by pivot
+    and by value ascending the canonical basis with ascending free
+    variables.  Elimination takes the highest column bits first, so a
+    caller orders its column bits by the elimination it wants.
     """
-    rows = _echelon(columns[j] << nvars | 1 << j for j in sorted(columns))
-    return sorted(r for p, r in rows.items() if p <= nvars)
+    width = nvars + max(columns.values(), default=0).bit_length()
+    rows = _echelon((columns[j] << nvars | 1 << j for j in sorted(columns)), width)
+    return [r for r in rows[: nvars + 1] if r]
 
 
 def kernel(mat: GFMatrix) -> Flat:

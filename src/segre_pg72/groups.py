@@ -448,7 +448,7 @@ def centralizer_in_gl(generators) -> MatrixGroup:
     # each matrix as its 8 columns packed into the bytes of an int
     packed = [int.from_bytes(bytes(x.cols), "little") for x in basis]
     products = [int.from_bytes(bytes((a * b).cols), "little") for a in basis for b in basis]
-    if len(_echelon(packed + products)) != len(basis):
+    if DIM * DIM + 1 - _echelon(packed + products, DIM * DIM).count(0) != len(basis):
         raise ConstructionError("commutant basis not closed under product")
     elements = []
     for x in _xor_sums(packed)[1:]:

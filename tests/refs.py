@@ -5,9 +5,8 @@ Each reference is a slower or differently built route to a result of
 each docstring names the package function it checks and the commit that
 replaced the route (or that added the reference, for one that never lived
 in the package).  A reference that several tests solve on one input keeps
-that input's work: `echelon_bases` is built once per dimension,
-`monomial_image` once per matrix and monomial, and `coefficient_columns`
-once per matrix.
+that input's work: `echelon_bases` is built once per dimension, and
+`monomial_supports` and `coefficient_columns` once per matrix.
 """
 
 from functools import cache
@@ -15,7 +14,7 @@ from itertools import combinations
 from math import prod
 
 from segre_pg72.anf import _MOBIUS_MASKS, Anf, _byte_table, mobius
-from segre_pg72.gf2 import UNIT, Flat, GFMatrix, _set_bits, _xor_sums
+from segre_pg72.gf2 import UNIT, Flat, GFMatrix, _kernel, _set_bits, _xor_sums
 from segre_pg72.groups import DEFAULT_CAP, ClosureOverflowError, element
 from segre_pg72.orbits import OrbitClass, Spread
 from segre_pg72.segre import BASIS_INDEX, segre_point
@@ -617,12 +616,13 @@ def ref_substitute(f: Anf, mat: GFMatrix) -> Anf:
 
 
 @cache
-def monomial_image(mat: GFMatrix, t: int) -> int:
-    """The coefficients of x_T o mat by ref_substitute, once per pair.
+def monomial_supports(mat: GFMatrix) -> tuple[tuple[int, ...], ...]:
+    """Entry T: the monomials of x_T o mat, by ref_substitute, once per
+    matrix.
 
     Serves ref_invariant_subspace; added in 3d5a9a1.
     """
-    return ref_substitute(Anf(1 << t), mat).coeffs
+    return tuple(tuple(ref_set_bits(ref_substitute(Anf(1 << t), mat).coeffs)) for t in range(256))
 
 
 def ref_invariant_subspace(generators, max_degree: int) -> list[Anf]:
@@ -632,16 +632,17 @@ def ref_invariant_subspace(generators, max_degree: int) -> list[Anf]:
     Checks `anf.invariant_subspace`; replaced in 3d5a9a1.
     """
     monos = [t for t in range(1, 256) if t.bit_count() <= max_degree]
+    position = {t: i for i, t in enumerate(monos)}
     rows = []
     for mat in generators:
-        images = [monomial_image(mat, t) for t in monos]
-        for pos, u in enumerate(monos):
-            mask = 1 << pos
-            for i, img in enumerate(images):
-                if img >> u & 1:
-                    mask ^= 1 << i
-            if mask:
-                rows.append(mask)
+        # row u: x_u's coefficient in image(x_T) + x_T, over the T; an image
+        # of x_T has degree |T|, so its monomials are all among monos
+        supports = monomial_supports(mat)
+        masks = [1 << pos for pos in range(len(monos))]
+        for i, t in enumerate(monos):
+            for u in supports[t]:
+                masks[position[u]] ^= 1 << i
+        rows += [mask for mask in masks if mask]
     return [
         Anf(sum(1 << t for i, t in enumerate(monos) if sol >> i & 1))
         for sol in ref_nullspace(rows, len(monos))
@@ -657,8 +658,7 @@ def coefficient_columns(mat: GFMatrix) -> tuple[int, ...]:
     """Entry T (1..255): mobius(tt[T]) ^ 1 << T, the coefficients of
     x_T o mat - x_T, one Moebius transform per monomial, once per matrix.
 
-    Serves ref_coefficient_invariant_subspace; added in the commit after
-    fee1785.
+    Serves ref_coefficient_invariant_subspace; added in 231e656.
     """
     lin = [0] * 8
     for j, col in enumerate(mat.cols):
@@ -687,6 +687,54 @@ def ref_coefficient_invariant_subspace(generators, max_degree: int) -> list[Anf]
         for t in vectors:
             vectors[t] |= columns[t] << 256 * k
     return [Anf(x) for x in ref_full_kernel(vectors, 256)]
+
+
+def ref_product_tables(forms) -> list[int]:
+    """The product recurrence anf._product_tables replaced: entry T is the
+    product of the 256-bit forms[i] over the bits i of T, built from T
+    minus its lowest bit for every T in counting order; the empty product is
+    all ones.
+
+    Checks `anf._product_tables`; replaced in the commit after 231e656.
+    """
+    tables = [(1 << 256) - 1] * 256
+    for t in range(1, 256):
+        low = t & -t
+        tables[t] = tables[t ^ low] & forms[low.bit_length() - 1]
+    return tables
+
+
+def ref_per_generator_columns(generators, max_degree: int) -> dict[int, int]:
+    """The columns of the invariant solve, one generator at a time: one
+    ref_product_tables pass per generator over every monomial, and column T
+    ORed together from each generator's block tt[T] ^ x_T(y + u), shifted
+    into place, generator 0's highest.
+
+    Checks the columns `anf.invariant_subspace` solves; replaced in the
+    commit after 231e656.
+    """
+    monomials = ref_product_tables(_MOBIUS_MASKS)
+    vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
+    offset = 256 * len(generators)
+    for mat in generators:
+        offset -= 256
+        lin = [0] * 8
+        for j, col in enumerate(mat.cols):
+            for i in _set_bits(col):
+                lin[i] ^= _MOBIUS_MASKS[j]
+        tt = ref_product_tables(lin)
+        for t in vectors:
+            vectors[t] |= (tt[t] ^ monomials[t]) << offset
+    return vectors
+
+
+def ref_per_generator_invariant_subspace(generators, max_degree: int) -> list[Anf]:
+    """The per-generator build (ref_per_generator_columns), solved by
+    gf2._kernel.
+
+    Checks `anf.invariant_subspace`; replaced in the commit after 231e656.
+    """
+    return [Anf(x) for x in _kernel(ref_per_generator_columns(generators, max_degree), 256)]
 
 
 def ref_natural_columns(generators, max_degree: int) -> dict[int, int]:
@@ -829,7 +877,7 @@ def ref_swap_masks() -> tuple[int, ...]:
     Entry b < 8 marks the positions whose bit b is clear (_MOBIUS_MASKS[b]
     in every block), and entry 8 marks position 0 of every block.
 
-    Serves ref_even_flats; replaced in the commit after fee1785.
+    Serves ref_even_flats; replaced in 231e656.
     """
     rep = 1
     for i in range(9):
@@ -854,7 +902,7 @@ def ref_coset_plan(k: int) -> tuple[tuple[int, tuple[tuple[int, ...], ...]], ...
     1 << b over its first g + 1 flips, so the flips visit each fill of
     the row once.
 
-    Checks `anf._quotient_plan`; replaced in the commit after fee1785.
+    Checks `anf._quotient_plan`; replaced in 231e656.
     """
     plan = []
     for pivots in sorted(combinations(range(8), k), key=lambda pivots: -sum(pivots)):
@@ -876,7 +924,7 @@ def ref_coset_sums(table: int, flips, masks):
     H; flipping bit b of x is one shift each way under masks[b].  The yielded
     block is T_(H + <s>), since T_(H+<s>)(x) = T_H(x) ^ T_H(x ^ s).
 
-    Serves ref_even_flats; replaced in the commit after fee1785.
+    Serves ref_even_flats; replaced in 231e656.
     """
     moved = table
     for b in flips:
@@ -898,7 +946,7 @@ def ref_even_flats(entry, psi: int):
     Bit r of block j of the g-th piece is set exactly when the flat with
     these rows meets psi evenly (ref_coset_flat reads it).
 
-    Checks `anf._even_bits`; replaced in the commit after fee1785.
+    Checks `anf._even_bits`; replaced in 231e656.
     """
     fills, rows = entry
     masks = ref_swap_masks()
@@ -924,8 +972,7 @@ def ref_coset_flat(entry, piece: int, block: int, r: int) -> Flat:
     number of that row's flips), gives the flip after which each of rows
     k-1..2 stands.
 
-    Reads the bits of ref_even_flats; moved out of test_anf.py in the commit
-    after fee1785.
+    Reads the bits of ref_even_flats; moved out of test_anf.py in 231e656.
     """
     _, rows = entry
     others = []
@@ -940,7 +987,7 @@ def ref_coset_flat(entry, piece: int, block: int, r: int) -> Flat:
 def ref_coset_even_flats(k: int, psi: int) -> set[Flat]:
     """Every (k-1)-flat that the coset-table scan finds meeting psi evenly.
 
-    Checks `anf._even_bits`; replaced in the commit after fee1785.
+    Checks `anf._even_bits`; replaced in 231e656.
     """
     named = set()
     for entry in ref_coset_plan(k):

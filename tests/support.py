@@ -1,8 +1,9 @@
 """Machinery the test modules share.
 
-This module holds tools, not routes: the unit-vector table, the reader
-of the incidence plan's bits, source mutants, cache clearing, check runs
-with a mutated catalog, seeded random matrices and a wall-clock deadline.  The reference routes that the tests
+This module holds tools, not routes: the unit-vector table, the readers
+of the elimination's rows and of the incidence plan's bits, source
+mutants, cache clearing, check runs with a mutated catalog, seeded random
+matrices and a wall-clock deadline.  The reference routes that the tests
 compare the package against live in `refs.py`.  No test module imports
 another test module; both of these are plain modules the tests import.
 """
@@ -16,7 +17,7 @@ from contextlib import contextmanager
 import pytest
 
 from segre_pg72.checks import REGISTRY, Result, Run
-from segre_pg72.gf2 import Flat, GFMatrix
+from segre_pg72.gf2 import Flat, GFMatrix, _echelon
 
 E = [0] + [1 << i for i in range(8)]  # E[i] = e_i, 1-indexed
 
@@ -34,6 +35,15 @@ def mask_of(points) -> int:
 def mirror(v, width):
     """v with its lowest width bits in reverse order: bit i moves to width - 1 - i."""
     return int(f"{v:0{width}b}"[::-1], 2)
+
+
+def echelon_rows(vectors, width: int) -> dict[int, int]:
+    """gf2._echelon's rows as {pivot: row}, after checking the list's shape:
+    one entry per pivot 0..width, each 0 or a row of that bit length."""
+    rows = _echelon(vectors, width)
+    assert len(rows) == width + 1
+    assert all(r == 0 or r.bit_length() == p for p, r in enumerate(rows))
+    return {p: r for p, r in enumerate(rows) if r}
 
 
 def plan_flat(entry, bit: int) -> Flat:

@@ -22,16 +22,22 @@ from refs import (
     ref_invariant_subspace,
     ref_monomial_orbit_poly,
     ref_natural_columns,
+    ref_per_generator_columns,
+    ref_per_generator_invariant_subspace,
+    ref_product_tables,
     ref_substitute,
 )
 from segre_pg72 import anf
 from segre_pg72.anf import (
     Anf,
     _BY_DEGREE,
+    _MOBIUS_MASKS,
     _WIDEST,
     _byte_table,
     _even_bits,
+    _product_tables,
     _quotient_plan,
+    _repeated_monomial_tables,
     anf_from_pointset,
     degree_by_incidence,
     flat_equation,
@@ -139,13 +145,14 @@ def solved_columns(solve, generators, max_degree: int) -> dict[int, int]:
 
 
 def invariant_mismatches(solve, generator_sets) -> list[tuple[int, int]]:
-    """The (set, degree) pairs, d = 1..8, where solve differs from either
-    reference route, or the two references from each other."""
+    """The (set, degree) pairs, d = 1..8, where solve differs from any
+    reference route, or the references from each other."""
     return [
         (i, d)
         for i, gens in enumerate(generator_sets)
         for d in range(1, 9)
         if not solve(gens, d)
+        == ref_per_generator_invariant_subspace(gens, d)
         == ref_invariant_subspace(gens, d)
         == ref_coefficient_invariant_subspace(gens, d)
     ]
@@ -900,7 +907,7 @@ class TestInvariantSubspace:
 
     def test_the_differential_catches_a_column_without_the_monomial(self):
         # column T is the table of x_T o A alone, not of x_T o A - x_T
-        mutant = source_mutant(invariant_subspace, ("tt[t] ^ _MIRRORED_MONOMIAL_TABLES[t]", "tt[t]"))
+        mutant = source_mutant(invariant_subspace, ("tt[t] ^ monomials[t]", "tt[t]"))
         gens = [element("M"), element("N")]
         assert [len(mutant(gens, d)) for d in range(2, 8)] != [1, 1, 3, 3, 4, 4]
         assert invariant_mismatches(mutant, [gens])
@@ -927,16 +934,46 @@ class TestInvariantSubspace:
 
     def test_the_layout_check_catches_an_unmirrored_block_order(self):
         # generator 0's block lowest: the same invariants, the other layout
-        mutant = source_mutant(
-            invariant_subspace,
-            ("offset = 256 * len(generators)", "offset = -256"),
-            ("offset -= 256", "offset += 256"),
-        )
+        mutant = source_mutant(invariant_subspace, ("for mat in generators:", "for mat in generators[::-1]:"))
         gens = [element("M"), element("N")]
         assert mutant(gens, 7) == invariant_subspace(gens, 7)
         width = 256 * len(gens)
         columns = solved_columns(mutant, gens, 7)
         assert columns != {t: mirror(c, width) for t, c in ref_natural_columns(gens, 7).items()}
+
+    def test_the_columns_equal_the_per_generator_build(self):
+        # one recurrence over the generators' blocks side by side makes
+        # every block bit for bit, at every degree and for 1-3 generators
+        rng = random.Random(27)
+        elements = segre_group().elements
+        sets = [list(group().generators) for group in (segre_group, segre_group_even, cube_group)]
+        sets += [rng.sample(elements, size) for size in (1, 2, 3)]
+        sets += [[random_invertible(rng) for _ in range(size)] for size in (1, 2, 3, 3)]
+        for gens in sets:
+            for d in range(1, 9):
+                columns = solved_columns(invariant_subspace, gens, d)
+                assert columns == ref_per_generator_columns(gens, d), (len(gens), d)
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 5])
+    def test_the_repeated_monomial_tables_hold_one_block_per_generator(self, count):
+        natural = ref_product_tables(_MOBIUS_MASKS)
+        expected = tuple(sum(m << 256 * k for k in range(count)) for m in natural)
+        assert _repeated_monomial_tables(count) == expected
+
+    @pytest.mark.parametrize("names", [("M",), ("M", "N"), ("M", "N", "K12")], ids=",".join)
+    def test_one_solve_makes_one_product_recurrence(self, names, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _product_tables(*args)
+
+        monkeypatch.setattr(anf, "_product_tables", counting)
+        gens = [element(n) for n in names]
+        for d in (1, 4, 8):
+            calls.clear()
+            invariant_subspace(gens, d)
+            assert len(calls) == 1, d
 
     def test_the_solve_calls_no_mobius(self, monkeypatch):
         q2 = named_Q()["Q2"]

@@ -1,25 +1,29 @@
 """No vacuous check: a check id FAILs when the route it reads is broken.
 
 A mutant is a layer function of `src` with one edit in its source text
-(`source_mutant`). It replaces that function in every package module that
-holds it, and never changes an expected literal in `checks.py`. The
-package caches are cleared before and after each run, so the mutant is
-seen by that run alone.
+(`source_mutant`), or two where one change of meaning spans two places.
+It replaces that function in every package module that holds it, and
+never changes an expected literal in `checks.py`. The package caches are
+cleared before and after each run, so the mutant is seen by that run
+alone.
 
-This table holds five slices: the invariant-solving kernel, `gf2._kernel`,
+This table holds seven slices: the invariant-solving kernel, `gf2._kernel`,
 and the checks that read it; the incidence scan's plan, `anf._quotient_plan`,
 and the `polys/incidence/*` checks that read it; the stabilizer chain,
 `groups.stabilizer_chain`, and the `groups/chain/*` checks that read its
 orders; the point orbits, `orbits.point_orbits`, and the `orbits/*` and
-`table1/*` checks that read the partition; and the line split,
-`orbits.line_orbit_split`, and the `spread/*` checks that read its classes.
+`table1/*` checks that read the partition; the line split,
+`orbits.line_orbit_split`, and the `spread/*` checks that read its classes;
+the substitution, `anf.substitute`, and `polys/degree-preserved`; and the
+Moebius transform, `anf.mobius`, and the product and round-trip checks
+that read it.
 """
 
 import sys
 
 import pytest
 
-from segre_pg72.anf import _quotient_plan, invariant_subspace
+from segre_pg72.anf import _quotient_plan, invariant_subspace, mobius, substitute
 from segre_pg72.checks import REGISTRY, Run
 from segre_pg72.gf2 import _kernel
 from segre_pg72.groups import stabilizer_chain
@@ -27,14 +31,16 @@ from segre_pg72.orbits import line_orbit_split, point_orbits
 from support import PACKAGE, clear_caches, source_mutant
 
 # the highest-pivot kernel row dropped: every kernel loses one dimension.
-# The cut follows the tag-pivot filter; before it, the highest echelon row
-# has a column pivot whenever the columns have rank > 0
-DROPS_THE_TOP_KERNEL_ROW = (_kernel, ("if p <= nvars)", "if p <= nvars)[:-1]"))
+# The cut follows the filter of the zero entries; before it, the entry at
+# pivot nvars is 0 whenever the highest variable has a column pivot
+DROPS_THE_TOP_KERNEL_ROW = (_kernel, ("rows[: nvars + 1] if r]", "rows[: nvars + 1] if r][:-1]"))
 # the degree filter reversed: the monomials of degree at least d, so the
-# solved spaces shrink as d grows
+# solved spaces shrink as d grows.  The recurrence then builds every size,
+# so that each of these columns is right
 SOLVES_FROM_THE_TOP_DEGREE = (
     invariant_subspace,
     ("t.bit_count() <= max_degree", "t.bit_count() >= max_degree"),
+    ("_product_tables(lin, monomials[0], max_degree)", "_product_tables(lin, monomials[0])"),
 )
 # an origin at every half quotient table: each half is compared with its
 # own first position, not with T_H(0), so every degree comes out one too
@@ -65,6 +71,24 @@ ORBITS_OF_THE_FIRST_GENERATOR = (
 SPLITS_BY_THE_FIRST_GENERATOR = (
     line_orbit_split,
     ("for perm, move in moves:", "for perm, move in moves[:1]:"),
+)
+
+# the substitution reads f's coefficients as its truth table: the result's
+# degree is no longer f's.  Substitutions whose point table is affine, not
+# linear, keep every degree, so a mutant that reads mat.perm reversed, or
+# that leaves the values unreversed (both x -> A(x + u)), leaves the check
+# passing
+READS_THE_COEFFICIENTS_AS_THE_TABLE = (
+    substitute,
+    ("_byte_table(f.truth_table())", "_byte_table(f.coeffs)"),
+)
+# each butterfly ORs instead of XORing: no longer an involution, so products,
+# round trips and substitutions all go wrong.  A transform that skips a
+# level, or sums over supersets, is still an involution, and leaves
+# polys/roundtrip passing
+ORS_EACH_BUTTERFLY = (
+    mobius,
+    ("table ^= (table & m) << (1 << i)", "table |= (table & m) << (1 << i)"),
 )
 
 MUTANTS = {
@@ -109,6 +133,11 @@ MUTANTS = {
          ("orbit-sizes", "L4", "L18", "L36", "L27", "tetrad", "tangents")],
         SPLITS_BY_THE_FIRST_GENERATOR,
     ),
+    "polys/degree-preserved": READS_THE_COEFFICIENTS_AS_THE_TABLE,
+    **dict.fromkeys(
+        ["polys/P5-product", "polys/afterthought", "polys/roundtrip"],
+        ORS_EACH_BUTTERFLY,
+    ),
 }
 
 
@@ -118,8 +147,8 @@ def run_under(mutant, cid: str, monkeypatch):
     clear_caches()
     with monkeypatch.context() as patch:
         if mutant is not None:
-            fn, edit = mutant
-            replacement = source_mutant(fn, edit)
+            fn, *edits = mutant
+            replacement = source_mutant(fn, *edits)
             for name, module in list(sys.modules.items()):
                 if name.startswith(PACKAGE) and getattr(module, fn.__name__, None) is fn:
                     patch.setattr(module, fn.__name__, replacement)

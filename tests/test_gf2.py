@@ -25,7 +25,6 @@ from segre_pg72.gf2 import (
     GFMatrix,
     _IDPERM,
     _digits,
-    _echelon,
     _invert_perm,
     _kernel,
     _mask_of,
@@ -41,12 +40,12 @@ from segre_pg72.gf2 import (
 )
 from segre_pg72.groups import cube_group, segre_group, stabilizer_of_point
 from segre_pg72.orbits import classify_point, point_orbits
-from support import E, mirror, plan_flat, source_mutant
+from support import E, echelon_rows, mirror, plan_flat, source_mutant
 
 
 def mirror_rows(rows, width):
     """Lowest-bit {pivot: row} rows over width bits, mirrored into the
-    highest-bit form of gf2._echelon, keyed by bit length."""
+    highest-bit form of gf2._echelon, as support.echelon_rows reads it."""
     return {width + 1 - p.bit_length(): mirror(r, width) for p, r in rows.items()}
 
 
@@ -474,7 +473,7 @@ class TestReduce:
     @pytest.mark.parametrize("name", list(REDUCE_CASES))
     def test_echelon_rows_have_distinct_highest_bit_pivots_and_the_same_span(self, name):
         for vectors in REDUCE_CASES[name]:
-            rows = _echelon(vectors)
+            rows = echelon_rows(vectors, width_of(vectors))
             assert all(r.bit_length() == p for p, r in rows.items())
             assert ref_reduce(rows.values()) == ref_reduce(vectors)
 
@@ -495,7 +494,7 @@ class TestReduce:
         for vectors in REDUCE_CASES[name]:
             width = width_of(vectors)
             mirrored = [mirror(v, width) for v in vectors]
-            assert _echelon(mirrored) == mirror_rows(ref_lowbit_echelon(vectors), width)
+            assert echelon_rows(mirrored, width) == mirror_rows(ref_lowbit_echelon(vectors), width)
 
     @pytest.mark.parametrize("name, nvars", [("commutant-shape", 64), ("constraint-rows-255", 255)])
     def test_nullspace_agrees_with_reference(self, name, nvars):
@@ -547,7 +546,7 @@ def shuffled_cases():
 # even when its pivot is a column bit, and the variables enter the
 # elimination in the columns dict's order, so that tag rows can meet rows
 # with higher tags and come out unreduced
-KEEPS_A_COLUMN_PIVOT_ROW = ("if p <= nvars)", "if p <= nvars or p == max(rows))")
+KEEPS_A_COLUMN_PIVOT_ROW = ("rows[: nvars + 1] if r]", "rows[: nvars + 1] + [max(rows)] if r]")
 FEEDS_THE_COLUMNS_UNSORTED = ("for j in sorted(columns))", "for j in columns)")
 
 

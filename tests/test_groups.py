@@ -15,7 +15,7 @@ from refs import (
 )
 from segre_pg72 import groups
 from segre_pg72.checks import REGISTRY, Run
-from segre_pg72.gf2 import ConstructionError, Flat, GFMatrix, UNIT, _echelon, parse_point, span, weight
+from segre_pg72.gf2 import ConstructionError, Flat, GFMatrix, UNIT, parse_point, span, weight
 from segre_pg72.groups import (
     Chain,
     ClosureOverflowError,
@@ -40,7 +40,7 @@ from segre_pg72.groups import (
     tensor_operator,
 )
 from segre_pg72.segre import build_model
-from support import E, check_with, deadline, random_invertible, source_mutant
+from support import E, check_with, deadline, echelon_rows, random_invertible, source_mutant
 
 
 def gl2_elements() -> list[tuple[int, int]]:
@@ -667,7 +667,7 @@ class TestCommutantAndCentralizer:
             for x in basis:
                 assert all(x * a == a * x for a in gens), name
             packed = [int.from_bytes(bytes(x.cols), "little") for x in basis]
-            assert len(_echelon(packed)) == len(basis), name
+            assert len(echelon_rows(packed, 64)) == len(basis), name
 
     def test_centralizer_agrees_with_matrix_sum_reference(self):
         checked = 0

@@ -31,7 +31,7 @@ INPUT_GUARDS = {
     "gf2._check_matrices": "each generator is a GFMatrix",
     "gf2.GFMatrix.is_invertible": "each generator is invertible",
     "gf2.GFMatrix.rank": "is_invertible reads the rank",
-    "gf2._echelon": "the rank is the number of forward-elimination rows",
+    "gf2._echelon": "the rank counts the forward elimination's nonzero entries",
 }
 
 # what Q2's P-sum route and its point-set route share; Q4's P-sum and
