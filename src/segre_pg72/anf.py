@@ -76,10 +76,10 @@ _MIRRORED_MONOMIAL_TABLES = _product_tables(_MOBIUS_MASKS)
 
 
 @cache
-def _repeated_monomial_tables(count: int) -> tuple[int, ...]:
-    """_MIRRORED_MONOMIAL_TABLES[T] in each of count 256-bit blocks."""
-    copies = sum(1 << 256 * k for k in range(count))
-    return tuple(m * copies for m in _MIRRORED_MONOMIAL_TABLES)
+def _tagged_monomial_tables(count: int) -> tuple[int, ...]:
+    """_MIRRORED_MONOMIAL_TABLES[T] in count 256-bit blocks above 256 tags, plus tag T."""
+    copies = sum(1 << 256 * k for k in range(1, count + 1))
+    return tuple(m * copies | 1 << t for t, m in enumerate(_MIRRORED_MONOMIAL_TABLES))
 
 
 # _SUBSETS[x] has bit T set exactly when T is a submask of x, that is when T
@@ -431,33 +431,36 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
     side by side: the image of x_T is the product of the forms (A x)_i for
     i in T.  It has degree |T| and no constant term, so it stays solved for.
 
-    Monomial T is variable T of gf2._kernel.  Its column is mirrored, so
-    that _kernel's highest-bit elimination makes the row operations of a
-    lowest-bit elimination of the natural tables: generator 0's 256-bit
-    block is highest, and point x of a block sits at bit x ^ 255.  That
-    block is the truth table of y -> image(x_T)(y + u) + x_T(y + u), u the
-    unit point.  Bit j of y + u is 1 exactly where bit j of y is clear, so
-    the mirrored coordinate tables are the _MOBIUS_MASKS, and the form
-    (A(y + u))_i is the XOR of the masks j with a_ij = 1.  The basis lists
-    the invariants by their highest monomial, ascending.
+    Monomial T is variable T of gf2._kernel: its row, one XOR with the
+    cached _tagged_monomial_tables, is its column above 256 tags plus its
+    tag.  The rows enter highest degree first, highest monomial first
+    within a degree, the order with the fewest row additions.  The column
+    is mirrored, the cheapest bit order (the natural one takes more than
+    twice the row additions): generator 0's 256-bit block is highest, and
+    point x of a block sits at bit x ^ 255.  That block is the truth table
+    of y -> image(x_T)(y + u) + x_T(y + u), u the unit point.  Bit j of
+    y + u is 1 exactly where bit j of y is clear, so the mirrored
+    coordinate tables are the _MOBIUS_MASKS, and the form (A(y + u))_i is
+    the XOR of the masks j with a_ij = 1.  The basis lists the invariants
+    by their highest monomial, ascending.
     """
     if not 1 <= max_degree <= 8:
         raise ValueError("degree must be between 1 and 8")
     generators = _check_matrices(generators)
     # lin[i]: truth table of y -> bit i of A(y + u), a sum of mirrored
-    # coordinate tables, for every generator, generator 0's block highest
+    # coordinate tables, per generator above the tags, generator 0's highest
     lin = [0] * DIM
     for mat in generators:
         if not mat.is_invertible():
             raise ValueError("substitution requires an invertible matrix")
-        lin = [form << 256 for form in lin]
         for j, col in enumerate(mat.cols):
             for i in _set_bits(col):
                 lin[i] ^= _MOBIUS_MASKS[j]
-    monomials = _repeated_monomial_tables(len(generators))
-    tt = _product_tables(lin, monomials[0], max_degree)
-    vectors = {t: tt[t] ^ monomials[t] for t in range(1, 256) if t.bit_count() <= max_degree}
-    return [Anf(x) for x in _kernel(vectors, 256)]
+        lin = [form << 256 for form in lin]
+    tagged = _tagged_monomial_tables(len(generators))
+    tt = _product_tables(lin, tagged[0], max_degree)
+    rows = [tt[t] ^ tagged[t] for t, _, _ in reversed(_STEPS[: _UP_TO[max_degree]])]
+    return [Anf(x) for x in _kernel(rows, 256, 256 * len(generators) + 256)]
 
 
 # ---------------------------------------------------------------------------

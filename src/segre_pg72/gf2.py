@@ -343,32 +343,38 @@ def _check_matrices(values: Iterable) -> tuple[GFMatrix, ...]:
     return values
 
 
-def _kernel(columns: dict[int, int], nvars: int) -> list[int]:
+def _kernel(tagged: Iterable[int], nvars: int, width: int) -> list[int]:
     """Basis of the x whose columns (columns[j] for the bits j of x) XOR to 0.
 
-    A variable missing from columns is fixed at 0.  Variable j contributes
-    its column, shifted above every tag, plus a tag at bit j, and the
-    variables enter one forward elimination (_echelon) in ascending order.
-    The rows whose pivot is a tag have no column bits, so they span the
-    kernel, and they come out fully reduced.  An incoming row meets only
-    rows of lower variables, which carry lower tags only, so its top tag is
-    its own.  While its top bit is a column bit, it meets only rows with
-    column pivots; once its column bits are gone, its top bit is its own
-    tag, which is no pivot yet, and it stops.  So a row with a column pivot
-    carries only the tags of variables that got column pivots, and a tag
-    row carries no tag row's pivot but its own.  Each pivot is a row's
-    highest variable, so the tag rows, the nonzero entries 1..nvars of
-    _echelon's list (as wide as nvars plus the widest column), are by pivot
-    and by value ascending the canonical basis with ascending free
-    variables.  Elimination takes the highest column bits first, so a
-    caller orders its column bits by the elimination it wants.
+    Each row of tagged is one variable j's column, shifted above every tag,
+    plus a tag at bit j: columns[j] << nvars | 1 << j, at most width bits.
+    A variable with no row is fixed at 0.  The rows enter one forward
+    elimination (_echelon) in any order.  Its rows have distinct pivots and
+    span the pairs (sum of x_j columns[j], x), so the rows whose pivot is a
+    tag, the entries 1..nvars of its list, have no column bits and are a
+    basis of the kernel.  One ascending pass then clears each of them of
+    the lower tag pivots it carries: the rows below are already clear, so
+    adding one clears its own pivot and sets no other.  The result is the
+    unique basis whose rows have distinct highest bits and carry no other
+    row's highest bit, by highest bit ascending, whatever the order of the
+    rows.  Elimination takes the highest column bits first, so a caller
+    orders its column bits, and its rows, by the work it wants.
     """
-    width = nvars + max(columns.values(), default=0).bit_length()
-    rows = _echelon((columns[j] << nvars | 1 << j for j in sorted(columns)), width)
-    return [r for r in rows[: nvars + 1] if r]
+    rows = _echelon(tagged, width)
+    pivots = 0
+    for p in range(1, nvars + 1):
+        r = rows[p]
+        if r:
+            m = r & pivots
+            while m:
+                q = m.bit_length()
+                r ^= rows[q]
+                m ^= 1 << q - 1
+            rows[p] = r
+            pivots |= 1 << p - 1
+    return [r for r in rows[1 : nvars + 1] if r]
 
 
 def kernel(mat: GFMatrix) -> Flat:
     """The flat of solutions of mat(x) = 0; the empty flat if only 0 solves."""
-    return Flat(_kernel(dict(enumerate(mat.cols)), DIM))
-
+    return Flat(_kernel([c << DIM | 1 << j for j, c in enumerate(mat.cols)], DIM, 2 * DIM))

@@ -417,19 +417,19 @@ def commutant_basis(generators) -> list[GFMatrix]:
     row i plus column i of A placed in column j, one 64-bit block per
     generator.
     """
-    columns = dict.fromkeys(range(DIM * DIM), 0)
-    offset = 0
+    tagged = [1 << v for v in range(DIM * DIM)]  # the blocks go above the tags
+    offset = DIM * DIM
     for a in _check_matrices(generators):
         rows = a.rows()
         # the bits of column i of A, spread down column 0 of an 8x8 block
         down = [sum((c >> k & 1) << DIM * k for k in range(DIM)) for c in a.cols]
         for i in range(DIM):
             for j in range(DIM):
-                columns[DIM * i + j] |= (rows[j] << DIM * i ^ down[i] << j) << offset
+                tagged[DIM * i + j] |= (rows[j] << DIM * i ^ down[i] << j) << offset
         offset += DIM * DIM
     return [
         GFMatrix.from_rows(x >> DIM * i & 0xFF for i in range(DIM))
-        for x in _kernel(columns, DIM * DIM)
+        for x in _kernel(tagged, DIM * DIM, offset)
     ]
 
 

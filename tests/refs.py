@@ -14,7 +14,7 @@ from itertools import combinations
 from math import prod
 
 from segre_pg72.anf import _MOBIUS_MASKS, Anf, _byte_table, mobius
-from segre_pg72.gf2 import UNIT, Flat, GFMatrix, _kernel, _set_bits, _xor_sums
+from segre_pg72.gf2 import UNIT, Flat, GFMatrix, _echelon, _set_bits, _xor_sums
 from segre_pg72.groups import DEFAULT_CAP, ClosureOverflowError, element
 from segre_pg72.orbits import OrbitClass, Spread
 from segre_pg72.segre import BASIS_INDEX, segre_point
@@ -142,6 +142,20 @@ def ref_full_kernel(columns, nvars):
         mirror(rows[p] >> width, nvars)
         for p in sorted((p for p in rows if p >> width), reverse=True)
     ]
+
+
+def ref_ascending_kernel(columns, nvars):
+    """The tagged kernel gf2._kernel replaced: variable j's column above
+    every tag plus a tag at bit j, fed into one highest-bit elimination in
+    ascending order of j (gf2._echelon), so that the tag rows come out
+    reduced with no second pass.  A variable missing from columns is fixed
+    at 0.
+
+    Checks `gf2._kernel`; replaced in the commit after 4ce1cc9.
+    """
+    width = nvars + max(columns.values(), default=0).bit_length()
+    rows = _echelon((columns[j] << nvars | 1 << j for j in sorted(columns)), width)
+    return [r for r in rows[: nvars + 1] if r]
 
 
 def ref_inverse(mat):
@@ -695,7 +709,7 @@ def ref_product_tables(forms) -> list[int]:
     minus its lowest bit for every T in counting order; the empty product is
     all ones.
 
-    Checks `anf._product_tables`; replaced in the commit after 231e656.
+    Checks `anf._product_tables`; replaced in 4ce1cc9.
     """
     tables = [(1 << 256) - 1] * 256
     for t in range(1, 256):
@@ -710,8 +724,8 @@ def ref_per_generator_columns(generators, max_degree: int) -> dict[int, int]:
     ORed together from each generator's block tt[T] ^ x_T(y + u), shifted
     into place, generator 0's highest.
 
-    Checks the columns `anf.invariant_subspace` solves; replaced in the
-    commit after 231e656.
+    Checks the columns `anf.invariant_subspace` solves; replaced in
+    4ce1cc9.
     """
     monomials = ref_product_tables(_MOBIUS_MASKS)
     vectors = {t: 0 for t in range(1, 256) if t.bit_count() <= max_degree}
@@ -729,12 +743,12 @@ def ref_per_generator_columns(generators, max_degree: int) -> dict[int, int]:
 
 
 def ref_per_generator_invariant_subspace(generators, max_degree: int) -> list[Anf]:
-    """The per-generator build (ref_per_generator_columns), solved by
-    gf2._kernel.
+    """The per-generator build (ref_per_generator_columns), solved by the
+    ascending kernel (ref_ascending_kernel).
 
-    Checks `anf.invariant_subspace`; replaced in the commit after 231e656.
+    Checks `anf.invariant_subspace`; replaced in 4ce1cc9.
     """
-    return [Anf(x) for x in _kernel(ref_per_generator_columns(generators, max_degree), 256)]
+    return [Anf(x) for x in ref_ascending_kernel(ref_per_generator_columns(generators, max_degree), 256)]
 
 
 def ref_natural_columns(generators, max_degree: int) -> dict[int, int]:

@@ -1,7 +1,8 @@
 """Machinery the test modules share.
 
 This module holds tools, not routes: the unit-vector table, the readers
-of the elimination's rows and of the incidence plan's bits, source
+of the elimination's rows and of the incidence plan's bits, the kernel's
+tagged-row adapter and its call spy, source
 mutants, cache clearing, check runs with a mutated catalog, seeded random
 matrices and a wall-clock deadline.  The reference routes that the tests
 compare the package against live in `refs.py`.  No test module imports
@@ -44,6 +45,45 @@ def echelon_rows(vectors, width: int) -> dict[int, int]:
     assert len(rows) == width + 1
     assert all(r == 0 or r.bit_length() == p for p, r in enumerate(rows))
     return {p: r for p, r in enumerate(rows) if r}
+
+
+def tagged(columns: dict[int, int], nvars: int) -> tuple[list[int], int, int]:
+    """gf2._kernel's arguments for a {variable: column} system: each
+    column above nvars tag bits plus its variable's tag, in the dict's
+    order, then nvars and the width of the widest row."""
+    width = nvars + max(columns.values(), default=0).bit_length()
+    return [c << nvars | 1 << j for j, c in columns.items()], nvars, width
+
+
+def untagged(rows, nvars: int) -> dict[int, int]:
+    """The {variable: column} system of gf2._kernel's tagged rows, after
+    checking that each row carries exactly one tag and no two the same."""
+    columns = {}
+    for r in rows:
+        tag = r & (1 << nvars) - 1
+        assert tag and tag & tag - 1 == 0, f"{tag:b}"
+        assert tag.bit_length() - 1 not in columns
+        columns[tag.bit_length() - 1] = r >> nvars
+    return columns
+
+
+def kernel_calls(fn, *args) -> list[tuple[list[int], int, int]]:
+    """The (tagged rows, nvars, width) of each gf2._kernel call that
+    fn(*args) makes, read by a spy in fn's own namespace."""
+    namespace = fn.__globals__
+    real = namespace["_kernel"]
+    seen = []
+
+    def spy(rows, nvars, width):
+        seen.append((list(rows), nvars, width))
+        return real(*seen[-1])
+
+    namespace["_kernel"] = spy
+    try:
+        fn(*args)
+    finally:
+        namespace["_kernel"] = real
+    return seen
 
 
 def plan_flat(entry, bit: int) -> Flat:

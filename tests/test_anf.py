@@ -13,6 +13,7 @@ from refs import (
     flats_of_dimension,
     gaussian_binomial_oracle,
     plan_layouts,
+    ref_ascending_kernel,
     ref_coefficient_invariant_subspace,
     ref_coset_even_flats,
     ref_echelon_layouts,
@@ -37,7 +38,7 @@ from segre_pg72.anf import (
     _even_bits,
     _product_tables,
     _quotient_plan,
-    _repeated_monomial_tables,
+    _tagged_monomial_tables,
     anf_from_pointset,
     degree_by_incidence,
     flat_equation,
@@ -76,7 +77,17 @@ from segre_pg72.orbits import (
     tetrad_three_flats,
 )
 from segre_pg72.segre import build_model
-from support import E, check_with, mask_of, mirror, plan_flat, random_invertible, source_mutant
+from support import (
+    E,
+    check_with,
+    kernel_calls,
+    mask_of,
+    mirror,
+    plan_flat,
+    random_invertible,
+    source_mutant,
+    untagged,
+)
 
 
 @cache
@@ -126,22 +137,19 @@ def walk_even_counts(k: int, name: str) -> list[int]:
 
 
 def solved_columns(solve, generators, max_degree: int) -> dict[int, int]:
-    """The columns solve(generators, max_degree) hands to gf2._kernel, read
-    by a spy in solve's own namespace for the one call."""
-    namespace = solve.__globals__
-    seen = []
+    """The columns solve(generators, max_degree) hands to gf2._kernel as
+    {monomial: column}, decoded from the tagged rows of its one call: the
+    columns sit above 256 tags, as wide as the generators' blocks."""
+    ((rows, nvars, width),) = kernel_calls(solve, generators, max_degree)
+    assert (nvars, width) == (256, 256 + 256 * len(generators))
+    return untagged(rows, nvars)
 
-    def spy(columns, nvars):
-        seen.append(dict(columns))
-        return _kernel(columns, nvars)
 
-    namespace["_kernel"] = spy
-    try:
-        solve(generators, max_degree)
-    finally:
-        namespace["_kernel"] = _kernel
-    (columns,) = seen
-    return columns
+@cache
+def seeded_segre_pairs() -> list[list[GFMatrix]]:
+    """50 seeded pairs of elements of <M,N> (random.Random(77))."""
+    rng = random.Random(77)
+    return [rng.sample(segre_group().elements, 2) for _ in range(50)]
 
 
 def invariant_mismatches(solve, generator_sets) -> list[tuple[int, int]]:
@@ -907,7 +915,7 @@ class TestInvariantSubspace:
 
     def test_the_differential_catches_a_column_without_the_monomial(self):
         # column T is the table of x_T o A alone, not of x_T o A - x_T
-        mutant = source_mutant(invariant_subspace, ("tt[t] ^ monomials[t]", "tt[t]"))
+        mutant = source_mutant(invariant_subspace, ("tt[t] ^ tagged[t]", "tt[t] ^ 1 << t"))
         gens = [element("M"), element("N")]
         assert [len(mutant(gens, d)) for d in range(2, 8)] != [1, 1, 3, 3, 4, 4]
         assert invariant_mismatches(mutant, [gens])
@@ -919,8 +927,8 @@ class TestInvariantSubspace:
     )
     def test_each_column_mirrors_the_natural_truth_tables(self, group, seed):
         # generator 0's block highest and point x at bit x ^ 255: the column
-        # is the natural one reversed over all its bits, so _kernel's
-        # highest-bit elimination makes the lowest-bit route's row operations
+        # is the natural one reversed over all its bits, the bit order that
+        # costs _kernel's highest-bit elimination the fewest row additions
         rng = random.Random(seed)
         sets = [list(group().generators)] + [rng.sample(group().elements, 2) for _ in range(3)]
         sets.append([random_invertible(rng) for _ in range(2)])
@@ -956,9 +964,59 @@ class TestInvariantSubspace:
 
     @pytest.mark.parametrize("count", [0, 1, 2, 3, 5])
     def test_the_repeated_monomial_tables_hold_one_block_per_generator(self, count):
+        # the tagged tables: one block per generator above the 256 tags,
+        # plus monomial T's own tag
         natural = ref_product_tables(_MOBIUS_MASKS)
-        expected = tuple(sum(m << 256 * k for k in range(count)) for m in natural)
-        assert _repeated_monomial_tables(count) == expected
+        expected = tuple(
+            sum(m << 256 * k for k in range(1, count + 1)) | 1 << t for t, m in enumerate(natural)
+        )
+        assert _tagged_monomial_tables(count) == expected
+
+    def test_the_kernel_agrees_with_the_ascending_kernel_it_replaced(self):
+        # the tagged rows of 0-3 generators at every degree, solved by
+        # _kernel and by the ascending kernel, equal as lists
+        rng = random.Random(29)
+        elements = segre_group().elements
+        sets = [[]] + [list(group().generators) for group in (segre_group, segre_group_even, cube_group)]
+        sets += [rng.sample(elements, size) for size in (1, 2, 3)]
+        sets += [[random_invertible(rng) for _ in range(size)] for size in (1, 2, 3)]
+        for gens in sets:
+            for d in range(1, 9):
+                ((rows, nvars, width),) = kernel_calls(invariant_subspace, gens, d)
+                expected = ref_ascending_kernel(untagged(rows, nvars), nvars)
+                assert _kernel(rows, nvars, width) == expected, (len(gens), d)
+                assert [b.coeffs for b in invariant_subspace(gens, d)] == expected
+
+    def test_the_kernel_agrees_with_the_ascending_kernel_on_seeded_pairs(self):
+        for gens in seeded_segre_pairs():
+            for d in range(1, 9):
+                ((rows, nvars, width),) = kernel_calls(invariant_subspace, gens, d)
+                assert _kernel(rows, nvars, width) == ref_ascending_kernel(untagged(rows, nvars), nvars)
+
+    def test_shuffling_the_tagged_rows_never_changes_the_result(self):
+        rng = random.Random(31)
+        for gens in seeded_segre_pairs()[:10]:
+            for d in (2, 5, 7, 8):
+                ((rows, nvars, width),) = kernel_calls(invariant_subspace, gens, d)
+                expected = _kernel(rows, nvars, width)
+                for _ in range(3):
+                    rng.shuffle(rows)
+                    assert _kernel(rows, nvars, width) == expected, d
+
+    def test_the_differential_catches_a_kernel_that_skips_the_reduction(self):
+        # the tag rows kept with their lower tag pivots: on the generators
+        # of <M,N> and <M',N> that shows at d = 8 alone (on M, K12 not at
+        # all), so the seeded pairs carry the differential below it
+        solve = source_mutant(invariant_subspace)
+        solve.__globals__["_kernel"] = source_mutant(_kernel, ("m = r & pivots", "m = 0"))
+        for group in (segre_group, segre_group_even):
+            gens = list(group().generators)
+            assert [d for d in range(1, 9) if solve(gens, d) != invariant_subspace(gens, d)] == [8]
+        changed = [gens for gens in seeded_segre_pairs() if solve(gens, 7) != invariant_subspace(gens, 7)]
+        assert len(changed) == 22
+        assert all(
+            solve(gens, 7) != ref_per_generator_invariant_subspace(gens, 7) for gens in changed
+        )
 
     @pytest.mark.parametrize("names", [("M",), ("M", "N"), ("M", "N", "K12")], ids=",".join)
     def test_one_solve_makes_one_product_recurrence(self, names, monkeypatch):

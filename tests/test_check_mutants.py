@@ -7,7 +7,7 @@ never changes an expected literal in `checks.py`. The package caches are
 cleared before and after each run, so the mutant is seen by that run
 alone.
 
-This table holds seven slices: the invariant-solving kernel, `gf2._kernel`,
+This table holds eight slices: the invariant-solving kernel, `gf2._kernel`,
 and the checks that read it; the incidence scan's plan, `anf._quotient_plan`,
 and the `polys/incidence/*` checks that read it; the stabilizer chain,
 `groups.stabilizer_chain`, and the `groups/chain/*` checks that read its
@@ -16,14 +16,15 @@ orders; the point orbits, `orbits.point_orbits`, and the `orbits/*` and
 `orbits.line_orbit_split`, and the `spread/*` checks that read its classes;
 the substitution, `anf.substitute`, and `polys/degree-preserved`; and the
 Moebius transform, `anf.mobius`, and the product and round-trip checks
-that read it.
+that read it; and the polar form, `anf.symplectic_form`, and the
+`polys/form/*` checks.
 """
 
 import sys
 
 import pytest
 
-from segre_pg72.anf import _quotient_plan, invariant_subspace, mobius, substitute
+from segre_pg72.anf import _quotient_plan, invariant_subspace, mobius, substitute, symplectic_form
 from segre_pg72.checks import REGISTRY, Run
 from segre_pg72.gf2 import _kernel
 from segre_pg72.groups import stabilizer_chain
@@ -33,14 +34,14 @@ from support import PACKAGE, clear_caches, source_mutant
 # the highest-pivot kernel row dropped: every kernel loses one dimension.
 # The cut follows the filter of the zero entries; before it, the entry at
 # pivot nvars is 0 whenever the highest variable has a column pivot
-DROPS_THE_TOP_KERNEL_ROW = (_kernel, ("rows[: nvars + 1] if r]", "rows[: nvars + 1] if r][:-1]"))
+DROPS_THE_TOP_KERNEL_ROW = (_kernel, ("rows[1 : nvars + 1] if r]", "rows[1 : nvars + 1] if r][:-1]"))
 # the degree filter reversed: the monomials of degree at least d, so the
 # solved spaces shrink as d grows.  The recurrence then builds every size,
 # so that each of these columns is right
 SOLVES_FROM_THE_TOP_DEGREE = (
     invariant_subspace,
-    ("t.bit_count() <= max_degree", "t.bit_count() >= max_degree"),
-    ("_product_tables(lin, monomials[0], max_degree)", "_product_tables(lin, monomials[0])"),
+    ("reversed(_STEPS[: _UP_TO[max_degree]])", "reversed(_STEPS[_UP_TO[max_degree - 1] :])"),
+    ("_product_tables(lin, tagged[0], max_degree)", "_product_tables(lin, tagged[0])"),
 )
 # an origin at every half quotient table: each half is compared with its
 # own first position, not with T_H(0), so every degree comes out one too
@@ -90,6 +91,14 @@ ORS_EACH_BUTTERFLY = (
     mobius,
     ("table ^= (table & m) << (1 << i)", "table |= (table & m) << (1 << i)"),
 )
+# the polar form reads Q2 at x | y: it is no longer alternating, additive
+# or invariant.  The rank reads it on pairs of distinct unit vectors only,
+# where x | y = x ^ y, so it gets a mutant of its own: the form of Q2 + P2
+POLAR_FORM_AT_THE_UNION = (symplectic_form, ("q2.evaluate(x ^ y)", "q2.evaluate(x | y)"))
+POLAR_FORM_OF_ANOTHER_QUADRIC = (
+    symplectic_form,
+    ('q2 = named_Q()["Q2"]', 'q2 = resolve_poly_name("Q2+P2")'),
+)
 
 MUTANTS = {
     **dict.fromkeys(
@@ -138,6 +147,11 @@ MUTANTS = {
         ["polys/P5-product", "polys/afterthought", "polys/roundtrip"],
         ORS_EACH_BUTTERFLY,
     ),
+    **dict.fromkeys(
+        [f"polys/form/{name}" for name in ("alternating", "bilinear", "invariant")],
+        POLAR_FORM_AT_THE_UNION,
+    ),
+    "polys/form/rank": POLAR_FORM_OF_ANOTHER_QUADRIC,
 }
 
 

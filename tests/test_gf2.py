@@ -8,6 +8,7 @@ from refs import (
     flats_of_dimension,
     gaussian_binomial_oracle,
     ref_apply,
+    ref_ascending_kernel,
     ref_columns,
     ref_full_kernel,
     ref_inverse,
@@ -38,9 +39,15 @@ from segre_pg72.gf2 import (
     span,
     weight,
 )
-from segre_pg72.groups import cube_group, segre_group, stabilizer_of_point
+from segre_pg72.groups import (
+    commutant_basis,
+    cube_group,
+    element,
+    segre_group,
+    stabilizer_of_point,
+)
 from segre_pg72.orbits import classify_point, point_orbits
-from support import E, echelon_rows, mirror, plan_flat, source_mutant
+from support import E, echelon_rows, kernel_calls, mirror, plan_flat, source_mutant, tagged, untagged
 
 
 def mirror_rows(rows, width):
@@ -405,7 +412,7 @@ class TestKernelAndDuality:
 
     def test_nullspace_solves_parity_checks(self):
         rows = [0b0000011, 0b0000110]
-        basis = _kernel(ref_columns(rows, 7), 7)
+        basis = _kernel(*tagged(ref_columns(rows, 7), 7))
         assert len(basis) == 5
         for x in basis:
             for r in rows:
@@ -500,7 +507,8 @@ class TestReduce:
     def test_nullspace_agrees_with_reference(self, name, nvars):
         # the null space of the rows, as _kernel of their transpose
         for rows in REDUCE_CASES[name]:
-            assert _kernel(dict(enumerate(_transpose(rows, nvars))), nvars) == ref_nullspace(rows, nvars)
+            columns = dict(enumerate(_transpose(rows, nvars)))
+            assert _kernel(*tagged(columns, nvars)) == ref_nullspace(rows, nvars)
 
 
 @cache
@@ -543,11 +551,12 @@ def shuffled_cases():
 
 
 # _kernel mutants, one changed line each: the highest echelon row is kept
-# even when its pivot is a column bit, and the variables enter the
-# elimination in the columns dict's order, so that tag rows can meet rows
-# with higher tags and come out unreduced
-KEEPS_A_COLUMN_PIVOT_ROW = ("rows[: nvars + 1] if r]", "rows[: nvars + 1] + [max(rows)] if r]")
-FEEDS_THE_COLUMNS_UNSORTED = ("for j in sorted(columns))", "for j in columns)")
+# even when its pivot is a column bit, and the tag rows skip the pass that
+# clears their lower tag pivots, so that a tag row fed before a lower one
+# comes out unreduced.  Rows fed in ascending order of their tags need no
+# pass, so only the shuffled cases catch the second
+KEEPS_A_COLUMN_PIVOT_ROW = ("rows[1 : nvars + 1] if r]", "rows[1 : nvars + 1] + [max(rows)] if r]")
+SKIPS_THE_REDUCTION = ("m = r & pivots", "m = 0")
 
 
 def kernel_cases():
@@ -557,22 +566,59 @@ def kernel_cases():
 
 
 class TestKernel:
-    """The tagged-elimination _kernel against the free-variable reference."""
+    """The tagged-elimination _kernel against the free-variable reference
+    and the ascending kernel it replaced; each system enters through
+    support.tagged, its rows in the columns dict's order."""
 
     @pytest.mark.parametrize("name", list(REDUCE_CASES))
     def test_agrees_with_free_variable_reference(self, name):
         for columns, nvars, expected in free_variable_cases(name):
-            assert _kernel(columns, nvars) == expected
+            assert _kernel(*tagged(columns, nvars)) == expected
 
     def test_missing_variables_are_fixed_at_zero(self):
         for columns, nvars, expected in missing_variable_cases():
-            assert _kernel(columns, nvars) == expected
+            assert _kernel(*tagged(columns, nvars)) == expected
 
     def test_the_column_order_does_not_matter(self):
-        # _kernel feeds the variables in ascending order, whatever the order
-        # of the columns dict: only then do the tag rows come out reduced
+        # the tag rows enter in the shuffled dict's order, and the pass
+        # that clears their lower tag pivots gives the same basis
         for columns, nvars, expected in shuffled_cases():
-            assert _kernel(columns, nvars) == expected
+            assert _kernel(*tagged(columns, nvars)) == expected
+
+    def test_shuffling_the_tagged_rows_never_changes_the_result(self):
+        rng = random.Random(59)
+        for columns, nvars, expected in kernel_cases():
+            rows, nvars, width = tagged(columns, nvars)
+            for _ in range(3):
+                rng.shuffle(rows)
+                assert _kernel(rows, nvars, width) == expected
+
+    def test_agrees_with_the_ascending_kernel_it_replaced(self):
+        for columns, nvars, expected in kernel_cases():
+            assert ref_ascending_kernel(columns, nvars) == expected
+
+    def test_agrees_with_the_ascending_kernel_on_seeded_matrices(self):
+        # kernel() hands _kernel each column above 8 tags, 16 bits wide
+        rng = random.Random(53)
+        for _ in range(3000):
+            mat = random_matrix(rng)
+            ((rows, nvars, width),) = kernel_calls(kernel, mat)
+            assert (nvars, width) == (8, 16)
+            columns = untagged(rows, 8)
+            assert columns == dict(enumerate(mat.cols))
+            assert _kernel(rows, nvars, width) == ref_ascending_kernel(columns, 8)
+
+    @pytest.mark.parametrize(
+        "names", [("M", "N"), ("M'", "N"), ("M", "K12")], ids=["M,N", "M',N", "M,K12"]
+    )
+    def test_agrees_with_the_ascending_kernel_on_the_commutant_columns(self, names):
+        # one 64-bit block per generator above the 64 tags
+        gens = [element(n) for n in names]
+        ((rows, nvars, width),) = kernel_calls(commutant_basis, gens)
+        assert (nvars, width) == (64, 64 + 64 * len(gens))
+        columns = untagged(rows, 64)
+        assert sorted(columns) == list(range(64))
+        assert _kernel(rows, nvars, width) == ref_ascending_kernel(columns, 64)
 
     def test_agrees_with_the_lowest_bit_kernel_it_replaced(self):
         for columns, nvars, expected in kernel_cases():
@@ -581,12 +627,14 @@ class TestKernel:
 
     @pytest.mark.parametrize(
         "old, new",
-        [KEEPS_A_COLUMN_PIVOT_ROW, FEEDS_THE_COLUMNS_UNSORTED],
-        ids=["keeps-a-column-pivot-row", "feeds-the-columns-unsorted"],
+        [KEEPS_A_COLUMN_PIVOT_ROW, SKIPS_THE_REDUCTION],
+        ids=["keeps-a-column-pivot-row", "skips-the-reduction"],
     )
     def test_the_differential_catches_a_mutant(self, old, new):
         mutant = source_mutant(_kernel, (old, new))
-        assert any(mutant(columns, nvars) != expected for columns, nvars, expected in kernel_cases())
+        assert any(
+            mutant(*tagged(columns, nvars)) != expected for columns, nvars, expected in kernel_cases()
+        )
 
 
 class TestTransposeAndXorSums:
