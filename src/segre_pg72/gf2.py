@@ -300,15 +300,13 @@ class GFMatrix:
         return DIM + 1 - _echelon(self.cols, DIM).count(0)  # the nonzero entries
 
     def is_invertible(self) -> bool:
-        return self.rank() == DIM
+        """A linear map is invertible exactly when only 0 maps to 0."""
+        return self.perm.count(0) == 1
 
     def inverse(self) -> "GFMatrix":
-        # the table sending perm[v] to v; it undoes perm only when perm is a
-        # bijection, that is, when the matrix is invertible
-        inv = _invert_perm(self.perm)
-        if self.perm.translate(inv) != _IDPERM:
+        if not self.is_invertible():
             raise ValueError("matrix is singular")
-        return GFMatrix._from_perm(inv)
+        return GFMatrix._from_perm(_invert_perm(self.perm))
 
     def order(self) -> int:
         if not self.is_invertible():

@@ -145,28 +145,31 @@ def elements(label: str) -> tuple[GFMatrix, ...]:
 class MatrixGroup:
     """A matrix group given by generators, optionally with explicit elements.
 
-    The elements are kept as their point tables.  A closure builds their
-    matrices when `elements` is first read; length and membership read the
-    tables alone.
+    Only the elements' point tables are stored (explicit elements are
+    checked first), and their matrices are built once, when `elements` is
+    first read; length and membership read the tables.  A group listed by
+    its elements (`_from_tables` without generators) is generated by them.
     """
 
-    __slots__ = ("generators", "_elements", "_tables", "_table_set")
+    __slots__ = ("_generators", "_tables", "_elements", "_table_set")
 
     def __init__(self, generators, elements=None):
-        self.generators = _check_matrices(generators)
+        self._generators = _check_matrices(generators)
+        self._tables = None if elements is None else tuple(
+            m.perm for m in _check_matrices(elements))
         self._elements = None
-        self._tables = None
         self._table_set = None  # built on the first membership test
-        if elements is not None:
-            self._elements = _check_matrices(elements)
-            self._tables = tuple(m.perm for m in self._elements)
 
     @classmethod
-    def _from_tables(cls, generators, tables: tuple[bytes, ...]) -> "MatrixGroup":
+    def _from_tables(cls, tables: tuple[bytes, ...], generators=None) -> "MatrixGroup":
         # trusted constructor: tables are the point tables of the elements
-        group = cls(generators)
-        group._tables = tables
+        group = cls(())
+        group._generators, group._tables = generators, tables
         return group
+
+    @property
+    def generators(self) -> tuple[GFMatrix, ...]:
+        return self.elements if self._generators is None else self._generators
 
     @property
     def elements(self) -> tuple[GFMatrix, ...] | None:
@@ -227,7 +230,7 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
                 seen.add(h)
                 images.append(h)
                 found.append(f.translate(g))
-    return MatrixGroup._from_tables(generators, tuple(found))
+    return MatrixGroup._from_tables(tuple(found), generators)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +265,7 @@ class _Level:
         self.base = base
         self.pos = base.bit_length() - 1  # base == 1 << pos, a unit vector
         self.gens: list[tuple[bytes, bytes]] = []  # (generator, its inverse)
-        self.transversal = {base: _IDPERM}
+        self.transversal = {base: _UNITS}
         self.inv_transversal = {base: _IDPERM}
         self.pending: list[tuple[int, bytes]] = []
         self.sifted = self.sifted_to_identity = 0
@@ -280,10 +283,12 @@ def stabilizer_chain(generators) -> Chain:
     moved by the stabilizer being extended.  Each strong generator g is
     inverted once; when g extends the orbit from pt to g(pt), the new
     transversal entry is g t_pt and its inverse t_pt^-1 g^-1, one translate
-    each.  Transversal entries are never rerouted once written, so every
-    Schreier pair (pt, s) is checked exactly once, except the tree edges: the
-    pair that first reached s(pt) gives the identity by construction and is
-    never queued.
+    each.  A transversal entry is kept as its 8 column images, all that a
+    Schreier generator reads of it; an inverse entry is kept as its point
+    table, which the sift applies.  Transversal entries are never rerouted
+    once written, so every Schreier pair (pt, s) is checked exactly once,
+    except the tree edges: the pair that first reached s(pt) gives the
+    identity by construction and is never queued.
 
     An input generator that sticks at level k is attached at levels k..0.  A
     residue of a Schreier generator queued at level i that sticks at level j
@@ -378,8 +383,7 @@ def stabilizer_chain(generators) -> Chain:
             k -= 1
             continue
         pt, s = lv.pending.pop()
-        schreier_gen = _UNITS.translate(lv.transversal[pt]).translate(s).translate(
-            lv.inv_transversal[s[pt]])
+        schreier_gen = lv.transversal[pt].translate(s).translate(lv.inv_transversal[s[pt]])
         if schreier_gen == _UNITS:
             continue
         lv.sifted += 1
@@ -437,10 +441,11 @@ def centralizer_in_gl(generators) -> MatrixGroup:
     """All invertible matrices commuting with every generator.
 
     The elements are the invertible sums of the commutant basis, in the
-    counter order of the basis subsets.  A commutant is an algebra, so its
-    invertible elements form a group; the one certificate is that the
-    products of basis matrices stay in the span, which closes the whole span
-    under products.
+    counter order of the basis subsets: the table of X + Y is the bytewise
+    XOR of theirs, and a sum is invertible when only 0 maps to 0.  A
+    commutant is an algebra, so its invertible elements form a group; the
+    one certificate is that the products of basis matrices stay in the
+    span, which closes the whole span under products.
     """
     basis = commutant_basis(generators)
     if len(basis) > 20:
@@ -450,21 +455,18 @@ def centralizer_in_gl(generators) -> MatrixGroup:
     products = [int.from_bytes(bytes((a * b).cols), "little") for a in basis for b in basis]
     if DIM * DIM + 1 - _echelon(packed + products, DIM * DIM).count(0) != len(basis):
         raise ConstructionError("commutant basis not closed under product")
-    elements = []
-    for x in _xor_sums(packed)[1:]:
-        mat = GFMatrix(x.to_bytes(DIM, "little"))
-        if mat.is_invertible():
-            elements.append(mat)
-    return MatrixGroup(tuple(elements), tuple(elements))
+    tables = []
+    for x in _xor_sums([int.from_bytes(b.perm, "little") for b in basis])[1:]:
+        t = x.to_bytes(256, "little")
+        if t.count(0) == 1:
+            tables.append(t)
+    return MatrixGroup._from_tables(tuple(tables))
 
 
 def stabilizer_of_point(group: MatrixGroup, p: int) -> MatrixGroup:
-    """Subgroup of an explicit group fixing the point p."""
+    """Subgroup of a listed group fixing the point p: the tables t with t[p] == p."""
     _check_point(p)
-    if group.elements is None:
-        raise ValueError("stabilizer needs a group with explicit elements")
-    elems = tuple(a for a in group.elements if a(p) == p)
-    return MatrixGroup(elems, elems)
+    return MatrixGroup._from_tables(tuple(t for t in group._listed() if t[p] == p))
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,8 @@ def point_orbits(group: MatrixGroup) -> OrbitPartition:
     Classes come out sorted by their minimal point, which doubles as the
     representative.
     """
+    if not all(g.is_invertible() for g in group.generators):
+        raise ValueError("point orbits require invertible generators")
     perms = [g.perm for g in group.generators]
     seen = bytearray(256)
     classes = []

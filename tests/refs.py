@@ -15,7 +15,7 @@ from math import prod
 
 from segre_pg72.anf import _MOBIUS_MASKS, Anf, _byte_table, mobius
 from segre_pg72.gf2 import UNIT, Flat, GFMatrix, _echelon, _set_bits, _xor_sums
-from segre_pg72.groups import DEFAULT_CAP, ClosureOverflowError, element
+from segre_pg72.groups import DEFAULT_CAP, ClosureOverflowError, commutant_basis, element
 from segre_pg72.orbits import OrbitClass, Spread
 from segre_pg72.segre import BASIS_INDEX, segre_point
 from support import mask_of, mirror
@@ -151,7 +151,7 @@ def ref_ascending_kernel(columns, nvars):
     reduced with no second pass.  A variable missing from columns is fixed
     at 0.
 
-    Checks `gf2._kernel`; replaced in the commit after 4ce1cc9.
+    Checks `gf2._kernel`; replaced in 5446c9a.
     """
     width = nvars + max(columns.values(), default=0).bit_length()
     rows = _echelon((columns[j] << nvars | 1 << j for j in sorted(columns)), width)
@@ -511,6 +511,24 @@ def ref_centralizer(generators) -> list[GFMatrix]:
                 x = x ^ mat
         if x.is_invertible():
             found.append(x)
+    return found
+
+
+def ref_packed_centralizer(generators) -> list[GFMatrix]:
+    """The enumeration groups.centralizer_in_gl replaced: each sum of the
+    package's commutant basis as its 8 packed column bytes, built as a
+    GFMatrix and kept when its rank is 8, basis subsets in counter order.
+    The sums' point tables, XORs of the basis tables kept when only 0 maps
+    to 0, replaced it.
+
+    Checks `groups.centralizer_in_gl`; replaced in the commit after 5446c9a.
+    """
+    packed = [int.from_bytes(bytes(x.cols), "little") for x in commutant_basis(generators)]
+    found = []
+    for x in _xor_sums(packed)[1:]:
+        mat = GFMatrix(x.to_bytes(8, "little"))
+        if mat.rank() == 8:
+            found.append(mat)
     return found
 
 

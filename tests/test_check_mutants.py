@@ -1,13 +1,14 @@
 """No vacuous check: a check id FAILs when the route it reads is broken.
 
-A mutant is a layer function of `src` with one edit in its source text
-(`source_mutant`), or two where one change of meaning spans two places.
-It replaces that function in every package module that holds it, and
-never changes an expected literal in `checks.py`. The package caches are
+A mutant is a layer function or method of `src` with one edit in its
+source text (`source_mutant`), or two where one change of meaning spans
+two places. It replaces that function in every package module, and every
+package class, that holds it, and never changes an expected literal in
+`checks.py`. The package caches are
 cleared before and after each run, so the mutant is seen by that run
 alone.
 
-This table holds eight slices: the invariant-solving kernel, `gf2._kernel`,
+This table holds twelve slices: the invariant-solving kernel, `gf2._kernel`,
 and the checks that read it; the incidence scan's plan, `anf._quotient_plan`,
 and the `polys/incidence/*` checks that read it; the stabilizer chain,
 `groups.stabilizer_chain`, and the `groups/chain/*` checks that read its
@@ -16,8 +17,13 @@ orders; the point orbits, `orbits.point_orbits`, and the `orbits/*` and
 `orbits.line_orbit_split`, and the `spread/*` checks that read its classes;
 the substitution, `anf.substitute`, and `polys/degree-preserved`; and the
 Moebius transform, `anf.mobius`, and the product and round-trip checks
-that read it; and the polar form, `anf.symplectic_form`, and the
-`polys/form/*` checks.
+that read it; the polar form, `anf.symplectic_form`, and the
+`polys/form/*` checks; the closure, `groups.closure`, and the closure and
+parity checks that read its element lists; the stabilizer,
+`groups.stabilizer_of_point`, and the checks on the stabilizer of u; the
+inverse, `gf2.GFMatrix.inverse`, and `groups/W/normalized`; and the
+membership test, `groups.MatrixGroup.__contains__`, and
+`groups/parity/out`.
 """
 
 import sys
@@ -26,8 +32,14 @@ import pytest
 
 from segre_pg72.anf import _quotient_plan, invariant_subspace, mobius, substitute, symplectic_form
 from segre_pg72.checks import REGISTRY, Run
-from segre_pg72.gf2 import _kernel
-from segre_pg72.groups import stabilizer_chain
+from segre_pg72.gf2 import GFMatrix, _kernel
+from segre_pg72.groups import (
+    MatrixGroup,
+    centralizer_in_gl,
+    closure,
+    stabilizer_chain,
+    stabilizer_of_point,
+)
 from segre_pg72.orbits import line_orbit_split, point_orbits
 from support import PACKAGE, clear_caches, source_mutant
 
@@ -100,6 +112,31 @@ POLAR_FORM_OF_ANOTHER_QUADRIC = (
     ('q2 = named_Q()["Q2"]', 'q2 = resolve_poly_name("Q2+P2")'),
 )
 
+# the closure walks the first generator alone: each group comes out a proper
+# subgroup, and the paired involutions fall outside the even one
+CLOSES_UNDER_THE_FIRST_GENERATOR = (closure, ("for g in perms:", "for g in perms[:1]:"))
+# the stabilizer keeps the elements fixing e1, not p
+FIXES_E1_INSTEAD_OF_P = (stabilizer_of_point, ("if t[p] == p", "if t[1] == 1"))
+# the inverse is the matrix itself: conjugates of W leave {W, W^2}.  J is an
+# involution, so groups/W/conj-J passes under it
+INVERSE_IS_THE_MATRIX = (
+    GFMatrix.inverse,
+    ("return GFMatrix._from_perm(_invert_perm(self.perm))", "return self"),
+)
+# membership answers whether the element list is non-empty
+MEMBER_OF_ANY_NONEMPTY_GROUP = (
+    MatrixGroup.__contains__,
+    ("mat.perm in self._table_set", "bool(self._table_set)"),
+)
+# the centralizer keeps the sums that send at most one point to 0.  Every
+# sum in the commutant of <M',N> is invertible, so groups/centralizer passes
+# under it; the tier-1 differential against the packed-column enumeration
+# (tests/test_groups.py) catches it
+KEEPS_SUMS_WITH_ONE_POINT_TO_ZERO = (
+    centralizer_in_gl,
+    ("if t.count(0) == 1:", "if t.count(0) <= 2:"),
+)
+
 MUTANTS = {
     **dict.fromkeys(
         [
@@ -152,20 +189,35 @@ MUTANTS = {
         POLAR_FORM_AT_THE_UNION,
     ),
     "polys/form/rank": POLAR_FORM_OF_ANOTHER_QUADRIC,
+    **dict.fromkeys(
+        [*(f"groups/closure/{label}" for label in ("M,N", "M',N", "M,K12")), "groups/parity/in"],
+        CLOSES_UNDER_THE_FIRST_GENERATOR,
+    ),
+    **dict.fromkeys(
+        ["groups/stabilizer-u", "groups/diagonal-action/image", "groups/diagonal-action/kernel"],
+        FIXES_E1_INSTEAD_OF_P,
+    ),
+    "groups/W/normalized": INVERSE_IS_THE_MATRIX,
+    "groups/parity/out": MEMBER_OF_ANY_NONEMPTY_GROUP,
 }
 
 
 def run_under(mutant, cid: str, monkeypatch):
     """The result of check cid with the mutant's function replaced in every
-    package module that holds it (no replacement when mutant is None)."""
+    package module, and every class a package module defines, that holds
+    it (no replacement when mutant is None)."""
     clear_caches()
     with monkeypatch.context() as patch:
         if mutant is not None:
             fn, *edits = mutant
             replacement = source_mutant(fn, *edits)
             for name, module in list(sys.modules.items()):
-                if name.startswith(PACKAGE) and getattr(module, fn.__name__, None) is fn:
-                    patch.setattr(module, fn.__name__, replacement)
+                if name.startswith(PACKAGE):
+                    classes = [v for v in vars(module).values()
+                               if isinstance(v, type) and v.__module__ == name]
+                    for owner in (module, *classes):
+                        if vars(owner).get(fn.__name__) is fn:
+                            patch.setattr(owner, fn.__name__, replacement)
         result = Run(0).check(REGISTRY[cid])
     clear_caches()
     return result
@@ -184,3 +236,8 @@ def test_the_check_fails_under_its_mutant(cid, monkeypatch):
 def test_nesting_survives_the_kernel_mutant(monkeypatch):
     # why polys/nesting needs a mutant of its own
     assert run_under(DROPS_THE_TOP_KERNEL_ROW, "polys/nesting", monkeypatch).passed
+
+
+def test_the_centralizer_check_survives_a_loosened_invertibility_test(monkeypatch):
+    # why the centralizer's invertibility test is pinned by tier-1, not by verify
+    assert run_under(KEEPS_SUMS_WITH_ONE_POINT_TO_ZERO, "groups/centralizer", monkeypatch).passed

@@ -331,6 +331,17 @@ class TestInverse:
             with pytest.raises(ValueError, match="matrix is singular"):
                 ref_inverse(m)
 
+    def test_invertibility_agrees_with_the_rank_on_seeded_matrices(self):
+        # only 0 maps to 0 exactly when the rank is 8; most random matrices
+        # are singular, so both answers are exercised
+        rng = random.Random(61)
+        answers = []
+        for _ in range(3000):
+            m = random_matrix(rng)
+            answers.append(m.is_invertible())
+            assert answers[-1] == (m.rank() == 8), m
+        assert 500 < sum(answers) < 1500
+
     def test_invert_perm_undoes_the_table(self):
         rng = random.Random(59)
         assert _invert_perm(_IDPERM) == _IDPERM

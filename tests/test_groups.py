@@ -9,6 +9,7 @@ from refs import (
     ref_centralizer,
     ref_closure,
     ref_commutant_basis,
+    ref_packed_centralizer,
     ref_schreier_sims,
     ref_sym3_operator,
     ref_tensor_operator,
@@ -372,7 +373,21 @@ class TestClosure:
             order = len(closure(gens))
             assert order == len(closure(gens).elements) == schreier_sims(gens)
 
-    def test_length_builds_no_matrix_and_elements_are_built_once(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["closure", "explicit", "centralizer", "stabilizer"])
+    def test_length_builds_no_matrix_and_elements_are_built_once(self, kind, monkeypatch):
+        # every group keeps tables and builds its matrices on the first read
+        # of its elements; a listed group (centralizer, stabilizer) is
+        # generated by them.  The centralizer's certificate multiplies its
+        # basis matrices, the only matrices built on the way
+        gens = elements("M,N")
+        listed = closure(gens).elements
+        make, order, on_the_way = {
+            "closure": (lambda: closure(gens), 1296, 0),
+            "explicit": (lambda: MatrixGroup(gens, listed), 1296, 0),
+            "centralizer": (lambda: centralizer_in_gl([element("M")]), 1152,
+                            len(commutant_basis([element("M")])) ** 2),
+            "stabilizer": (lambda: stabilizer_of_point(MatrixGroup(gens, listed), UNIT), 48, 0),
+        }[kind]
         built = []
         from_perm = GFMatrix._from_perm.__func__
 
@@ -381,11 +396,12 @@ class TestClosure:
             return from_perm(cls, perm)
 
         monkeypatch.setattr(GFMatrix, "_from_perm", classmethod(counted))
-        group = closure([element("M"), element("N")])
-        assert len(group) == 1296 and built == []
+        group = make()
+        assert len(group) == order and len(built) == on_the_way
         first = group.elements
-        assert len(built) == 1296
-        assert group.elements is first and len(built) == 1296
+        assert len(built) == on_the_way + order
+        assert group.elements is first and len(built) == on_the_way + order
+        assert group.generators is (gens if kind in ("closure", "explicit") else first)
 
     def test_membership_builds_no_matrix(self, monkeypatch):
         gens = [element("M'"), element("N")]
@@ -688,6 +704,30 @@ class TestCommutantAndCentralizer:
         assert len(found) == 1152
         assert found == ref_centralizer(gens)
 
+    def test_table_sums_agree_with_packed_column_reference(self):
+        # every case, then C(M) with 1,152 elements and C(N) with 17,280
+        cases = {**COMMUTANT_CASES, "M": [element("M")], "N": [element("N")]}
+        enumerated = 0
+        for name, gens in cases.items():
+            if len(commutant_basis(gens)) > 20:
+                with pytest.raises(ValueError, match="^commutant too large to enumerate"):
+                    centralizer_in_gl(gens)
+            else:
+                assert list(centralizer_in_gl(gens).elements) == ref_packed_centralizer(gens), name
+                enumerated += 1
+        assert enumerated == 63
+
+    def test_the_differential_catches_a_loosened_invertibility_test(self):
+        # a sum that sends one point to 0 passes the loosened test.  No sum
+        # in the commutant of <M',N> does, so groups/centralizer passes
+        # under this mutant; the reference sees it on C(M) and on seeded cases
+        loose = source_mutant(centralizer_in_gl, ("if t.count(0) == 1:", "if t.count(0) <= 2:"))
+        even = elements("M',N")
+        assert list(loose(even).elements) == ref_packed_centralizer(even)
+        assert len(loose([element("M")])) == 2016 != len(ref_packed_centralizer([element("M")]))
+        assert loose(COMMUTANT_CASES["subset-0"]).elements != tuple(
+            ref_packed_centralizer(COMMUTANT_CASES["subset-0"]))
+
     def test_centralizer_of_n_is_enumerated_quickly(self):
         start = time.perf_counter()
         cz = centralizer_in_gl([element("N")])
@@ -751,6 +791,10 @@ class TestStabilizer:
     def test_non_point_is_rejected(self, p):
         with pytest.raises(ValueError, match=f"not a point: {p}"):
             stabilizer_of_point(segre_group(), p)
+
+    def test_a_group_without_an_element_list_is_rejected(self):
+        with pytest.raises(ValueError, match="^group has no explicit element list$"):
+            stabilizer_of_point(MatrixGroup(elements("M,N")), UNIT)
 
     def test_stabilizer_of_moved_point_is_trivial(self):
         grp = closure([element("J")])

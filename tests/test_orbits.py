@@ -81,6 +81,10 @@ class TestPointOrbits:
         for cls in partition.classes:
             assert cls.rep == min(cls.points)
 
+    def test_a_singular_generator_is_rejected(self):
+        # e2 -> e1 merges e1 and e2 and sends 3 to 0, which is no point
+        with pytest.raises(ValueError, match="^point orbits require invertible generators$"):
+            point_orbits(MatrixGroup([GFMatrix([1, 1, 4, 8, 16, 32, 64, 128])]))
 
     def test_agrees_with_call_reference_on_seeded_groups(self):
         for group in seeded_groups():
