@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 from math import comb
+from typing import TYPE_CHECKING
 
 from .gf2 import (
     DIM,
@@ -25,9 +26,11 @@ from .gf2 import (
     _kernel,
     _mask_of,
     _set_bits,
+    point_orbit,
 )
-from .groups import MatrixGroup, cube_group
-from .orbits import point_orbit
+
+if TYPE_CHECKING:
+    from .groups import MatrixGroup
 
 TABLE_FULL = (1 << 256) - 1
 
@@ -347,7 +350,7 @@ def monomial_orbit_poly(rep, group: MatrixGroup) -> Anf:
     rep is an iterable of distinct indices in 1..8; every generator of the
     group must be a permutation matrix.  Such a matrix maps the index set T,
     read as a vector, to the index set of the image monomial, so the orbit of
-    the monomial is the point orbit of T.
+    the monomial is the point orbit of T.  polys/P-catalog checks each P by it.
     """
     start = Anf.monomial(rep).coeffs.bit_length() - 1
     perms = []
@@ -359,9 +362,9 @@ def monomial_orbit_poly(rep, group: MatrixGroup) -> Anf:
 
 
 # ---------------------------------------------------------------------------
-# The named invariant polynomials.  _P_EXPANSIONS is the P catalog; every P
-# is pinned in full, so a labeling slip cannot pass silently: that each
-# orbit sum equals its pin is a claim, checked by polys/P-catalog.
+# The named invariant polynomials.  _P_EXPANSIONS is the P catalog, read by
+# named_P_basis; every P is pinned in full.  That each pin is the cube-group
+# orbit sum of its first term is a claim, checked by polys/P-catalog.
 
 
 _P_EXPANSIONS: dict[str, tuple[str, ...]] = {
@@ -408,14 +411,10 @@ _P_EXPANSIONS: dict[str, tuple[str, ...]] = {
 def named_P_basis() -> dict[str, Anf]:
     """The fifteen cube-group-invariant monomial-orbit polynomials.
 
-    One loop reads the _P_EXPANSIONS table, in its order: each P is the
-    cube-group orbit sum of the first term of its expansion.
+    One loop reads the _P_EXPANSIONS table, in its order: each P is the sum
+    of its pinned terms, checked against its orbit sum by polys/P-catalog.
     """
-    group = cube_group()
-    return {
-        name: monomial_orbit_poly(tuple(map(int, terms[0])), group)
-        for name, terms in _P_EXPANSIONS.items()
-    }
+    return {name: Anf.from_monomial_strings(terms) for name, terms in _P_EXPANSIONS.items()}
 
 
 def invariant_subspace(generators, max_degree: int) -> list[Anf]:

@@ -81,6 +81,23 @@ def _invert_perm(p: bytes) -> bytes:
     return bytes.maketrans(p, _IDPERM)
 
 
+def point_orbit(start: int, perms, seen: bytearray) -> list[int]:
+    """The orbit of start under the 256-byte point tables perms, breadth first.
+
+    Marks every point of the orbit in seen, the caller's bytearray(256), so a
+    loop over start points skips the ones an earlier orbit reached.
+    """
+    orbit = [start]
+    seen[start] = 1
+    for v in orbit:
+        for g in perms:
+            w = g[v]
+            if not seen[w]:
+                seen[w] = 1
+                orbit.append(w)
+    return orbit
+
+
 def parse_point(text: str) -> int:
     """Parse shorthand such as "1", "246" or "18u" into a point.
 

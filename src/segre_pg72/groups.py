@@ -455,11 +455,17 @@ def centralizer_in_gl(generators) -> MatrixGroup:
     products = [int.from_bytes(bytes((a * b).cols), "little") for a in basis for b in basis]
     if DIM * DIM + 1 - _echelon(packed + products, DIM * DIM).count(0) != len(basis):
         raise ConstructionError("commutant basis not closed under product")
+    # each sum of the high half of the basis XORed with every sum of the low
+    # half: the counter order again, holding about 2 * 2^(k/2) sums, not 2^k
+    sums = [int.from_bytes(b.perm, "little") for b in basis]
+    half = len(sums) // 2
+    lows = _xor_sums(sums[:half])
     tables = []
-    for x in _xor_sums([int.from_bytes(b.perm, "little") for b in basis])[1:]:
-        t = x.to_bytes(256, "little")
-        if t.count(0) == 1:
-            tables.append(t)
+    for high in _xor_sums(sums[half:]):
+        for x in lows:
+            t = (high ^ x).to_bytes(256, "little")
+            if t.count(0) == 1:  # the empty sum, 0, maps every point to 0
+                tables.append(t)
     return MatrixGroup._from_tables(tuple(tables))
 
 

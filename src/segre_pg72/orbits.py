@@ -12,7 +12,7 @@ from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .gf2 import ConstructionError, Flat, _check_point, _mask_of, format_point, parse_point, span
+from .gf2 import ConstructionError, Flat, _check_point, _mask_of, format_point, parse_point, point_orbit, span
 from .groups import MatrixGroup, cube_group, element
 from .segre import build_model
 
@@ -41,23 +41,6 @@ class OrbitPartition(NamedTuple):
 
     def sizes(self) -> list[int]:
         return [cls.size for cls in self.classes]
-
-
-def point_orbit(start: int, perms, seen: bytearray) -> list[int]:
-    """The orbit of start under the 256-byte point tables perms, breadth first.
-
-    Marks every point of the orbit in seen, the caller's bytearray(256), so a
-    loop over start points skips the ones an earlier orbit reached.
-    """
-    orbit = [start]
-    seen[start] = 1
-    for v in orbit:
-        for g in perms:
-            w = g[v]
-            if not seen[w]:
-                seen[w] = 1
-                orbit.append(w)
-    return orbit
 
 
 def point_orbits(group: MatrixGroup) -> OrbitPartition:

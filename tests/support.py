@@ -9,6 +9,7 @@ compare the package against live in `refs.py`.  No test module imports
 another test module; both of these are plain modules the tests import.
 """
 
+import __future__
 import inspect
 import signal
 import sys
@@ -103,13 +104,16 @@ def plan_flat(entry, bit: int) -> Flat:
 
 def source_mutant(fn, *edits: tuple[str, str]):
     """fn recompiled in a copy of its module's namespace, with each edit's
-    old text (found exactly once) replaced by its new text."""
+    old text (found exactly once) replaced by its new text.  It compiles
+    under `from __future__ import annotations`, as every package module
+    does, so an annotation naming a type imported only for type checking
+    is never evaluated."""
     source = textwrap.dedent(inspect.getsource(fn))
     for old, new in edits:
         assert source.count(old) == 1, old
         source = source.replace(old, new)
     namespace = dict(vars(sys.modules[fn.__module__]))
-    exec(source, namespace)
+    exec(compile(source, "<mutant>", "exec", __future__.annotations.compiler_flag), namespace)
     return namespace[fn.__name__]
 
 

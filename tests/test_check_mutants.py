@@ -8,7 +8,7 @@ package class, that holds it, and never changes an expected literal in
 cleared before and after each run, so the mutant is seen by that run
 alone.
 
-This table holds twelve slices: the invariant-solving kernel, `gf2._kernel`,
+This table holds fourteen slices: the invariant-solving kernel, `gf2._kernel`,
 and the checks that read it; the incidence scan's plan, `anf._quotient_plan`,
 and the `polys/incidence/*` checks that read it; the stabilizer chain,
 `groups.stabilizer_chain`, and the `groups/chain/*` checks that read its
@@ -23,14 +23,26 @@ parity checks that read its element lists; the stabilizer,
 `groups.stabilizer_of_point`, and the checks on the stabilizer of u; the
 inverse, `gf2.GFMatrix.inverse`, and `groups/W/normalized`; and the
 membership test, `groups.MatrixGroup.__contains__`, and
-`groups/parity/out`.
+`groups/parity/out`; the monomial orbit sums, `anf.monomial_orbit_poly`,
+and `polys/P-catalog`, the one check that reads them; and the point-set
+equation, `anf.anf_from_pointset`, and the two checks that compare the
+Q's with it.
 """
 
 import sys
 
 import pytest
 
-from segre_pg72.anf import _quotient_plan, invariant_subspace, mobius, substitute, symplectic_form
+from segre_pg72 import cli
+from segre_pg72.anf import (
+    _quotient_plan,
+    anf_from_pointset,
+    invariant_subspace,
+    mobius,
+    monomial_orbit_poly,
+    substitute,
+    symplectic_form,
+)
 from segre_pg72.checks import REGISTRY, Run
 from segre_pg72.gf2 import GFMatrix, _kernel
 from segre_pg72.groups import (
@@ -136,6 +148,17 @@ KEEPS_SUMS_WITH_ONE_POINT_TO_ZERO = (
     centralizer_in_gl,
     ("if t.count(0) == 1:", "if t.count(0) <= 2:"),
 )
+# the monomial orbit walks the first generator alone: each orbit sum comes
+# out short, and P1 is the first P to disagree with its pin.  The P's are
+# read from their pins, so no other check sees this route
+ORBIT_SUMS_OF_THE_FIRST_GENERATOR = (
+    monomial_orbit_poly,
+    ("point_orbit(start, perms, bytearray(256))", "point_orbit(start, perms[:1], bytearray(256))"),
+)
+# the equation of a point set keeps the constant term: it is 1 at 0 too, so
+# every flat equation and every zero-set equation gains a constant.
+# polys/roundtrip survives it, since pointset() drops bit 0 on the way back
+KEEPS_THE_CONSTANT_TERM = (anf_from_pointset, ("~(psi | 1)", "~psi"))
 
 MUTANTS = {
     **dict.fromkeys(
@@ -199,6 +222,8 @@ MUTANTS = {
     ),
     "groups/W/normalized": INVERSE_IS_THE_MATRIX,
     "groups/parity/out": MEMBER_OF_ANY_NONEMPTY_GROUP,
+    "polys/P-catalog": ORBIT_SUMS_OF_THE_FIRST_GENERATOR,
+    **dict.fromkeys(["polys/Q-catalog", "polys/Q2-geometric"], KEEPS_THE_CONSTANT_TERM),
 }
 
 
@@ -241,3 +266,26 @@ def test_nesting_survives_the_kernel_mutant(monkeypatch):
 def test_the_centralizer_check_survives_a_loosened_invertibility_test(monkeypatch):
     # why the centralizer's invertibility test is pinned by tier-1, not by verify
     assert run_under(KEEPS_SUMS_WITH_ONE_POINT_TO_ZERO, "groups/centralizer", monkeypatch).passed
+
+
+def test_the_orbit_route_is_read_by_the_p_catalog_alone(monkeypatch):
+    # the P's come from their pins, so a fault in the orbit sums shows in
+    # polys/P-catalog and in no other check
+    results = {cid: run_under(ORBIT_SUMS_OF_THE_FIRST_GENERATOR, cid, monkeypatch) for cid in REGISTRY}
+    assert [cid for cid, result in results.items() if not result.passed] == ["polys/P-catalog"]
+    assert results["polys/P-catalog"].actual == (
+        "raised ConstructionError: P1 disagrees with its known expansion")
+
+
+def test_the_roundtrip_survives_a_kept_constant_term(monkeypatch):
+    # why polys/roundtrip is not in the slice of anf_from_pointset
+    assert run_under(KEEPS_THE_CONSTANT_TERM, "polys/roundtrip", monkeypatch).passed
+
+
+def test_a_mutant_of_an_annotated_function_compiles():
+    # source_mutant compiles with postponed annotations: Run is imported
+    # into cli for type checking only
+    mutant = source_mutant(cli.suite_groups, ('"groups"', '"spread"'))
+    results = mutant(Run(0))
+    assert [r.id for r in results] == [c.id for c in REGISTRY.values() if c.suite == "spread"]
+    assert len(results) == 13 and all(r.passed for r in results)

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from itertools import permutations, product
 from math import prod
 
@@ -733,6 +734,17 @@ class TestCommutantAndCentralizer:
         cz = centralizer_in_gl([element("N")])
         assert time.perf_counter() - start < 10.0
         assert len(cz) == 17_280
+
+    def test_centralizer_of_n_holds_no_list_of_every_basis_sum(self):
+        # every basis sum held at once as a 2048-bit int peaked at 25.3 MB;
+        # the two half lists leave the 17,280 tables of the result the bulk
+        tracemalloc.start()
+        try:
+            centralizer_in_gl([element("N")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000
 
     def test_centralizer_rejects_a_basis_that_is_not_an_algebra(self, monkeypatch):
         e12 = GFMatrix([0, 1, 0, 0, 0, 0, 0, 0])  # e2 -> e1

@@ -52,6 +52,9 @@ def test_bare_import_loads_no_submodule():
 
 
 NEVER_LIGHT = {"segre_pg72.checks", "segre_pg72.anf", "dataclasses"}
+# a polynomial command reads the P catalog from its pins: no group, orbit
+# or variety module
+NEVER_POLYS = {"segre_pg72.checks", "segre_pg72.groups", "segre_pg72.orbits", "segre_pg72.segre"}
 
 
 COMMANDS = [
@@ -60,8 +63,8 @@ COMMANDS = [
     (["export", "orbits"], NEVER_LIGHT),
     (["orbits", "--group", "GS0"], NEVER_LIGHT),
     (["group", "order", "--gens", "M,N,K"], NEVER_LIGHT),
-    (["eval", "Q2", "18"], {"segre_pg72.checks"}),
-    (["export", "polys"], {"segre_pg72.checks"}),
+    (["eval", "Q2", "18"], NEVER_POLYS),
+    (["export", "polys"], NEVER_POLYS),
 ]
 
 
@@ -82,6 +85,16 @@ assert status == 0, status
 print(segre.build_model.cache_info().currsize)
 """
     assert run_fresh(code).strip() == "0"
+
+
+def test_the_polynomial_layer_loads_only_gf2():
+    code = """
+import sys
+import segre_pg72.anf
+segre_pg72.anf.named_Q()
+print(" ".join(sorted(m for m in sys.modules if m.startswith("segre_pg72"))))
+"""
+    assert run_fresh(code).split() == ["segre_pg72", "segre_pg72.anf", "segre_pg72.gf2"]
 
 
 def test_verify_loads_the_checks():

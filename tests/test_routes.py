@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import pytest
 
-from segre_pg72.anf import anf_from_pointset, degree_by_incidence, named_Q
+from segre_pg72.anf import anf_from_pointset, degree_by_incidence, monomial_orbit_poly, named_Q
 from segre_pg72.checks import _flat_sum, _zero_set_mask
-from segre_pg72.groups import closure, elements, schreier_sims, segre_group
+from segre_pg72.groups import closure, cube_group, elements, schreier_sims, segre_group
 from segre_pg72.orbits import definitional_orbits, point_orbits
 from segre_pg72.segre import build_model
 from support import PACKAGE, clear_caches
@@ -33,20 +33,10 @@ INPUT_GUARDS = {
 }
 
 # what Q2's P-sum route and its point-set route share; Q4's P-sum and
-# flat-sum routes share these and the two Anf sums
+# flat-sum routes share it and the two Anf sums.  The P's are read from
+# their pins, so neither Q route reads the tensor expansion twice
 Q_ROUTES = {
     "anf.Anf.__init__": "each route's result is an Anf",
-    "gf2._mask_of": "a monomial-orbit coefficient mask; a point-set mask",
-    "gf2._xor_sums": "the generators' point tables; the points of a flat",
-    "segre.segre_point": "the tensor operators of the cube group; the model's 27 points",
-}
-# the one tensor expansion both Q routes read through segre_point; a
-# comparison of the routes need not see a slip in it, so the literal pins
-# of anf._P_EXPANSIONS (polys/P-catalog) and groups._VALIDATION
-# (groups/catalog) are what catch it
-TENSOR_EXPANSION = {
-    "segre.BASIS_INDEX": "the cube-basis coordinates of the decomposable "
-                         "tensors, read by segre_point on both routes",
 }
 
 
@@ -91,14 +81,14 @@ ROWS = {
             "anf.Anf.__add__": "each route sums its terms: P's, flat equations",
             "anf.Anf.zero": "the empty sum each route starts from",
         },
-        data=TENSOR_EXPANSION,
+        data={},
     ),
     "Q2: P sum vs point set": Row(
         first=lambda: named_Q()["Q2"],
         second=lambda: anf_from_pointset(_zero_set_mask("O2 O4 O5")),
         inputs=(),
         shared=Q_ROUTES,
-        data=TENSOR_EXPANSION,
+        data={},
     ),
 }
 
@@ -153,3 +143,11 @@ def test_an_incidence_scan_that_reads_the_coefficients_is_caught():
     row = ROWS["incidence degree: coefficients vs flat scan"]
     mutant = replace(row, second=lambda psi: (degree_by_incidence(psi), anf_from_pointset(psi)))
     assert "anf.anf_from_pointset" in shared_calls(mutant) - set(row.shared)
+
+
+def test_a_p_sum_that_rebuilds_a_p_from_the_cube_group_is_caught():
+    # the orbit route builds the cube group's tensor operators, and the
+    # point-set route the model's points, both through segre_point
+    row = ROWS["Q2: P sum vs point set"]
+    mutant = replace(row, first=lambda: (named_Q()["Q2"], monomial_orbit_poly((1, 8), cube_group())))
+    assert "segre.segre_point" in shared_calls(mutant) - set(row.shared)
