@@ -20,7 +20,7 @@ from .gf2 import (
     Flat,
     GFMatrix,
     _UNITS,
-    _check_matrices,
+    _check_invertible,
     _check_vectors,
     _digits,
     _kernel,
@@ -337,9 +337,7 @@ def substitute(f: Anf, mat: GFMatrix) -> Anf:
     f(mat x): g's truth table is one bytes.translate.  That the degree is
     preserved is a claim, checked by polys/degree-preserved.
     """
-    (mat,) = _check_matrices((mat,))
-    if not mat.is_invertible():
-        raise ValueError("substitution requires an invertible matrix")
+    (mat,) = _check_invertible((mat,), "substitution requires an invertible matrix")
     values = mat.perm.translate(_byte_table(f.truth_table()))
     return Anf(mobius(int(values[::-1].translate(_DIGITS), 2)))
 
@@ -445,13 +443,11 @@ def invariant_subspace(generators, max_degree: int) -> list[Anf]:
     """
     if not 1 <= max_degree <= 8:
         raise ValueError("degree must be between 1 and 8")
-    generators = _check_matrices(generators)
+    generators = _check_invertible(generators, "substitution requires an invertible matrix")
     # lin[i]: truth table of y -> bit i of A(y + u), a sum of mirrored
     # coordinate tables, per generator above the tags, generator 0's highest
     lin = [0] * DIM
     for mat in generators:
-        if not mat.is_invertible():
-            raise ValueError("substitution requires an invertible matrix")
         for j, col in enumerate(mat.cols):
             for i in _set_bits(col):
                 lin[i] ^= _MOBIUS_MASKS[j]

@@ -358,6 +358,14 @@ def _check_matrices(values: Iterable) -> tuple[GFMatrix, ...]:
     return values
 
 
+def _check_invertible(values: Iterable, message: str) -> tuple[GFMatrix, ...]:
+    """The values as _check_matrices gives them; ValueError(message) if one is singular."""
+    values = _check_matrices(values)
+    if not all(m.is_invertible() for m in values):
+        raise ValueError(message)
+    return values
+
+
 def _kernel(tagged: Iterable[int], nvars: int, width: int) -> list[int]:
     """Basis of the x whose columns (columns[j] for the bits j of x) XOR to 0.
 

@@ -19,6 +19,7 @@ from .gf2 import (
     GFMatrix,
     _IDPERM,
     _UNITS,
+    _check_invertible,
     _check_matrices,
     _check_point,
     _echelon,
@@ -143,21 +144,19 @@ def elements(label: str) -> tuple[GFMatrix, ...]:
 
 
 class MatrixGroup:
-    """A matrix group given by generators, optionally with explicit elements.
+    """A matrix group given by invertible generators; a singular one raises.
 
-    Only the elements' point tables are stored (explicit elements are
-    checked first), and their matrices are built once, when `elements` is
-    first read; length and membership read the tables.  A group listed by
-    its elements (`_from_tables` without generators) is generated by them.
+    Only `_from_tables` lists a group's elements, as their point tables
+    (closure, centralizer_in_gl, stabilizer_of_point), and their matrices
+    are built once, when `elements` is first read; length and membership
+    read the tables.  A group listed without generators is generated by them.
     """
 
     __slots__ = ("_generators", "_tables", "_elements", "_table_set")
 
-    def __init__(self, generators, elements=None):
-        self._generators = _check_matrices(generators)
-        self._tables = None if elements is None else tuple(
-            m.perm for m in _check_matrices(elements))
-        self._elements = None
+    def __init__(self, generators):
+        self._generators = _check_invertible(generators, "group generators must be invertible")
+        self._tables = self._elements = None
         self._table_set = None  # built on the first membership test
 
     @classmethod
@@ -212,11 +211,8 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
-    generators = _check_matrices(generators)
+    generators = _check_invertible(generators, "closure requires invertible generators")
     gens = sorted(set(generators), key=lambda g: g.cols)
-    for g in gens:
-        if not g.is_invertible():
-            raise ValueError("closure requires invertible generators")
     perms = [g.perm for g in gens]
     found = [_IDPERM]
     images = [_UNITS]  # images[i] is found[i]'s column images
@@ -306,12 +302,8 @@ def stabilizer_chain(generators) -> Chain:
     are e1..e8.  Only a residue that is not, and so becomes a strong
     generator, is expanded to its 256-byte point table.
     """
-    images = []
-    for m in _check_matrices(generators):
-        if not m.is_invertible():
-            raise ValueError("schreier_sims requires invertible generators")
-        if m.perm != _IDPERM:
-            images.append(bytes(m.cols))
+    generators = _check_invertible(generators, "schreier_sims requires invertible generators")
+    images = [bytes(m.cols) for m in generators if m.perm != _IDPERM]
 
     levels: list[_Level] = []
 

@@ -46,11 +46,10 @@ class OrbitPartition(NamedTuple):
 def point_orbits(group: MatrixGroup) -> OrbitPartition:
     """Orbit partition of the 255 points under the group's generators.
 
-    Classes come out sorted by their minimal point, which doubles as the
-    representative.
+    MatrixGroup holds only invertible generators, so each table permutes
+    the points.  Classes come out sorted by their minimal point, which
+    doubles as the representative.
     """
-    if not all(g.is_invertible() for g in group.generators):
-        raise ValueError("point orbits require invertible generators")
     perms = [g.perm for g in group.generators]
     seen = bytearray(256)
     classes = []
@@ -145,32 +144,31 @@ _OFF = 255  # line index of a point on no line; a spread has at most 85 lines
 
 
 @cache
-def _line_tables(lines: tuple[frozenset[int], ...]) -> tuple[bytes, bytes, bytes, bytes, tuple[int, ...]]:
+def _line_tables(lines: tuple[frozenset[int], ...]) -> tuple[bytes, bytes, bytes, tuple[int, ...]]:
     """Byte tables of pairwise disjoint lines, keyed by line index.
 
     The first table sends each point to the index of its line, and a point
-    on no line to _OFF; the next three hold the smallest, middle and largest
-    point of each line; the last entry orders the line indices by minimal
-    point.
+    on no line to _OFF; the next two hold the smallest and the middle point
+    of each line; the last entry orders the line indices by minimal point.
     Raises ValueError unless the lines are pairwise disjoint lines
     {a, b, a + b} of PG(7,2).
     """
     index = bytearray([_OFF]) * 256
-    points = ([], [], [])
+    firsts, seconds = bytearray(), bytearray()
     for i, line in enumerate(lines):
         for p in line:
             _check_point(p)
         pts = sorted(line)
         if len(pts) != 3 or pts[0] ^ pts[1] != pts[2]:
             raise ValueError(f"not a line of three points: {' '.join(map(format_point, pts))}")
-        for p, column in zip(pts, points):
+        for p in pts:
             if index[p] != _OFF:
                 raise ValueError(f"two lines share the point {format_point(p)}")
             index[p] = i
-            column.append(p)
-    firsts, seconds, thirds = map(bytes, points)
+        firsts.append(pts[0])
+        seconds.append(pts[1])
     by_min = tuple(sorted(range(len(lines)), key=firsts.__getitem__))
-    return bytes(index), firsts, seconds, thirds, by_min
+    return bytes(index), bytes(firsts), bytes(seconds), by_min
 
 
 def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozenset[int], ...], ...]:
@@ -182,19 +180,20 @@ def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozense
 
     Each generator g is read through t, the table of p -> the index of the
     line through g(p): line i goes to line t(first(i)), and g preserves the
-    spread exactly when t agrees on the three points of every line and
-    never gives _OFF.  That is three translates per generator.  It is exact
-    because the lines are lines: if a linear g sends a, b and a + b into
-    one line L, then g(a) != g(b), or g(a + b) = 0 would lie on no line, so
-    g maps {a, b, a + b} onto L.
+    spread exactly when t agrees on the first two points of every line and
+    never gives _OFF.  That is two translates per generator.  It is exact
+    because g is invertible (MatrixGroup checks it): if g sends a and b
+    into one line L, they go to two distinct points of L and a + b to their
+    sum, the third, so g maps {a, b, a + b} onto L.  Being one-to-one, g
+    then permutes the lines, and a walk from a line finds its whole orbit.
     """
     lines = tuple(spread.lines)
-    index, firsts, seconds, thirds, by_min = _line_tables(lines)
+    index, firsts, seconds, by_min = _line_tables(lines)
     moves = []
     for g in group.generators:
         t = g.perm.translate(index)
         move = firsts.translate(t)
-        if move != seconds.translate(t) or move != thirds.translate(t) or _OFF in move:
+        if move != seconds.translate(t) or _OFF in move:
             raise ValueError("the group does not preserve the spread")
         moves.append((g.perm, move))
     # A class holds its start line as the spread's own object and every other
@@ -204,12 +203,12 @@ def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozense
     # and builds each image once; the tests pin it against
     # ref_line_orbit_split.
     found = list(lines)
-    state = bytearray(len(lines))  # 1: in the orbit being walked, 2: in a class
+    seen = bytearray(len(lines))
     classes = []
     for start in by_min:
-        if state[start]:
+        if seen[start]:
             continue
-        state[start] = 1
+        seen[start] = 1
         orbit = [start]
         stack = [start]
         while stack:
@@ -217,15 +216,11 @@ def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozense
             line = found[i]
             for perm, move in moves:
                 j = move[i]
-                if not state[j]:
-                    state[j] = 1
+                if not seen[j]:
+                    seen[j] = 1
                     found[j] = frozenset([perm[p] for p in line])
                     orbit.append(j)
                     stack.append(j)
-                elif state[j] == 2:  # a singular map can fold a line onto one split off
-                    raise ValueError("the group does not preserve the spread")
-        for i in orbit:
-            state[i] = 2
         classes.append(tuple(found[i] for i in sorted(orbit, key=firsts.__getitem__)))
     return tuple(classes)
 

@@ -653,10 +653,6 @@ class TestSubstitute:
             f = Anf(rng.getrandbits(256))
             assert substitute(substitute(f, a), b) == substitute(f, a * b)
 
-    def test_singular_rejected(self):
-        with pytest.raises(ValueError):
-            substitute(Anf.monomial((1,)), GFMatrix([1] * 8))
-
     def test_a_matrix_argument_that_is_no_matrix_is_rejected(self):
         with pytest.raises(ValueError, match="^not a matrix: 1$"):
             substitute(Anf(2), 1)
@@ -722,11 +718,12 @@ class TestNamedPolynomials:
 
     def test_monomial_orbit_requires_permutations(self):
         grp = closure([element("Ax")])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^group contains a non-permutation matrix$"):
             monomial_orbit_poly((1, 8), grp)
-        # every column a unit vector, but not a permutation: perm[T] is no index set
-        with pytest.raises(ValueError):
-            monomial_orbit_poly((1, 8), MatrixGroup([GFMatrix([E[1]] * 8)]))
+        # every column a unit vector, but not a permutation: the matrix is
+        # singular, so the group cannot be built and the orbit never starts
+        with pytest.raises(ValueError, match="^group generators must be invertible$"):
+            MatrixGroup([GFMatrix([E[1]] * 8)])
 
     @pytest.mark.parametrize("rep", [(9,), (0,), (1, 1)], ids=["9", "0", "1,1"])
     def test_monomial_orbit_rejects_bad_indices(self, rep):

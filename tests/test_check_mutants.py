@@ -8,13 +8,15 @@ package class, that holds it, and never changes an expected literal in
 cleared before and after each run, so the mutant is seen by that run
 alone.
 
-This table holds fourteen slices: the invariant-solving kernel, `gf2._kernel`,
+This table holds fifteen slices: the invariant-solving kernel, `gf2._kernel`,
 and the checks that read it; the incidence scan's plan, `anf._quotient_plan`,
 and the `polys/incidence/*` checks that read it; the stabilizer chain,
 `groups.stabilizer_chain`, and the `groups/chain/*` checks that read its
 orders; the point orbits, `orbits.point_orbits`, and the `orbits/*` and
 `table1/*` checks that read the partition; the line split,
 `orbits.line_orbit_split`, and the `spread/*` checks that read its classes;
+the spread, `orbits.spread_from_w`, and the checks that count its lines
+and their points;
 the substitution, `anf.substitute`, and `polys/degree-preserved`; and the
 Moebius transform, `anf.mobius`, and the product and round-trip checks
 that read it; the polar form, `anf.symplectic_form`, and the
@@ -49,10 +51,11 @@ from segre_pg72.groups import (
     MatrixGroup,
     centralizer_in_gl,
     closure,
+    element,
     stabilizer_chain,
     stabilizer_of_point,
 )
-from segre_pg72.orbits import line_orbit_split, point_orbits
+from segre_pg72.orbits import line_orbit_split, point_orbits, spread_from_w
 from support import PACKAGE, clear_caches, source_mutant
 
 # the highest-pivot kernel row dropped: every kernel loses one dimension.
@@ -97,6 +100,11 @@ SPLITS_BY_THE_FIRST_GENERATOR = (
     line_orbit_split,
     ("for perm, move in moves:", "for perm, move in moves[:1]:"),
 )
+# the spread keeps every W-orbit but the first: 84 lines on 252 points.
+# Each line left is still a line, so spread/lines passes under it
+DROPS_THE_FIRST_W_ORBIT = (spread_from_w, ("for cls in classes))", "for cls in classes[1:]))"))
+# the spread of the orbits of Ax, not W: again 85 lines on all 255 points
+ORBITS_OF_AX = (spread_from_w, ('element("W")', 'element("Ax")'))
 
 # the substitution reads f's coefficients as its truth table: the result's
 # degree is no longer f's.  Substitutions whose point table is affine, not
@@ -202,6 +210,7 @@ MUTANTS = {
          ("orbit-sizes", "L4", "L18", "L36", "L27", "tetrad", "tangents")],
         SPLITS_BY_THE_FIRST_GENERATOR,
     ),
+    **dict.fromkeys(["spread/count", "spread/cover"], DROPS_THE_FIRST_W_ORBIT),
     "polys/degree-preserved": READS_THE_COEFFICIENTS_AS_THE_TABLE,
     **dict.fromkeys(
         ["polys/P5-product", "polys/afterthought", "polys/roundtrip"],
@@ -275,6 +284,20 @@ def test_the_orbit_route_is_read_by_the_p_catalog_alone(monkeypatch):
     assert [cid for cid, result in results.items() if not result.passed] == ["polys/P-catalog"]
     assert results["polys/P-catalog"].actual == (
         "raised ConstructionError: P1 disagrees with its known expansion")
+
+
+def test_the_spread_lines_check_holds_for_any_orbits_of_a_fixed_point_free_order_3_map(monkeypatch):
+    # why spread/lines has no mutant: it holds by an identity.  A map c
+    # with c^2 + c + I = 0 has c^2(p) = p + c(p), so each of its orbits
+    # {p, c(p), c^2(p)} is a line.  W and Ax are two such maps with
+    # different orbits, and dropping orbits leaves lines too
+    ident = GFMatrix.identity()
+    for name in ("W", "Ax"):
+        c = element(name)
+        assert (c * c) ^ c ^ ident == GFMatrix([0] * 8)
+    assert source_mutant(*ORBITS_OF_AX)() != spread_from_w()
+    for mutant in (DROPS_THE_FIRST_W_ORBIT, ORBITS_OF_AX):
+        assert run_under(mutant, "spread/lines", monkeypatch).passed
 
 
 def test_the_roundtrip_survives_a_kept_constant_term(monkeypatch):

@@ -16,6 +16,7 @@ from refs import (
     ref_tensor_operator,
 )
 from segre_pg72 import groups
+from segre_pg72.anf import Anf, invariant_subspace, substitute
 from segre_pg72.checks import REGISTRY, Run
 from segre_pg72.gf2 import ConstructionError, Flat, GFMatrix, UNIT, parse_point, span, weight
 from segre_pg72.groups import (
@@ -352,7 +353,7 @@ class TestClosure:
 
     def test_membership_needs_an_element_list(self):
         gens = [element("M"), element("N")]
-        listed = MatrixGroup(gens, closure(gens).elements)
+        listed = closure(gens)
         assert element("M") * element("N") in listed
         assert element("K") not in listed
         for ask in (lambda g: element("M") in g, len):
@@ -374,20 +375,18 @@ class TestClosure:
             order = len(closure(gens))
             assert order == len(closure(gens).elements) == schreier_sims(gens)
 
-    @pytest.mark.parametrize("kind", ["closure", "explicit", "centralizer", "stabilizer"])
+    @pytest.mark.parametrize("kind", ["closure", "centralizer", "stabilizer"])
     def test_length_builds_no_matrix_and_elements_are_built_once(self, kind, monkeypatch):
         # every group keeps tables and builds its matrices on the first read
         # of its elements; a listed group (centralizer, stabilizer) is
         # generated by them.  The centralizer's certificate multiplies its
         # basis matrices, the only matrices built on the way
         gens = elements("M,N")
-        listed = closure(gens).elements
         make, order, on_the_way = {
             "closure": (lambda: closure(gens), 1296, 0),
-            "explicit": (lambda: MatrixGroup(gens, listed), 1296, 0),
             "centralizer": (lambda: centralizer_in_gl([element("M")]), 1152,
                             len(commutant_basis([element("M")])) ** 2),
-            "stabilizer": (lambda: stabilizer_of_point(MatrixGroup(gens, listed), UNIT), 48, 0),
+            "stabilizer": (lambda: stabilizer_of_point(closure(gens), UNIT), 48, 0),
         }[kind]
         built = []
         from_perm = GFMatrix._from_perm.__func__
@@ -402,7 +401,7 @@ class TestClosure:
         first = group.elements
         assert len(built) == on_the_way + order
         assert group.elements is first and len(built) == on_the_way + order
-        assert group.generators is (gens if kind in ("closure", "explicit") else first)
+        assert group.generators is (gens if kind == "closure" else first)
 
     def test_membership_builds_no_matrix(self, monkeypatch):
         gens = [element("M'"), element("N")]
@@ -814,11 +813,9 @@ class TestStabilizer:
         assert set(stab.elements) == {GFMatrix.identity()}
 
 
-# every entry point that takes generators, and MatrixGroup's explicit
-# elements, share one matrix check
+# every entry point that takes generators shares one matrix check
 NOT_A_MATRIX = {
     "MatrixGroup": lambda: MatrixGroup(["x"]),
-    "MatrixGroup elements": lambda: MatrixGroup([element("M")], ["x"]),
     "closure": lambda: closure([1]),
     "schreier_sims": lambda: schreier_sims([1]),
     "stabilizer_chain": lambda: stabilizer_chain([1]),
@@ -831,3 +828,40 @@ NOT_A_MATRIX = {
 def test_a_generator_that_is_no_matrix_is_rejected(name):
     with pytest.raises(ValueError, match="^not a matrix: "):
         NOT_A_MATRIX[name]()
+
+
+# e2 -> e1 merges e1 and e2 and sends e1 + e2 to 0
+SINGULAR = GFMatrix([1, 1, 4, 8, 16, 32, 64, 128])
+
+# every entry point that needs invertible matrices checks them with
+# gf2._check_invertible, each under its own message; a singular matrix
+# anywhere in the list is caught
+NOT_INVERTIBLE = {
+    "MatrixGroup": (lambda: MatrixGroup([element("M"), SINGULAR]),
+                    "group generators must be invertible"),
+    "closure": (lambda: closure([element("M"), SINGULAR]), "closure requires invertible generators"),
+    "schreier_sims": (lambda: schreier_sims([SINGULAR, element("M")]),
+                      "schreier_sims requires invertible generators"),
+    "stabilizer_chain": (lambda: stabilizer_chain([SINGULAR]),
+                         "schreier_sims requires invertible generators"),
+    "substitute": (lambda: substitute(Anf.monomial((1,)), GFMatrix([1] * 8)),
+                   "substitution requires an invertible matrix"),
+    "invariant_subspace": (lambda: invariant_subspace([element("M"), SINGULAR], 4),
+                           "substitution requires an invertible matrix"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_INVERTIBLE)
+def test_a_singular_matrix_is_rejected(name):
+    make, message = NOT_INVERTIBLE[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_commutant_and_centralizer_accept_a_singular_generator():
+    # commuting with a map needs no inverse: the shift e1 -> e2 -> ... ->
+    # e8 -> 0 is singular, and its commutant is the polynomials in it, the
+    # invertible ones those with a constant term
+    shift = GFMatrix([2, 4, 8, 16, 32, 64, 128, 0])
+    assert len(commutant_basis([shift])) == 8
+    assert len(centralizer_in_gl([shift])) == 128

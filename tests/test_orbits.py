@@ -25,7 +25,7 @@ from segre_pg72.orbits import (
     tetrad_three_flats,
 )
 from segre_pg72.segre import build_model
-from support import E, check_with
+from support import E, check_with, random_invertible
 
 
 def listed(split):
@@ -80,11 +80,6 @@ class TestPointOrbits:
         partition = point_orbits(segre_group())
         for cls in partition.classes:
             assert cls.rep == min(cls.points)
-
-    def test_a_singular_generator_is_rejected(self):
-        # e2 -> e1 merges e1 and e2 and sends 3 to 0, which is no point
-        with pytest.raises(ValueError, match="^point orbits require invertible generators$"):
-            point_orbits(MatrixGroup([GFMatrix([1, 1, 4, 8, 16, 32, 64, 128])]))
 
     def test_agrees_with_call_reference_on_seeded_groups(self):
         for group in seeded_groups():
@@ -256,18 +251,45 @@ class TestLineOrbitSplit:
         # J sends {e1, e2, e1 + e2} to {e8, e7, e7 + e8}, none of which the
         # one-line spread covers: every point reads the off-spread index
         (((1, 2, 3),), (128, 64, 32, 16, 8, 4, 2, 1)),
-        # e1, e2 -> e1 sends e1 and e2 into the line and e1 + e2 to 0
-        (((1, 2, 3),), (1, 1, 4, 8, 16, 32, 64, 128)),
-        # e3 -> e1, e4 -> e2 folds {e3, e4, e3 + e4} onto {e1, e2, e1 + e2},
-        # a line of a class already split off
-        (((1, 2, 3), (4, 8, 12)), (1, 2, 1, 2, 16, 32, 64, 128)),
-    ], ids=["uncovered", "to-zero", "onto-a-finished-class"])
+    ], ids=["uncovered"])
     def test_a_map_off_a_partial_spread_is_rejected_by_both_routes(self, lines, cols):
         spread = Spread(tuple(frozenset(line) for line in lines))
         group = MatrixGroup([GFMatrix(cols)])
         for route in (line_orbit_split, ref_line_orbit_split):
             with pytest.raises(ValueError, match="does not preserve the spread"):
                 route(spread, group)
+
+    @pytest.mark.parametrize("cols", [
+        # e1, e2 -> e1 sends e1 and e2 into the line {e1, e2, e1 + e2} and
+        # e1 + e2 to 0
+        (1, 1, 4, 8, 16, 32, 64, 128),
+        # e3 -> e1, e4 -> e2 folds {e3, e4, e3 + e4} onto {e1, e2, e1 + e2},
+        # the line split off first
+        (1, 2, 1, 2, 16, 32, 64, 128),
+        # e1 -> e3, e2 -> e4 folds {e1, e2, e1 + e2} onto {e3, e4, e3 + e4},
+        # a line not yet walked, so a walk of the lines sees no fold
+        (4, 8, 4, 8, 16, 32, 64, 128),
+    ], ids=["to-zero", "onto-a-finished-class", "onto-a-later-line"])
+    def test_a_singular_map_of_lines_is_rejected_when_the_group_is_built(self, cols):
+        # so neither route ever meets it, whatever the order of the lines
+        with pytest.raises(ValueError, match="^group generators must be invertible$"):
+            MatrixGroup([GFMatrix(cols)])
+
+    def test_an_invertible_map_that_keeps_two_points_of_a_line_together_keeps_the_third(self):
+        # why the split compares only the first two points of each line: g
+        # sends a + b to g(a) + g(b), the third point of their line
+        rng = random.Random(89)
+        lines = spread_from_w().lines
+        line_of = {p: i for i, line in enumerate(lines) for p in line}
+        kept = 0
+        for _ in range(2000):
+            g = random_invertible(rng)
+            for line in lines:
+                a, b, c = sorted(line)
+                two = line_of[g(a)] == line_of[g(b)]
+                assert two == (line_of[g(a)] == line_of[g(b)] == line_of[g(c)])
+                kept += two
+        assert kept > 0
 
     def test_the_tetrad_alone_is_one_class(self):
         split = line_orbit_split(Spread(TETRAD_LINES), segre_group())

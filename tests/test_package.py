@@ -201,8 +201,6 @@ def one_argument_callables() -> dict:
 
 
 SWEPT = one_argument_callables()
-# MatrixGroup's optional element list meets the sweep too
-SWEPT["MatrixGroup elements"] = lambda value: segre_pg72.MatrixGroup([], [value])
 
 # The calls that may return: the records store what they are given,
 # orbit_mask with no labels is the empty mask, and the rest are valid
@@ -263,3 +261,39 @@ def test_no_test_module_imports_another():
         for path in modules
     }
     assert {name: found for name, found in offenders.items() if found} == {}
+
+
+# ---------------------------------------------------------------------------
+# One home for the invertibility rule: every entry point that needs
+# invertible matrices calls gf2._check_invertible.  Elsewhere in src only
+# the methods that need an inverse and two checks test a matrix: the
+# catalog check and the rejection sampling of polys/degree-preserved.
+
+
+def invertibility_tests(path: Path) -> list[str]:
+    """Where the module reads `.is_invertible`: each read's enclosing
+    function as Class.function, or its registered check as the check id."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                ids = [d.args[0].value for d in child.decorator_list
+                       if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "check"]
+                inner = ids[0] if ids else ".".join(filter(None, (scope, child.name)))
+            elif isinstance(child, ast.Attribute) and child.attr == "is_invertible":
+                found.append(scope)
+            walk(child, inner)
+
+    walk(ast.parse(path.read_text(), str(path)), "")
+    return found
+
+
+def test_invertibility_is_tested_only_by_the_guard_and_its_named_exceptions():
+    found = {path.stem: sorted(invertibility_tests(path))
+             for path in sorted((ROOT / "src" / "segre_pg72").glob("*.py"))}
+    assert {module: where for module, where in found.items() if where} == {
+        "checks": ["groups/catalog", "polys/degree-preserved"],
+        "gf2": ["GFMatrix.inverse", "GFMatrix.order", "_check_invertible"],
+    }

@@ -25,9 +25,10 @@ from support import PACKAGE, clear_caches
 
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="names calls by co_qualname")
 
-# the checks every generator passes on the way in: a GFMatrix, and
-# invertible, that is, only 0 maps to 0 in its point table
+# the checks every generator passes on the way in, through the one guard:
+# a GFMatrix, and invertible, that is, only 0 maps to 0 in its point table
 INPUT_GUARDS = {
+    "gf2._check_invertible": "the one guard of invertible generators",
     "gf2._check_matrices": "each generator is a GFMatrix",
     "gf2.GFMatrix.is_invertible": "each generator is invertible",
 }
