@@ -26,6 +26,7 @@ from .gf2 import (
     _kernel,
     _mask_of,
     _set_bits,
+    _xor_sums,
     point_orbit,
 )
 
@@ -46,6 +47,11 @@ def _tiled(block: int, period: int, width: int) -> int:
 # butterfly masks: positions whose index has bit i clear.  Mask j is also the
 # truth table of the mirrored coordinate y -> x_(j+1)(y + u), u the unit point
 _MOBIUS_MASKS = [_tiled((1 << (1 << i)) - 1, 2 << i, 256) for i in range(DIM)]
+
+# the widest packed table of the incidence scan (2^17 bits, for the pivot
+# set {1, 2, 3}), and per bit b the mask of its positions with b clear
+_WIDEST = 1 << 17
+_WIDE_MASKS = tuple(_tiled(m, 256, _WIDEST) for m in _MOBIUS_MASKS)
 
 
 def mobius(table: int) -> int:
@@ -220,21 +226,6 @@ def _byte_table(mask: int) -> bytes:
     return f"{mask:0256b}".encode()[::-1].translate(_BITS)
 
 
-# the widest packed table: 2^17 bits, for the pivot set {1, 2, 3}
-_WIDEST = 1 << 17
-
-
-@cache
-def _scan_tables() -> tuple[tuple[int, ...], tuple[bytes, ...]]:
-    """The masks and flips that every _quotient_plan entry shares.
-
-    masks[b] marks the positions of the widest packed table whose bit b is
-    clear; flips[c] is the point table of v -> v ^ (1 << c).
-    """
-    masks = tuple(_tiled(m, 256, _WIDEST) for m in _MOBIUS_MASKS)
-    return masks, tuple(bytes(v ^ 1 << c for v in range(256)) for c in range(DIM))
-
-
 @cache
 def _quotient_plan(k: int) -> tuple[tuple[bytes, tuple, int, int, int], ...]:
     """The flats of vector dimension k, one entry per pivot set of rows 1..k-1.
@@ -260,16 +251,13 @@ def _quotient_plan(k: int) -> tuple[tuple[bytes, tuple, int, int, int], ...]:
     quot-bit table T_H per fill of all rows; origins marks position 0 of
     each and targets the allowed r.  So bit j of _even_bits names the flat
     spanned by perm[j % quot] and, per row, perm[step ^ the flip of each
-    doubling whose shift is a bit of j].
+    doubling whose shift is a bit of j].  perm comes from _xor_sums.
     """
-    masks, flips = _scan_tables()
     plan = []
     for pivots in combinations(range(1, DIM), k - 1):
         low = [c for c in range(DIM) if c not in pivots]
         order = low + list(pivots)
-        perm = b"\0"
-        for c in order:
-            perm += perm.translate(flips[c])
+        perm = bytes(_xor_sums([1 << c for c in order]))
         width, rows = 256, []
         for b in range(DIM - 1, len(low) - 1, -1):
             cols = [c for c, col in enumerate(low) if col > order[b]]
@@ -279,8 +267,8 @@ def _quotient_plan(k: int) -> tuple[tuple[bytes, tuple, int, int, int], ...]:
             for _ in cols[1:]:
                 shifts.append(width)
                 width <<= 1
-            doublings = tuple((s, 1 << c, masks[c]) for s, c in zip(shifts, cols))
-            rows.append((1 << b, masks[b], doublings))
+            doublings = tuple((s, 1 << c, _WIDE_MASKS[c]) for s, c in zip(shifts, cols))
+            rows.append((1 << b, _WIDE_MASKS[b], doublings))
         quot, below = 1 << len(low), 1 << (pivots[0] if pivots else DIM)
         origins = _tiled(1, quot, width)
         targets = _tiled((1 << below) - 2, below, width)  # r with a bit below min S
@@ -317,8 +305,8 @@ def degree_by_incidence(psi: int) -> int:
     Each scan reads only the indicator of psi, through quotient tables: per
     entry of _quotient_plan, one packed table of T_H over the quotient
     columns per fill of the rows of H, whose every row 0 is tested as one
-    bit mask (see _even_bits).  The plans and their masks are built on the
-    first scan and cached, about 0.4 MB; a packed table is at most 16 KB.
+    bit mask (see _even_bits).  The plans are cached on the first scan, the
+    masks built at import: about 0.4 MB.  A packed table is at most 16 KB.
     """
     _check_pointset(psi)
     if psi.bit_count() % 2 == 0:

@@ -151,23 +151,18 @@ def _echelon(vectors: Iterable[int], width: int) -> list[int]:
     return rows
 
 
+# _MIRROR[v] is v with its 8 bits in reverse order: bit i moves to bit 7 - i
+_MIRROR = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
+
+
 def _rref(vectors: Iterable[int]) -> tuple[int, ...]:
     """Reduced row echelon form; pivots are lowest set bits, rows sorted by pivot.
 
-    Gauss-Jordan on at most 8 rows: each vector is reduced by the rows so
-    far, and its lowest remaining bit, a new pivot, is cleared from the
-    other rows.
+    _kernel's canonical basis of the mirrored vectors, which carry no bits
+    above its tags, mirrored back and taken in reverse.
     """
-    rows: list[int] = []
-    for v in _check_vectors(vectors):
-        for r in rows:
-            if v & (r & -r):
-                v ^= r
-        if v:
-            low = v & -v
-            rows = [r ^ v if r & low else r for r in rows]
-            rows.append(v)
-    return tuple(sorted(rows, key=lambda r: r & -r))
+    rows = _kernel(bytes(_check_vectors(vectors)).translate(_MIRROR), DIM, DIM)
+    return tuple(_MIRROR[r] for r in reversed(rows))
 
 
 def _transpose(vectors, width: int) -> list[int]:
@@ -186,8 +181,8 @@ def _xor_sums(rows) -> list[int]:
 class Flat:
     """A projective subspace of PG(7,2) in canonical reduced-echelon basis form.
 
-    Two flats are equal iff they are the same subspace; the canonical basis
-    makes that a tuple comparison.
+    Two flats are equal iff they are the same subspace; _rref's canonical
+    basis makes that a tuple comparison.
     """
 
     __slots__ = ("basis",)
@@ -367,7 +362,8 @@ def _check_invertible(values: Iterable, message: str) -> tuple[GFMatrix, ...]:
 
 
 def _kernel(tagged: Iterable[int], nvars: int, width: int) -> list[int]:
-    """Basis of the x whose columns (columns[j] for the bits j of x) XOR to 0.
+    """The fully reduced rows whose pivot is a tag: a basis of the x whose
+    columns (columns[j] for the bits j of x) XOR to 0.
 
     Each row of tagged is one variable j's column, shifted above every tag,
     plus a tag at bit j: columns[j] << nvars | 1 << j, at most width bits.
@@ -380,8 +376,10 @@ def _kernel(tagged: Iterable[int], nvars: int, width: int) -> list[int]:
     adding one clears its own pivot and sets no other.  The result is the
     unique basis whose rows have distinct highest bits and carry no other
     row's highest bit, by highest bit ascending, whatever the order of the
-    rows.  Elimination takes the highest column bits first, so a caller
-    orders its column bits, and its rows, by the work it wants.
+    rows.  Rows with no column bits (width == nvars) give the canonical
+    basis of their span (_rref reads it).  Elimination takes the highest
+    column bits first, so a caller orders its column bits, and its rows,
+    by the work it wants.
     """
     rows = _echelon(tagged, width)
     pivots = 0

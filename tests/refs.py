@@ -116,6 +116,25 @@ def ref_lowbit_reduce(vectors):
     return rows
 
 
+def ref_gauss_jordan_rref(vectors):
+    """The Gauss-Jordan pass gf2._rref ran on at most 8 rows: each vector is
+    reduced by the rows so far, and its lowest remaining bit, a new pivot,
+    is cleared from the other rows; rows sorted by pivot.
+
+    Checks `gf2._rref`; replaced in the commit after a754cae.
+    """
+    rows = []
+    for v in vectors:
+        for r in rows:
+            if v & (r & -r):
+                v ^= r
+        if v:
+            low = v & -v
+            rows = [r ^ v if r & low else r for r in rows]
+            rows.append(v)
+    return tuple(sorted(rows, key=lambda r: r & -r))
+
+
 def ref_lowbit_kernel(columns, nvars):
     """The kernel gf2._kernel replaced: the columns at the low bits, variable
     j's tag reversed at bit width + nvars - 1 - j above them, lowest-bit
@@ -1027,3 +1046,22 @@ def ref_coset_even_flats(k: int, psi: int) -> set[Flat]:
             for bit in _set_bits(even):
                 named.add(ref_coset_flat(entry, piece, bit >> 8, bit & 255))
     return named
+
+
+# ---------------------------------------------------------------------------
+# anf: the coordinate tables of the incidence plan
+
+
+def ref_coordinate_table(order) -> bytes:
+    """The point table of a coordinate order, by flip-doubling: index bit i
+    stands for column order[i], and each column doubles the table with its
+    copy under v -> v ^ (1 << column).
+
+    Checks the tables of `anf._quotient_plan`; replaced in the commit after
+    a754cae.
+    """
+    flips = [bytes(v ^ 1 << c for v in range(256)) for c in range(8)]
+    table = b"\0"
+    for c in order:
+        table += table.translate(flips[c])
+    return table

@@ -15,6 +15,7 @@ from refs import (
     plan_layouts,
     ref_ascending_kernel,
     ref_coefficient_invariant_subspace,
+    ref_coordinate_table,
     ref_coset_even_flats,
     ref_echelon_layouts,
     ref_exists_even_flat,
@@ -568,6 +569,34 @@ class TestCosetScan:
         assert counts == sorted(counts)
         assert sum(counts) == gaussian_binomial_oracle(8, k)
 
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_the_coordinate_tables_are_the_flip_doubled_ones(self, k):
+        # per pivot set, the quotient columns low and the pivots high
+        expected = {
+            ref_coordinate_table([c for c in range(8) if c not in pivots] + list(pivots))
+            for pivots in combinations(range(1, 8), k - 1)
+        }
+        tables = [perm for perm, _, _, _, _ in _quotient_plan(k)]
+        assert len(tables) == len(expected)
+        assert set(tables) == expected
+
+    def test_each_plan_entry_builds_its_table_with_one_doubling_loop(self, monkeypatch):
+        seen = []
+
+        def spy(rows):
+            seen.append(list(rows))
+            return xor_sums(seen[-1])
+
+        xor_sums = anf._xor_sums
+        monkeypatch.setattr(anf, "_xor_sums", spy)
+        for k in range(1, 9):
+            anf._quotient_plan.cache_clear()
+            seen.clear()
+            plan = anf._quotient_plan(k)
+            assert len(seen) == len(plan)
+            assert all(sorted(rows) == [1 << c for c in range(8)] for rows in seen)
+        anf._quotient_plan.cache_clear()
+
     # every k on one set; the costly middle k (about 1-3 s each) once
     @pytest.mark.parametrize("name, k", [
         *(("random-odd-1", k) for k in range(1, 9)),
@@ -619,7 +648,6 @@ class TestCosetScan:
         monkeypatch.setattr(anf, "mobius", refuse)
         monkeypatch.setattr(anf, "Anf", refuse)
         anf._quotient_plan.cache_clear()
-        anf._scan_tables.cache_clear()
         assert {name: degree_by_incidence(psi) for name, psi in zero_sets.items()} == {
             "Q2": 2, "Q4": 4, "Q4'": 4, "Q6": 6,
         }

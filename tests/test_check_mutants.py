@@ -8,7 +8,7 @@ package class, that holds it, and never changes an expected literal in
 cleared before and after each run, so the mutant is seen by that run
 alone.
 
-This table holds fifteen slices: the invariant-solving kernel, `gf2._kernel`,
+This table holds sixteen slices: the invariant-solving kernel, `gf2._kernel`,
 and the checks that read it; the incidence scan's plan, `anf._quotient_plan`,
 and the `polys/incidence/*` checks that read it; the stabilizer chain,
 `groups.stabilizer_chain`, and the `groups/chain/*` checks that read its
@@ -26,9 +26,10 @@ parity checks that read its element lists; the stabilizer,
 inverse, `gf2.GFMatrix.inverse`, and `groups/W/normalized`; and the
 membership test, `groups.MatrixGroup.__contains__`, and
 `groups/parity/out`; the monomial orbit sums, `anf.monomial_orbit_poly`,
-and `polys/P-catalog`, the one check that reads them; and the point-set
+and `polys/P-catalog`, the one check that reads them; the point-set
 equation, `anf.anf_from_pointset`, and the two checks that compare the
-Q's with it.
+Q's with it; and the flats' canonical basis, `gf2._rref`, and the
+`orbits/*` checks that read the model's flats and tangents.
 """
 
 import sys
@@ -46,7 +47,7 @@ from segre_pg72.anf import (
     symplectic_form,
 )
 from segre_pg72.checks import REGISTRY, Run
-from segre_pg72.gf2 import GFMatrix, _kernel
+from segre_pg72.gf2 import GFMatrix, _kernel, _rref
 from segre_pg72.groups import (
     MatrixGroup,
     centralizer_in_gl,
@@ -167,6 +168,16 @@ ORBIT_SUMS_OF_THE_FIRST_GENERATOR = (
 # every flat equation and every zero-set equation gains a constant.
 # polys/roundtrip survives it, since pointset() drops bit 0 on the way back
 KEEPS_THE_CONSTANT_TERM = (anf_from_pointset, ("~(psi | 1)", "~psi"))
+# the flats' basis handed back still mirrored (bit i at bit 7 - i): it spans
+# another flat, and build_model raises on a tangent whose points are not
+# collinear with its point
+RETURNS_THE_MIRRORED_ROWS = (_rref, ("_MIRROR[r] for r", "r for r"))
+# the flats' basis handed back by highest mirrored bit, that is by lowest
+# bit descending: still canonical, so every flat compares as before and
+# all 98 ids pass.  The flat bases printed by `verify all --format json`
+# and `export model` change, so the golden comparisons of tests/test_cli.py
+# catch it
+RETURNS_THE_ROWS_DESCENDING = (_rref, ("in reversed(rows)", "in rows"))
 
 MUTANTS = {
     **dict.fromkeys(
@@ -233,6 +244,10 @@ MUTANTS = {
     "groups/parity/out": MEMBER_OF_ANY_NONEMPTY_GROUP,
     "polys/P-catalog": ORBIT_SUMS_OF_THE_FIRST_GENERATOR,
     **dict.fromkeys(["polys/Q-catalog", "polys/Q2-geometric"], KEEPS_THE_CONSTANT_TERM),
+    **dict.fromkeys(
+        ["orbits/5-flat-incidence", "orbits/model-counts", "orbits/tangent-examples"],
+        RETURNS_THE_MIRRORED_ROWS,
+    ),
 }
 
 
@@ -303,6 +318,13 @@ def test_the_spread_lines_check_holds_for_any_orbits_of_a_fixed_point_free_order
 def test_the_roundtrip_survives_a_kept_constant_term(monkeypatch):
     # why polys/roundtrip is not in the slice of anf_from_pointset
     assert run_under(KEEPS_THE_CONSTANT_TERM, "polys/roundtrip", monkeypatch).passed
+
+
+def test_every_check_survives_a_basis_in_descending_order(monkeypatch):
+    # why the row order of _rref is pinned by the golden outputs, not by
+    # verify: the basis changes, and no check reads it
+    assert source_mutant(*RETURNS_THE_ROWS_DESCENDING)([1, 2]) == (2, 1) != _rref([1, 2])
+    assert all(run_under(RETURNS_THE_ROWS_DESCENDING, cid, monkeypatch).passed for cid in REGISTRY)
 
 
 def test_a_mutant_of_an_annotated_function_compiles():

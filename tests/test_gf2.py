@@ -11,6 +11,7 @@ from refs import (
     ref_ascending_kernel,
     ref_columns,
     ref_full_kernel,
+    ref_gauss_jordan_rref,
     ref_inverse,
     ref_lowbit_echelon,
     ref_lowbit_kernel,
@@ -475,6 +476,21 @@ def reduce_cases():
 REDUCE_CASES = reduce_cases()
 
 
+def seeded_byte_lists(rng, count):
+    """count lists of 0-10 bytes, the first empty; of the rest, list i holds
+    a zero vector when i % 3 == 1 and a repeated vector when i % 3 == 2."""
+    lists = [[]]
+    for i in range(1, count):
+        vectors = [rng.randrange(256) for _ in range(rng.randrange(11))]
+        if vectors and i % 3 == 1:
+            vectors[rng.randrange(len(vectors))] = 0
+        if len(vectors) > 1 and i % 3 == 2:
+            a, b = rng.sample(range(len(vectors)), 2)
+            vectors[a] = vectors[b]
+        lists.append(vectors)
+    return lists
+
+
 def width_of(vectors):
     return max((v.bit_length() for v in vectors), default=0)
 
@@ -496,14 +512,18 @@ class TestReduce:
             assert ref_reduce(rows.values()) == ref_reduce(vectors)
 
     def test_rref_agrees_with_the_lowest_bit_reference(self):
-        # every 8-bit system of REDUCE_CASES, then seeded lists of 0-11 bytes
-        rng = random.Random(61)
+        # every 8-bit system of REDUCE_CASES, then seeded lists of 0-10
+        # bytes, against the Gauss-Jordan pass _rref replaced too
+        lists = seeded_byte_lists(random.Random(71), 20000)
+        assert [] in lists
+        assert sum(0 in v for v in lists) > 1000
+        assert sum(len(set(v)) < len(v) for v in lists) > 1000
         systems = [v for cases in REDUCE_CASES.values() for v in cases if width_of(v) <= 8]
         assert len(systems) > 200
-        systems += [[rng.randrange(256) for _ in range(rng.randrange(12))] for _ in range(5000)]
-        for vectors in systems:
+        for vectors in systems + lists:
             rows = ref_lowbit_reduce(vectors)
-            assert _rref(vectors) == tuple(rows[p] for p in sorted(rows)), vectors
+            expected = tuple(rows[p] for p in sorted(rows))
+            assert _rref(vectors) == ref_gauss_jordan_rref(vectors) == expected, vectors
 
     @pytest.mark.parametrize("name", list(REDUCE_CASES))
     def test_echelon_of_mirrored_vectors_mirrors_the_lowest_bit_elimination(self, name):
@@ -609,15 +629,29 @@ class TestKernel:
             assert ref_ascending_kernel(columns, nvars) == expected
 
     def test_agrees_with_the_ascending_kernel_on_seeded_matrices(self):
-        # kernel() hands _kernel each column above 8 tags, 16 bits wide
+        # kernel() hands _kernel each column above 8 tags, 16 bits wide;
+        # the second call is Flat's canonical basis of the result
         rng = random.Random(53)
         for _ in range(3000):
             mat = random_matrix(rng)
-            ((rows, nvars, width),) = kernel_calls(kernel, mat)
+            (rows, nvars, width), (basis_rows, *shape) = kernel_calls(kernel, mat)
             assert (nvars, width) == (8, 16)
             columns = untagged(rows, 8)
             assert columns == dict(enumerate(mat.cols))
-            assert _kernel(rows, nvars, width) == ref_ascending_kernel(columns, 8)
+            expected = ref_ascending_kernel(columns, 8)
+            assert _kernel(rows, nvars, width) == expected
+            assert shape == [8, 8] and len(basis_rows) == len(expected)
+            assert all(0 < r <= UNIT for r in basis_rows)
+
+    def test_a_flat_makes_one_kernel_call_on_eight_tags(self):
+        # Flat's basis is _kernel's canonical basis of the mirrored vectors
+        rng = random.Random(67)
+        for vectors in seeded_byte_lists(rng, 300):
+            flat = object.__new__(Flat)
+            ((rows, nvars, width),) = kernel_calls(Flat.__init__, flat, vectors)
+            assert (nvars, width) == (8, 8)
+            assert rows == [mirror(v, 8) for v in vectors]
+            assert flat.basis == ref_gauss_jordan_rref(vectors)
 
     @pytest.mark.parametrize(
         "names", [("M", "N"), ("M'", "N"), ("M", "K12")], ids=["M,N", "M',N", "M,K12"]

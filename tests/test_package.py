@@ -117,6 +117,14 @@ def test_every_public_name_resolves_to_its_home_module_object():
     assert segre_pg72.__all__[0] == "__version__"
 
 
+def test_the_version_is_spelled_once():
+    # pyproject.toml reads the version from the package at build time
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    assert "version" not in config["project"] and config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "segre_pg72.__version__"}
+
+
 def test_names_are_read_through_not_cached(monkeypatch):
     def replacement(generators):
         return 0
