@@ -152,7 +152,8 @@ check("groups/W/conj-J", "J conjugates W to W^2",
 @check("groups/W/normalized", "conjugates of W stay in {W, W^2} across the group")
 def _(run):
     w = _w()
-    return True, all(a * w * a.inverse() in (w, w * w) for a in groups.segre_group().elements)
+    powers = (w, w * w)
+    return True, all(a * w * a.inverse() in powers for a in groups.segre_group().elements)
 
 
 check("groups/parity/in", "paired involutions lie in the even subgroup", lambda run: (

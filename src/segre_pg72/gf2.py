@@ -178,6 +178,24 @@ def _xor_sums(rows) -> list[int]:
     return sums
 
 
+# _BIT_BYTES[i] has byte v equal to bit i of v, read as a 2048-bit int
+_BIT_BYTES = tuple(int.from_bytes(bytes(v >> i & 1 for v in range(256)), "little") for i in range(DIM))
+
+
+def _point_table(cols) -> bytes:
+    """The 256-byte point table of the column images cols, bytes(_xor_sums(cols)).
+
+    Byte v of c * _BIT_BYTES[i] is c when bit i of v is set and 0 otherwise,
+    with no carry since c is a byte, so the XOR of these over the columns is
+    the table read as one int: eight small products instead of 255 list
+    entries.
+    """
+    table = 0
+    for c, bits in zip(cols, _BIT_BYTES):
+        table ^= c * bits
+    return table.to_bytes(256, "little")
+
+
 class Flat:
     """A projective subspace of PG(7,2) in canonical reduced-echelon basis form.
 
@@ -254,7 +272,7 @@ class GFMatrix:
         if len(cols) != DIM or not all(isinstance(c, int) and 0 <= c <= UNIT for c in cols):
             raise ValueError("need 8 column vectors in 0..255")
         self.cols = cols
-        self.perm = bytes(_xor_sums(cols))
+        self.perm = _point_table(cols)
 
     @classmethod
     def _from_perm(cls, perm: bytes) -> "GFMatrix":

@@ -25,6 +25,7 @@ from .gf2 import (
     _echelon,
     _invert_perm,
     _kernel,
+    _point_table,
     _xor_sums,
     kernel,
     parse_point,
@@ -146,24 +147,37 @@ def elements(label: str) -> tuple[GFMatrix, ...]:
 class MatrixGroup:
     """A matrix group given by invertible generators; a singular one raises.
 
-    Only `_from_tables` lists a group's elements, as their point tables
-    (closure, centralizer_in_gl, stabilizer_of_point), and their matrices
-    are built once, when `elements` is first read; length and membership
-    read the tables.  A group listed without generators is generated by them.
+    Only `_from_tables` and `_from_steps` list a group's elements.  The first
+    takes their point tables (centralizer_in_gl, stabilizer_of_point); the
+    second takes the steps of a closure walk, element i + 1 being the table
+    of element `parent` translated through the table g, and replays them into
+    the tables, in the walk's order, on the first read that needs them:
+    membership, `elements`, stabilizer_of_point.  Length reads a stored
+    count, so it builds no table.  The matrices are built once, when
+    `elements` is first read.  A group listed without generators is
+    generated by its elements.
     """
 
-    __slots__ = ("_generators", "_tables", "_elements", "_table_set")
+    __slots__ = ("_generators", "_count", "_steps", "_tables", "_elements", "_table_set")
 
     def __init__(self, generators):
         self._generators = _check_invertible(generators, "group generators must be invertible")
-        self._tables = self._elements = None
+        self._count = self._steps = self._tables = self._elements = None
         self._table_set = None  # built on the first membership test
 
     @classmethod
     def _from_tables(cls, tables: tuple[bytes, ...], generators=None) -> "MatrixGroup":
         # trusted constructor: tables are the point tables of the elements
         group = cls(())
-        group._generators, group._tables = generators, tables
+        group._generators, group._tables, group._count = generators, tables, len(tables)
+        return group
+
+    @classmethod
+    def _from_steps(cls, steps: list[tuple[int, bytes]], generators) -> "MatrixGroup":
+        # trusted constructor: element 0 is the identity, and element i + 1 is
+        # the table of element steps[i][0] translated through steps[i][1]
+        group = cls(())
+        group._generators, group._steps, group._count = generators, steps, len(steps) + 1
         return group
 
     @property
@@ -172,8 +186,8 @@ class MatrixGroup:
 
     @property
     def elements(self) -> tuple[GFMatrix, ...] | None:
-        if self._elements is None and self._tables is not None:
-            self._elements = tuple(map(GFMatrix._from_perm, self._tables))
+        if self._elements is None and self._count is not None:
+            self._elements = tuple(map(GFMatrix._from_perm, self._listed()))
         return self._elements
 
     def __contains__(self, mat: GFMatrix) -> bool:
@@ -182,11 +196,19 @@ class MatrixGroup:
         return isinstance(mat, GFMatrix) and mat.perm in self._table_set
 
     def __len__(self) -> int:
-        return len(self._listed())
+        if self._count is None:
+            raise ValueError("group has no explicit element list")
+        return self._count
 
     def _listed(self) -> tuple[bytes, ...]:
         if self._tables is None:
-            raise ValueError("group has no explicit element list")
+            if self._steps is None:
+                raise ValueError("group has no explicit element list")
+            tables = [_IDPERM]
+            append = tables.append
+            for parent, g in self._steps:
+                append(tables[parent].translate(g))
+            self._tables, self._steps = tuple(tables), None
         return self._tables
 
 
@@ -200,33 +222,34 @@ class ClosureOverflowError(RuntimeError):
 def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
     """Breadth-first product closure with deterministic element order.
 
-    The search runs on the point permutations (GFMatrix.perm): the product
-    g * f is f.perm.translate(g.perm), and one walk over the growing list of
-    elements found is the breadth-first order.  A matrix is fixed by its
-    column images, so the search dedups on those 8 bytes (f's images e1..e8
-    through g's table) and translates f's 256-byte table only for a new
-    element.  The group keeps the tables and builds a matrix per element only
-    when its `elements` are first read.  The group always holds the identity,
-    so a cap below 1 raises ValueError.
+    The search runs on column images: a matrix is fixed by its images of
+    e1..e8, and the images of g * f are f's images through g's point table
+    (GFMatrix.perm), one 8-byte translate.  One walk over the growing list of
+    images found is the breadth-first order, and the search dedups on them.
+    Each new element is recorded as a step, (the index of f, g's table);
+    the group replays the steps into the elements' 256-byte point tables on
+    the first read that needs them, and its length reads the count.  The
+    group always holds the identity, so a cap below 1 raises ValueError.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     generators = _check_invertible(generators, "closure requires invertible generators")
     gens = sorted(set(generators), key=lambda g: g.cols)
     perms = [g.perm for g in gens]
-    found = [_IDPERM]
-    images = [_UNITS]  # images[i] is found[i]'s column images
+    images = [_UNITS]  # images[i] is element i's column images
+    steps = []  # steps[i] = (parent, g): element i + 1 is g * element parent
     seen = {_UNITS}
-    for f, c in zip(found, images):
+    add, keep, record = seen.add, images.append, steps.append
+    for f, c in enumerate(images):
         for g in perms:
             h = c.translate(g)
             if h not in seen:
                 if len(seen) >= cap:
                     raise ClosureOverflowError(f"closure exceeded cap of {cap} elements")
-                seen.add(h)
-                images.append(h)
-                found.append(f.translate(g))
-    return MatrixGroup._from_tables(tuple(found), generators)
+                add(h)
+                keep(h)
+                record((f, g))
+    return MatrixGroup._from_steps(steps, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +277,19 @@ class Chain(NamedTuple):
 
 
 class _Level:
-    __slots__ = ("base", "pos", "gens", "transversal", "inv_transversal", "pending",
+    # transversal and inv_transversal are indexed by point, None off the
+    # orbit; orbit lists the orbit's points in the order they were reached
+    __slots__ = ("base", "pos", "gens", "orbit", "transversal", "inv_transversal", "pending",
                  "sifted", "sifted_to_identity")
 
     def __init__(self, base: int):
         self.base = base
         self.pos = base.bit_length() - 1  # base == 1 << pos, a unit vector
         self.gens: list[tuple[bytes, bytes]] = []  # (generator, its inverse)
-        self.transversal = {base: _UNITS}
-        self.inv_transversal = {base: _IDPERM}
+        self.orbit = [base]
+        self.transversal: list[bytes | None] = [None] * 256
+        self.inv_transversal: list[bytes | None] = [None] * 256
+        self.transversal[base], self.inv_transversal[base] = _UNITS, _IDPERM
         self.pending: list[tuple[int, bytes]] = []
         self.sifted = self.sifted_to_identity = 0
 
@@ -281,10 +308,13 @@ def stabilizer_chain(generators) -> Chain:
     transversal entry is g t_pt and its inverse t_pt^-1 g^-1, one translate
     each.  A transversal entry is kept as its 8 column images, all that a
     Schreier generator reads of it; an inverse entry is kept as its point
-    table, which the sift applies.  Transversal entries are never rerouted
-    once written, so every Schreier pair (pt, s) is checked exactly once,
-    except the tree edges: the pair that first reached s(pt) gives the
-    identity by construction and is never queued.
+    table, which the sift applies.  Each level indexes both by point, in
+    256-slot lists with None off the orbit, and the sift walks one flat list
+    of (image position, base, inverse transversal), a level each.
+    Transversal entries are never rerouted once written, so every Schreier
+    pair (pt, s) is checked exactly once, except the tree edges: the pair
+    that first reached s(pt) gives the identity by construction and is
+    never queued.
 
     An input generator that sticks at level k is attached at levels k..0.  A
     residue of a Schreier generator queued at level i that sticks at level j
@@ -306,31 +336,30 @@ def stabilizer_chain(generators) -> Chain:
     images = [bytes(m.cols) for m in generators if m.perm != _IDPERM]
 
     levels: list[_Level] = []
+    path: list[tuple[int, int, list]] = []  # (pos, base, inv_transversal) per level
 
     def sift(e: bytes, start: int) -> tuple[bytes, int]:
-        for idx in range(start, len(levels)):
-            lv = levels[idx]
-            img = e[lv.pos]
-            if img == lv.base:
-                continue
-            t_inv = lv.inv_transversal.get(img)
-            if t_inv is None:
-                return e, idx
-            e = e.translate(t_inv)
-        return e, len(levels)
+        for idx in range(start, len(path)):
+            pos, base, inv = path[idx]
+            img = e[pos]
+            if img != base:
+                t_inv = inv[img]
+                if t_inv is None:
+                    return e, idx
+                e = e.translate(t_inv)
+        return e, len(path)
 
     def attach(lv: _Level, g: bytes, g_inv: bytes) -> None:
         lv.gens.append((g, g_inv))
-        trans, inv_trans = lv.transversal, lv.inv_transversal
+        trans, inv_trans, orbit, pending = lv.transversal, lv.inv_transversal, lv.orbit, lv.pending
         # points already in the orbit meet only g; the points it adds meet
         # every generator
-        orbit = list(trans)
         old, only_g = len(orbit), [(g, g_inv)]
         for i, pt in enumerate(orbit):
             for s, s_inv in only_g if i < old else lv.gens:
                 img = s[pt]
-                if img in trans:
-                    lv.pending.append((pt, s))
+                if trans[img] is not None:
+                    pending.append((pt, s))
                 else:
                     trans[img] = trans[pt].translate(s)
                     inv_trans[img] = s_inv.translate(inv_trans[pt])
@@ -349,13 +378,15 @@ def stabilizer_chain(generators) -> Chain:
         # forever.
         if any(e[lv.pos] != lv.base for lv in levels[:k]):
             raise ConstructionError("sifted residue moves a base point of a higher level")
-        g = bytes(_xor_sums(e))
+        g = _point_table(e)
         if k == len(levels):
             base = next(v for v in range(1, 256) if g[v] != v)
             if base & (base - 1):
                 raise ConstructionError("base point is not a unit vector")
-            levels.append(_Level(base))
-        if e[levels[k].pos] in levels[k].transversal:
+            lv = _Level(base)
+            levels.append(lv)
+            path.append((lv.pos, base, lv.inv_transversal))
+        if levels[k].transversal[e[levels[k].pos]] is not None:
             raise ConstructionError("sifted residue adds no point to the orbit of its level")
         g_inv = _invert_perm(g)
         for idx in range(k, low - 1, -1):
@@ -367,28 +398,31 @@ def stabilizer_chain(generators) -> Chain:
             add_generator(k, residue, 0)
 
     # levels above k have no pending pairs; a residue of level k that
-    # sticks at level j queues pairs on levels j..k+1 only
+    # sticks at level j queues pairs on levels j..k+1 only, so the loop
+    # drains level k until a residue sticks, then moves to its level j
     k = len(levels) - 1
     while k >= 0:
         lv = levels[k]
-        if not lv.pending:
-            k -= 1
-            continue
-        pt, s = lv.pending.pop()
-        schreier_gen = lv.transversal[pt].translate(s).translate(lv.inv_transversal[s[pt]])
-        if schreier_gen == _UNITS:
-            continue
-        lv.sifted += 1
-        residue, j = sift(schreier_gen, k + 1)
-        if residue == _UNITS:
-            lv.sifted_to_identity += 1
+        pending, trans, inv_trans = lv.pending, lv.transversal, lv.inv_transversal
+        while pending:
+            pt, s = pending.pop()
+            schreier_gen = trans[pt].translate(s).translate(inv_trans[s[pt]])
+            if schreier_gen == _UNITS:
+                continue
+            lv.sifted += 1
+            residue, j = sift(schreier_gen, k + 1)
+            if residue == _UNITS:
+                lv.sifted_to_identity += 1
+            else:
+                add_generator(j, residue, k + 1)
+                k = j
+                break
         else:
-            add_generator(j, residue, k + 1)
-            k = j
+            k -= 1
 
     return Chain(
         tuple(lv.base for lv in levels),
-        tuple(len(lv.transversal) for lv in levels),
+        tuple(len(lv.orbit) for lv in levels),
         tuple(tuple(_UNITS.translate(g) for g, _ in lv.gens) for lv in levels),
         tuple(lv.sifted for lv in levels),
         tuple(lv.sifted_to_identity for lv in levels),

@@ -198,10 +198,10 @@ def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozense
         moves.append((g.perm, move))
     # A class holds its start line as the spread's own object and every other
     # line as the frozenset built when the walk first finds it, from the
-    # object of the line that found it.  `verify` prints their iteration
-    # order (spread/tangents), so the walk stays depth first in this order
-    # and builds each image once; the tests pin it against
-    # ref_line_orbit_split.
+    # object of the line that found it, its points mapped in that object's
+    # iteration order.  `verify` prints their iteration order
+    # (spread/tangents), so the walk stays depth first in this order and
+    # builds each image once; the tests pin it against ref_line_orbit_split.
     found = list(lines)
     seen = bytearray(len(lines))
     classes = []
@@ -218,7 +218,7 @@ def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozense
                 j = move[i]
                 if not seen[j]:
                     seen[j] = 1
-                    found[j] = frozenset([perm[p] for p in line])
+                    found[j] = frozenset(map(perm.__getitem__, line))
                     orbit.append(j)
                     stack.append(j)
         classes.append(tuple(found[i] for i in sorted(orbit, key=firsts.__getitem__)))

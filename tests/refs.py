@@ -14,8 +14,19 @@ from itertools import combinations
 from math import prod
 
 from segre_pg72.anf import _MOBIUS_MASKS, Anf, _byte_table, mobius
-from segre_pg72.gf2 import UNIT, Flat, GFMatrix, _echelon, _set_bits, _xor_sums
-from segre_pg72.groups import DEFAULT_CAP, ClosureOverflowError, commutant_basis, element
+from segre_pg72.gf2 import (
+    UNIT,
+    ConstructionError,
+    Flat,
+    GFMatrix,
+    _UNITS,
+    _check_invertible,
+    _echelon,
+    _invert_perm,
+    _set_bits,
+    _xor_sums,
+)
+from segre_pg72.groups import DEFAULT_CAP, Chain, ClosureOverflowError, commutant_basis, element
 from segre_pg72.orbits import OrbitClass, Spread
 from segre_pg72.segre import BASIS_INDEX, segre_point
 from support import mask_of, mirror
@@ -488,6 +499,138 @@ def ref_schreier_sims(generators):
             add_generator(j, residue)
 
     return prod(len(lv.transversal) for lv in levels)
+
+
+def ref_eager_closure(generators, cap=DEFAULT_CAP):
+    """The closure walk that translated each new element's 256-byte point
+    table as it was found, deduped on the 8-byte column images: the tuple
+    of the tables, in breadth-first order.
+
+    Checks `groups.closure`'s replayed tables; replaced in the commit after
+    9fba9a1.
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
+    generators = _check_invertible(generators, "closure requires invertible generators")
+    gens = sorted(set(generators), key=lambda g: g.cols)
+    perms = [g.perm for g in gens]
+    found = [_IDPERM]
+    images = [_UNITS]  # images[i] is found[i]'s column images
+    seen = {_UNITS}
+    for f, c in zip(found, images):
+        for g in perms:
+            h = c.translate(g)
+            if h not in seen:
+                if len(seen) >= cap:
+                    raise ClosureOverflowError(f"closure exceeded cap of {cap} elements")
+                seen.add(h)
+                images.append(h)
+                found.append(f.translate(g))
+    return tuple(found)
+
+
+class RefDictLevel:
+    """One level of ref_dict_chain: its transversal (column images) and
+    inverse transversal (point tables) are dicts keyed by point, in the
+    order the orbit was reached.
+
+    Serves ref_dict_chain; added in the commit after 9fba9a1.
+    """
+
+    def __init__(self, base):
+        self.base = base
+        self.pos = base.bit_length() - 1
+        self.gens = []  # (generator, its inverse)
+        self.transversal = {base: _UNITS}
+        self.inv_transversal = {base: _IDPERM}
+        self.pending = []
+        self.sifted = self.sifted_to_identity = 0
+
+
+def ref_dict_chain(generators):
+    """The column-sifting stabilizer chain with dict-keyed levels: the same
+    bases, attach levels, pair order and counters as the package's chain,
+    each level's transversals looked up by point in a dict.
+
+    Checks `groups.stabilizer_chain` as a whole Chain record; replaced in
+    the commit after 9fba9a1.
+    """
+    generators = _check_invertible(generators, "schreier_sims requires invertible generators")
+    images = [bytes(m.cols) for m in generators if m.perm != _IDPERM]
+    levels = []
+
+    def sift(e, start):
+        for idx in range(start, len(levels)):
+            lv = levels[idx]
+            img = e[lv.pos]
+            if img == lv.base:
+                continue
+            t_inv = lv.inv_transversal.get(img)
+            if t_inv is None:
+                return e, idx
+            e = e.translate(t_inv)
+        return e, len(levels)
+
+    def attach(lv, g, g_inv):
+        lv.gens.append((g, g_inv))
+        trans, inv_trans = lv.transversal, lv.inv_transversal
+        orbit = list(trans)
+        old, only_g = len(orbit), [(g, g_inv)]
+        for i, pt in enumerate(orbit):
+            for s, s_inv in only_g if i < old else lv.gens:
+                img = s[pt]
+                if img in trans:
+                    lv.pending.append((pt, s))
+                else:
+                    trans[img] = trans[pt].translate(s)
+                    inv_trans[img] = s_inv.translate(inv_trans[pt])
+                    orbit.append(img)
+
+    def add_generator(k, e, low):
+        if any(e[lv.pos] != lv.base for lv in levels[:k]):
+            raise ConstructionError("sifted residue moves a base point of a higher level")
+        g = bytes(_xor_sums(e))
+        if k == len(levels):
+            base = next(v for v in range(1, 256) if g[v] != v)
+            if base & (base - 1):
+                raise ConstructionError("base point is not a unit vector")
+            levels.append(RefDictLevel(base))
+        if e[levels[k].pos] in levels[k].transversal:
+            raise ConstructionError("sifted residue adds no point to the orbit of its level")
+        g_inv = _invert_perm(g)
+        for idx in range(k, low - 1, -1):
+            attach(levels[idx], g, g_inv)
+
+    for e in images:
+        residue, k = sift(e, 0)
+        if residue != _UNITS:
+            add_generator(k, residue, 0)
+
+    k = len(levels) - 1
+    while k >= 0:
+        lv = levels[k]
+        if not lv.pending:
+            k -= 1
+            continue
+        pt, s = lv.pending.pop()
+        schreier_gen = lv.transversal[pt].translate(s).translate(lv.inv_transversal[s[pt]])
+        if schreier_gen == _UNITS:
+            continue
+        lv.sifted += 1
+        residue, j = sift(schreier_gen, k + 1)
+        if residue == _UNITS:
+            lv.sifted_to_identity += 1
+        else:
+            add_generator(j, residue, k + 1)
+            k = j
+
+    return Chain(
+        tuple(lv.base for lv in levels),
+        tuple(len(lv.transversal) for lv in levels),
+        tuple(tuple(_UNITS.translate(g) for g, _ in lv.gens) for lv in levels),
+        tuple(lv.sifted for lv in levels),
+        tuple(lv.sifted_to_identity for lv in levels),
+    )
 
 
 def ref_commutant_basis(generators) -> list[GFMatrix]:

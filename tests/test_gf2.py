@@ -30,6 +30,7 @@ from segre_pg72.gf2 import (
     _invert_perm,
     _kernel,
     _mask_of,
+    _point_table,
     _rref,
     _set_bits,
     _transpose,
@@ -272,6 +273,16 @@ class TestPointPermutation:
         for _ in range(200):
             m = random_matrix(rng)
             assert list(m.perm) == [ref_apply(m, v) for v in range(256)]
+
+    def test_point_table_matches_column_xor_and_the_doubling(self):
+        # the chain expands column images with it, and any byte may be a column
+        rng = random.Random(13)
+        cases = [bytes(8), bytes([255] * 8), bytes(1 << j for j in range(8))[::-1]]
+        cases += [rng.randbytes(8) for _ in range(500)]
+        for cols in cases:
+            table = _point_table(cols)
+            assert table == bytes(_xor_sums(cols))
+            assert list(table) == [ref_apply(GFMatrix(cols), v) for v in range(256)]
 
     def test_product_matches_column_images(self):
         rng = random.Random(11)

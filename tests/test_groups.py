@@ -10,6 +10,8 @@ from refs import (
     ref_centralizer,
     ref_closure,
     ref_commutant_basis,
+    ref_dict_chain,
+    ref_eager_closure,
     ref_packed_centralizer,
     ref_schreier_sims,
     ref_sym3_operator,
@@ -42,6 +44,7 @@ from segre_pg72.groups import (
     sym3_operator,
     tensor_operator,
 )
+from segre_pg72.orbits import line_orbit_split, point_orbits, spread_from_w
 from segre_pg72.segre import build_model
 from support import E, check_with, deadline, echelon_rows, random_invertible, source_mutant
 
@@ -448,6 +451,46 @@ class TestClosure:
             assert answers == [mat in listed for mat in probes]
             assert sum(answers) <= len(group) == len(listed)
 
+    def test_replayed_tables_agree_with_the_eager_walk(self):
+        # the tables, built by the first membership test, are the ones the
+        # walk that translated every new element's table found, byte for
+        # byte and in order.  <M,N,K> and <M,N,K'> are too large to list,
+        # so for them both routes stop at one cap with one message
+        cases = [elements(label) for label in VERIFY_CHAIN_SETS if VERIFY_CHAIN_SETS[label] <= 1296]
+        for gens in [*cases, *seeded_subsets(43, 30)]:
+            group = closure(gens)
+            assert all(g in group for g in gens)
+            assert group._tables == ref_eager_closure(gens)
+        for label in ("M,N,K", "M,N,K'"):
+            for route in (closure, ref_eager_closure):
+                with pytest.raises(ClosureOverflowError, match="^closure exceeded cap of 5000 elements$"):
+                    route(elements(label), cap=5000)
+
+    def test_length_and_the_orbits_build_no_table(self):
+        # what a chain-and-orbits pass reads of a closure: its length and
+        # its generators
+        group = closure(elements("M',N"))
+        assert len(group) == 648
+        assert sorted(point_orbits(group).sizes()) == [12, 27, 27, 27, 54, 108]
+        assert sorted(map(len, line_orbit_split(spread_from_w(), group))) == [4, 18, 27, 36]
+        assert group._tables is None
+
+    @pytest.mark.parametrize("first", ["in", "elements", "stabilizer"])
+    def test_the_first_read_that_needs_the_tables_builds_them_once(self, first):
+        reads = {
+            "in": lambda group: element("M") in group,
+            "elements": lambda group: group.elements,
+            "stabilizer": lambda group: stabilizer_of_point(group, UNIT),
+        }
+        group = closure(elements("M,N"))
+        assert group._tables is None
+        reads[first](group)
+        tables = group._tables
+        assert len(tables) == len(group) == 1296 and group._steps is None
+        for read in reads.values():
+            read(group)
+            assert group._tables is tables
+
     def test_membership_and_stabilizer_work_on_a_fresh_closure(self):
         group = closure([element("M"), element("N")])
         assert element("M") * element("N") in group
@@ -596,6 +639,23 @@ class TestSchreierSims:
         gens = [random_invertible(rng), random_invertible(rng)]
         assert schreier_sims(gens) == ref_schreier_sims(gens) == GL82_ORDER
 
+    @pytest.mark.parametrize("label", VERIFY_CHAIN_SETS)
+    def test_whole_chain_agrees_with_the_dict_level_reference_on_the_verify_sets(self, label):
+        gens = elements(label)
+        assert stabilizer_chain(gens) == ref_dict_chain(gens)
+
+    def test_whole_chain_agrees_with_the_dict_level_reference_on_seeded_sets(self):
+        # subsets of <M,N> alone and with K or K' adjoined, and the three
+        # seeded pairs that generate GL(8,2)
+        cases = []
+        for gens in seeded_subsets(43, 30):
+            cases += [gens, [*gens, element("K")], [*gens, element("K'")]]
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            cases.append([random_invertible(rng), random_invertible(rng)])
+        for gens in cases:
+            assert stabilizer_chain(gens) == ref_dict_chain(gens)
+
 
 def smallest_moved(mat: GFMatrix) -> int:
     return next(v for v in range(1, 256) if mat(v) != v)
@@ -632,8 +692,8 @@ class TestColumnSift:
         # residue that adds no orbit point; without the guard this chain for
         # <M,N> adds such residues without end
         forgetful = source_mutant(stabilizer_chain, (
-            "t_inv = lv.inv_transversal.get(img)",
-            f"t_inv = None if img == {E[4]} else lv.inv_transversal.get(img)",
+            "t_inv = inv[img]",
+            f"t_inv = None if img == {E[4]} else inv[img]",
         ))
         with deadline(2, "a chain with a forgetful level"):
             with pytest.raises(ConstructionError,
