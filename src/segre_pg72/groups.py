@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import prod
+from struct import Struct
 from typing import NamedTuple
 
 from .gf2 import (
@@ -147,23 +148,24 @@ def elements(label: str) -> tuple[GFMatrix, ...]:
 class MatrixGroup:
     """A matrix group given by invertible generators; a singular one raises.
 
-    Only `_from_tables` and `_from_steps` list a group's elements.  The first
-    takes their point tables (centralizer_in_gl, stabilizer_of_point); the
-    second takes the steps of a closure walk, element i + 1 being the table
-    of element `parent` translated through the table g, and replays them into
-    the tables, in the walk's order, on the first read that needs them:
-    membership, `elements`, stabilizer_of_point.  Length reads a stored
-    count, so it builds no table.  The matrices are built once, when
-    `elements` is first read.  A group listed without generators is
-    generated by its elements.
+    Only `_from_tables` and `_from_images` list a group's elements.  The
+    first takes their point tables (centralizer_in_gl, stabilizer_of_point);
+    the second takes the set of their column images, the bytes of e1..e8
+    through each element, that `closure` found.  Length reads a stored count
+    and membership tests a matrix's column images against the image set, so
+    neither builds a table.  A closure builds its point tables on the first
+    read that needs them (`elements`, stabilizer_of_point) by the
+    breadth-first walk over its generators in sorted order: each element
+    found is taken through every generator, and an image not yet seen is the
+    next element.  The matrices are built once, when `elements` is first
+    read.  A group listed without generators is generated by its elements.
     """
 
-    __slots__ = ("_generators", "_count", "_steps", "_tables", "_elements", "_table_set")
+    __slots__ = ("_generators", "_count", "_images", "_tables", "_elements")
 
     def __init__(self, generators):
         self._generators = _check_invertible(generators, "group generators must be invertible")
-        self._count = self._steps = self._tables = self._elements = None
-        self._table_set = None  # built on the first membership test
+        self._count = self._images = self._tables = self._elements = None
 
     @classmethod
     def _from_tables(cls, tables: tuple[bytes, ...], generators=None) -> "MatrixGroup":
@@ -173,11 +175,11 @@ class MatrixGroup:
         return group
 
     @classmethod
-    def _from_steps(cls, steps: list[tuple[int, bytes]], generators) -> "MatrixGroup":
-        # trusted constructor: element 0 is the identity, and element i + 1 is
-        # the table of element steps[i][0] translated through steps[i][1]
+    def _from_images(cls, images: set[bytes], generators) -> "MatrixGroup":
+        # trusted constructor: images are the column images of every element
+        # of the group the generators generate
         group = cls(())
-        group._generators, group._steps, group._count = generators, steps, len(steps) + 1
+        group._generators, group._images, group._count = generators, images, len(images)
         return group
 
     @property
@@ -191,9 +193,9 @@ class MatrixGroup:
         return self._elements
 
     def __contains__(self, mat: GFMatrix) -> bool:
-        if self._table_set is None:
-            self._table_set = frozenset(self._listed())
-        return isinstance(mat, GFMatrix) and mat.perm in self._table_set
+        if self._images is None:
+            self._images = frozenset(map(_UNITS.translate, self._listed()))
+        return isinstance(mat, GFMatrix) and bytes(mat.cols) in self._images
 
     def __len__(self) -> int:
         if self._count is None:
@@ -202,13 +204,20 @@ class MatrixGroup:
 
     def _listed(self) -> tuple[bytes, ...]:
         if self._tables is None:
-            if self._steps is None:
+            if self._count is None:
                 raise ValueError("group has no explicit element list")
+            perms = [g.perm for g in sorted(set(self._generators), key=lambda g: g.cols)]
             tables = [_IDPERM]
-            append = tables.append
-            for parent, g in self._steps:
-                append(tables[parent].translate(g))
-            self._tables, self._steps = tuple(tables), None
+            images = [_UNITS]  # images[i] is tables[i]'s column images
+            seen = {_UNITS}
+            for f, c in zip(tables, images):
+                for g in perms:
+                    h = c.translate(g)
+                    if h not in seen:
+                        seen.add(h)
+                        images.append(h)
+                        tables.append(f.translate(g))
+            self._tables = tuple(tables)
         return self._tables
 
 
@@ -220,36 +229,51 @@ class ClosureOverflowError(RuntimeError):
 
 
 def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
-    """Breadth-first product closure with deterministic element order.
+    """The group the generators generate, counted by cosets (Dimino's algorithm).
 
-    The search runs on column images: a matrix is fixed by its images of
-    e1..e8, and the images of g * f are f's images through g's point table
-    (GFMatrix.perm), one 8-byte translate.  One walk over the growing list of
-    images found is the breadth-first order, and the search dedups on them.
-    Each new element is recorded as a step, (the index of f, g's table);
-    the group replays the steps into the elements' 256-byte point tables on
-    the first read that needs them, and its length reads the count.  The
-    group always holds the identity, so a cap below 1 raises ValueError.
+    A matrix is fixed by its column images, the bytes of e1..e8 through it,
+    and the images of g * f are f's images through g's point table
+    (GFMatrix.perm).  The generators are taken in sorted order, and each
+    one not yet in the subgroup H closed so far extends it: the left cosets
+    r H fill the larger group, and each coset r H taken through each
+    generator s of the larger group is a coset found or a new one, s r H.
+    A coset is kept as one block of its elements' images, so the new coset
+    is one translate of the block of r H through s's point table, and one
+    struct unpack splits it into the images that join the seen set; the
+    block of H, identity first, is the first coset.  The walk over the
+    cosets steps once per (coset, generator) pair, not once per (element,
+    generator) pair.  Before a coset is added the group is checked against
+    cap; the group always holds the identity, so a cap below 1 raises
+    ValueError.  The group keeps the count and the image set; its point
+    tables are listed in breadth-first order on the first read that needs
+    them (MatrixGroup).
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     generators = _check_invertible(generators, "closure requires invertible generators")
     gens = sorted(set(generators), key=lambda g: g.cols)
-    perms = [g.perm for g in gens]
-    images = [_UNITS]  # images[i] is element i's column images
-    steps = []  # steps[i] = (parent, g): element i + 1 is g * element parent
-    seen = {_UNITS}
-    add, keep, record = seen.add, images.append, steps.append
-    for f, c in enumerate(images):
-        for g in perms:
-            h = c.translate(g)
-            if h not in seen:
-                if len(seen) >= cap:
-                    raise ClosureOverflowError(f"closure exceeded cap of {cap} elements")
-                add(h)
-                keep(h)
-                record((f, g))
-    return MatrixGroup._from_steps(steps, generators)
+    seen = {_UNITS}  # the column images of the elements found
+    block = _UNITS  # the images of H, identity first
+    walked = []  # the point tables of H's generators, then the new one
+    for g in gens:
+        if bytes(g.cols) in seen:
+            continue
+        walked.append(g.perm)
+        size = len(block) // DIM  # the order of H
+        images_of = Struct(f"{DIM}s" * size).unpack  # a coset's block, split by element
+        cosets = [block]
+        add, keep = seen.update, cosets.append
+        for coset in cosets:
+            rep = coset[:DIM]  # the images of the coset's representative r
+            for s in walked:
+                if rep.translate(s) not in seen:
+                    if len(seen) + size > cap:
+                        raise ClosureOverflowError(f"closure exceeded cap of {cap} elements")
+                    new = coset.translate(s)
+                    add(images_of(new))
+                    keep(new)
+        block = b"".join(cosets)
+    return MatrixGroup._from_images(seen, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +302,9 @@ class Chain(NamedTuple):
 
 class _Level:
     # transversal and inv_transversal are indexed by point, None off the
-    # orbit; orbit lists the orbit's points in the order they were reached
+    # orbit; orbit lists the orbit's points in the order they were reached;
+    # pending holds the column images of the Schreier generators still to
+    # be sifted
     __slots__ = ("base", "pos", "gens", "orbit", "transversal", "inv_transversal", "pending",
                  "sifted", "sifted_to_identity")
 
@@ -290,7 +316,7 @@ class _Level:
         self.transversal: list[bytes | None] = [None] * 256
         self.inv_transversal: list[bytes | None] = [None] * 256
         self.transversal[base], self.inv_transversal[base] = _UNITS, _IDPERM
-        self.pending: list[tuple[int, bytes]] = []
+        self.pending: list[bytes] = []
         self.sifted = self.sifted_to_identity = 0
 
 
@@ -309,19 +335,23 @@ def stabilizer_chain(generators) -> Chain:
     each.  A transversal entry is kept as its 8 column images, all that a
     Schreier generator reads of it; an inverse entry is kept as its point
     table, which the sift applies.  Each level indexes both by point, in
-    256-slot lists with None off the orbit, and the sift walks one flat list
-    of (image position, base, inverse transversal), a level each.
-    Transversal entries are never rerouted once written, so every Schreier
-    pair (pt, s) is checked exactly once, except the tree edges: the pair
-    that first reached s(pt) gives the identity by construction and is
-    never queued.
+    256-slot lists with None off the orbit.  A sift walks one flat list of
+    (image position, base, inverse transversal), a level each, and is
+    written out at its two uses, with no call per element: an input
+    generator is sifted from the top level, a Schreier generator from the
+    level below its pair's.  Transversal entries are never rerouted once
+    written, so every Schreier pair (pt, s) is checked exactly once, when
+    attach meets it: its Schreier generator t_s(pt)^-1 s t_pt is formed
+    there, two 8-byte translates, and queued unless it is the identity.
+    The tree edges are never formed: the pair that first reached s(pt)
+    gives the identity by construction.
 
     An input generator that sticks at level k is attached at levels k..0.  A
     residue of a Schreier generator queued at level i that sticks at level j
     is attached at levels i+1..j only (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, 4.4.2): it is a word in the strong
     generators of level i and transversal elements above, so the groups,
-    orbits and pending pairs of levels i..0 do not change.
+    orbits and pending Schreier generators of levels i..0 do not change.
 
     Every base point is a unit vector.  Let v be the smallest point moved by
     a linear map g and 2^m the top bit of v: g fixes the unit vectors below
@@ -338,17 +368,6 @@ def stabilizer_chain(generators) -> Chain:
     levels: list[_Level] = []
     path: list[tuple[int, int, list]] = []  # (pos, base, inv_transversal) per level
 
-    def sift(e: bytes, start: int) -> tuple[bytes, int]:
-        for idx in range(start, len(path)):
-            pos, base, inv = path[idx]
-            img = e[pos]
-            if img != base:
-                t_inv = inv[img]
-                if t_inv is None:
-                    return e, idx
-                e = e.translate(t_inv)
-        return e, len(path)
-
     def attach(lv: _Level, g: bytes, g_inv: bytes) -> None:
         lv.gens.append((g, g_inv))
         trans, inv_trans, orbit, pending = lv.transversal, lv.inv_transversal, lv.orbit, lv.pending
@@ -359,7 +378,9 @@ def stabilizer_chain(generators) -> Chain:
             for s, s_inv in only_g if i < old else lv.gens:
                 img = s[pt]
                 if trans[img] is not None:
-                    pending.append((pt, s))
+                    schreier_gen = trans[pt].translate(s).translate(inv_trans[img])
+                    if schreier_gen != _UNITS:
+                        pending.append(schreier_gen)
                 else:
                     trans[img] = trans[pt].translate(s)
                     inv_trans[img] = s_inv.translate(inv_trans[pt])
@@ -393,24 +414,40 @@ def stabilizer_chain(generators) -> Chain:
             attach(levels[idx], g, g_inv)
 
     for e in images:
-        residue, k = sift(e, 0)
-        if residue != _UNITS:
-            add_generator(k, residue, 0)
+        # sift e down the chain: k counts the levels it passes
+        k = 0
+        for pos, base, inv in path:
+            img = e[pos]
+            if img != base:
+                t_inv = inv[img]
+                if t_inv is None:
+                    break
+                e = e.translate(t_inv)
+            k += 1
+        if e != _UNITS:
+            add_generator(k, e, 0)
 
-    # levels above k have no pending pairs; a residue of level k that
-    # sticks at level j queues pairs on levels j..k+1 only, so the loop
-    # drains level k until a residue sticks, then moves to its level j
+    # levels above k have nothing pending; a residue of level k that
+    # sticks at level j queues Schreier generators on levels j..k+1 only,
+    # so the loop drains level k until a residue sticks, then moves to its
+    # level j
     k = len(levels) - 1
     while k >= 0:
         lv = levels[k]
-        pending, trans, inv_trans = lv.pending, lv.transversal, lv.inv_transversal
+        pending = lv.pending
         while pending:
-            pt, s = pending.pop()
-            schreier_gen = trans[pt].translate(s).translate(inv_trans[s[pt]])
-            if schreier_gen == _UNITS:
-                continue
+            # sift a Schreier generator down the levels below k: j counts
+            # the levels it passes
+            residue, j = pending.pop(), k + 1
             lv.sifted += 1
-            residue, j = sift(schreier_gen, k + 1)
+            for pos, base, inv in path[j:]:
+                img = residue[pos]
+                if img != base:
+                    t_inv = inv[img]
+                    if t_inv is None:
+                        break
+                    residue = residue.translate(t_inv)
+                j += 1
             if residue == _UNITS:
                 lv.sifted_to_identity += 1
             else:

@@ -506,8 +506,10 @@ def ref_eager_closure(generators, cap=DEFAULT_CAP):
     table as it was found, deduped on the 8-byte column images: the tuple
     of the tables, in breadth-first order.
 
-    Checks `groups.closure`'s replayed tables; replaced in the commit after
-    9fba9a1.
+    Checks `groups.closure`'s coset count, and the tables
+    `MatrixGroup._listed` builds for a closure on its first read.  The
+    closure walked this way until 51b57eb; since the commit after 51b57eb
+    the listing runs this walk, uncapped.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -553,7 +555,9 @@ def ref_dict_chain(generators):
     each level's transversals looked up by point in a dict.
 
     Checks `groups.stabilizer_chain` as a whole Chain record; replaced in
-    the commit after 9fba9a1.
+    the commit after 9fba9a1.  It also keeps what the commit after 51b57eb
+    replaced: the sift as a local function, and each Schreier pair queued
+    as (point, generator) and formed when it is popped.
     """
     generators = _check_invertible(generators, "schreier_sims requires invertible generators")
     images = [bytes(m.cols) for m in generators if m.perm != _IDPERM]

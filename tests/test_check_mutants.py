@@ -21,7 +21,7 @@ the substitution, `anf.substitute`, and `polys/degree-preserved`; and the
 Moebius transform, `anf.mobius`, and the product and round-trip checks
 that read it; the polar form, `anf.symplectic_form`, and the
 `polys/form/*` checks; the closure, `groups.closure`, and the closure and
-parity checks that read its element lists; the stabilizer,
+parity checks that read its counts and image sets; the stabilizer,
 `groups.stabilizer_of_point`, and the checks on the stabilizer of u; the
 inverse, `gf2.GFMatrix.inverse`, and `groups/W/normalized`; and the
 membership test, `groups.MatrixGroup.__contains__`, and
@@ -133,9 +133,9 @@ POLAR_FORM_OF_ANOTHER_QUADRIC = (
     ('q2 = named_Q()["Q2"]', 'q2 = resolve_poly_name("Q2+P2")'),
 )
 
-# the closure walks the first generator alone: each group comes out a proper
-# subgroup, and the paired involutions fall outside the even one
-CLOSES_UNDER_THE_FIRST_GENERATOR = (closure, ("for g in perms:", "for g in perms[:1]:"))
+# the closure stops at the first generator's cyclic group: each group comes
+# out a proper subgroup, and the paired involutions fall outside the even one
+CLOSES_UNDER_THE_FIRST_GENERATOR = (closure, ("for g in gens:", "for g in gens[:1]:"))
 # the stabilizer keeps the elements fixing e1, not p
 FIXES_E1_INSTEAD_OF_P = (stabilizer_of_point, ("if t[p] == p", "if t[1] == 1"))
 # the inverse is the matrix itself: conjugates of W leave {W, W^2}.  J is an
@@ -147,7 +147,7 @@ INVERSE_IS_THE_MATRIX = (
 # membership answers whether the element list is non-empty
 MEMBER_OF_ANY_NONEMPTY_GROUP = (
     MatrixGroup.__contains__,
-    ("mat.perm in self._table_set", "bool(self._table_set)"),
+    ("bytes(mat.cols) in self._images", "bool(self._images)"),
 )
 # the centralizer keeps the sums that send at most one point to 0.  Every
 # sum in the commutant of <M',N> is invertible, so groups/centralizer passes

@@ -75,6 +75,20 @@ NAMED_GROUPS = {"M,N": ("M", "N"), "M',N": ("M'", "N"), "M,K12": ("M", "K12")}
 TRANSVECTION = GFMatrix([1, 2, 4, 8, 16, 32, 64, 129])
 
 
+def pairs_led_by_an_involution(seed, count):
+    """count seeded pairs of elements of <M,N> whose first element in the
+    closure's sorted order has order 2, so that its first coset stage is
+    the smallest, a group of two."""
+    rng = random.Random(seed)
+    elements = segre_group().elements
+    pairs = []
+    while len(pairs) < count:
+        pair = sorted(rng.sample(elements, 2), key=lambda g: g.cols)
+        if pair[0].order() == 2:
+            pairs.append(pair)
+    return pairs
+
+
 def closure_cases():
     """Generator lists: 50 seeded subsets of <M,N> (seed 37), then the
     transvection with J."""
@@ -451,31 +465,67 @@ class TestClosure:
             assert answers == [mat in listed for mat in probes]
             assert sum(answers) <= len(group) == len(listed)
 
-    def test_replayed_tables_agree_with_the_eager_walk(self):
-        # the tables, built by the first membership test, are the ones the
-        # walk that translated every new element's table found, byte for
+    def test_listed_tables_agree_with_the_eager_walk(self):
+        # the tables, built by the first read of the elements, are the ones
+        # the walk that translated every new element's table found, byte for
         # byte and in order.  <M,N,K> and <M,N,K'> are too large to list,
         # so for them both routes stop at one cap with one message
         cases = [elements(label) for label in VERIFY_CHAIN_SETS if VERIFY_CHAIN_SETS[label] <= 1296]
         for gens in [*cases, *seeded_subsets(43, 30)]:
             group = closure(gens)
             assert all(g in group for g in gens)
+            assert group._tables is None and group.elements
             assert group._tables == ref_eager_closure(gens)
         for label in ("M,N,K", "M,N,K'"):
             for route in (closure, ref_eager_closure):
                 with pytest.raises(ClosureOverflowError, match="^closure exceeded cap of 5000 elements$"):
                     route(elements(label), cap=5000)
 
-    def test_length_and_the_orbits_build_no_table(self):
+    def test_coset_count_agrees_with_the_product_references(self):
+        # the count, the elements as a set, and the image set against the
+        # breadth-first walks on tables and on GFMatrix products
+        cases = [elements(label) for label in VERIFY_CHAIN_SETS if VERIFY_CHAIN_SETS[label] <= 1296]
+        cases += [*seeded_subsets(43, 30), *pairs_led_by_an_involution(47, 20)]
+        for gens in cases:
+            tables, products = ref_eager_closure(gens), ref_closure(gens)
+            group = closure(gens)
+            assert len(group) == len(tables) == len(products)
+            assert group._images == {bytes(m.cols) for m in products}
+            assert set(group.elements) == set(products) == set(map(GFMatrix._from_perm, tables))
+
+    @pytest.mark.parametrize("label", ["M,N,K", "M,N,K'"])
+    def test_coset_count_overflows_as_the_product_references_do(self, label):
+        raised = []
+        for route in (closure, ref_eager_closure, ref_closure):
+            with pytest.raises(ClosureOverflowError) as exc:
+                route(elements(label), cap=5000)
+            raised.append((type(exc.value), str(exc.value)))
+        assert raised == [(ClosureOverflowError, "closure exceeded cap of 5000 elements")] * 3
+
+    def test_membership_agrees_with_the_listed_tables_before_and_after_they_are_built(self):
+        # membership reads the image set the coset count found; the tables
+        # come from the breadth-first walk, so the two must name one set
+        rng = random.Random(79)
+        common = [*segre_group().elements, *(random_invertible(rng) for _ in range(100))]
+        for gens in [*seeded_subsets(79, 20), [TRANSVECTION, element("J")]]:
+            probes = [*common, *ref_closure(gens)]
+            group = closure(gens)
+            before = [mat in group for mat in probes]
+            assert group._tables is None
+            listed = set(group._listed())
+            assert before == [mat in group for mat in probes] == [mat.perm in listed for mat in probes]
+
+    def test_length_membership_and_the_orbits_build_no_table(self):
         # what a chain-and-orbits pass reads of a closure: its length and
-        # its generators
+        # its generators; membership reads the image set
         group = closure(elements("M',N"))
         assert len(group) == 648
+        assert element("M'") in group and element("M") not in group
         assert sorted(point_orbits(group).sizes()) == [12, 27, 27, 27, 54, 108]
         assert sorted(map(len, line_orbit_split(spread_from_w(), group))) == [4, 18, 27, 36]
         assert group._tables is None
 
-    @pytest.mark.parametrize("first", ["in", "elements", "stabilizer"])
+    @pytest.mark.parametrize("first", ["elements", "stabilizer"])
     def test_the_first_read_that_needs_the_tables_builds_them_once(self, first):
         reads = {
             "in": lambda group: element("M") in group,
@@ -483,10 +533,12 @@ class TestClosure:
             "stabilizer": lambda group: stabilizer_of_point(group, UNIT),
         }
         group = closure(elements("M,N"))
+        reads["in"](group)
         assert group._tables is None
         reads[first](group)
         tables = group._tables
-        assert len(tables) == len(group) == 1296 and group._steps is None
+        assert len(tables) == len(group) == 1296
+        assert tables == ref_eager_closure(elements("M,N"))
         for read in reads.values():
             read(group)
             assert group._tables is tables
@@ -525,16 +577,19 @@ class TestClosure:
         assert checked >= 45
 
     def test_the_differential_catches_a_seen_set_keyed_on_seven_column_bytes(self):
-        # the mutant merges elements that differ only in their eighth column
+        # the mutant merges elements that differ only in their eighth column:
+        # its seen set holds the first seven bytes of each image
         mutant = source_mutant(
             closure,
             ("seen = {_UNITS}", "seen = {_UNITS[:7]}"),
-            ("h = c.translate(g)", "h = c.translate(g)[:7]"),
+            ('f"{DIM}s" * size', 'f"{DIM - 1}sx" * size'),
+            ("rep.translate(s) not in seen", "rep.translate(s)[:7] not in seen"),
         )
         pair = closure_cases()[-1]
         expected = ref_closure(pair)
-        merged = mutant(pair).elements
-        assert len(merged) < len(expected) and set(merged) < set(expected)
+        merged = mutant(pair)
+        assert merged._images == {bytes(m.cols)[:7] for m in expected}
+        assert len(merged) < len(expected)
         # so only a case like <T, J> catches it: <M,N> has no such pair
         assert len({m.cols[:7] for m in segre_group().elements}) == 1296
 
@@ -691,10 +746,11 @@ class TestColumnSift:
         # first level's orbit (the variety), so a sift can stop there with a
         # residue that adds no orbit point; without the guard this chain for
         # <M,N> adds such residues without end
-        forgetful = source_mutant(stabilizer_chain, (
-            "t_inv = inv[img]",
-            f"t_inv = None if img == {E[4]} else inv[img]",
-        ))
+        forgetful = source_mutant(
+            stabilizer_chain,
+            *((f"img = {e}[pos]", f"img = {e}[pos]; inv = [None] * 256 if img == {E[4]} else inv")
+              for e in ("e", "residue")),
+        )
         with deadline(2, "a chain with a forgetful level"):
             with pytest.raises(ConstructionError,
                                match="^sifted residue adds no point to the orbit of its level$"):
