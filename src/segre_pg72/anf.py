@@ -25,8 +25,8 @@ from .gf2 import (
     _digits,
     _kernel,
     _mask_of,
+    _point_table,
     _set_bits,
-    _xor_sums,
     point_orbit,
 )
 
@@ -251,13 +251,13 @@ def _quotient_plan(k: int) -> tuple[tuple[bytes, tuple, int, int, int], ...]:
     quot-bit table T_H per fill of all rows; origins marks position 0 of
     each and targets the allowed r.  So bit j of _even_bits names the flat
     spanned by perm[j % quot] and, per row, perm[step ^ the flip of each
-    doubling whose shift is a bit of j].  perm comes from _xor_sums.
+    doubling whose shift is a bit of j].  perm comes from _point_table.
     """
     plan = []
     for pivots in combinations(range(1, DIM), k - 1):
         low = [c for c in range(DIM) if c not in pivots]
         order = low + list(pivots)
-        perm = bytes(_xor_sums([1 << c for c in order]))
+        perm = _point_table([1 << c for c in order])
         width, rows = 256, []
         for b in range(DIM - 1, len(low) - 1, -1):
             cols = [c for c, col in enumerate(low) if col > order[b]]

@@ -149,16 +149,16 @@ class MatrixGroup:
     """A matrix group given by invertible generators; a singular one raises.
 
     Only `_from_tables` and `_from_images` list a group's elements.  The
-    first takes their point tables (centralizer_in_gl, stabilizer_of_point);
-    the second takes the set of their column images, the bytes of e1..e8
+    first takes their point tables (centralizer_in_gl, stabilizer_of_point)
+    and keeps their order; such a group is generated by its elements.  The
+    second takes the set of their column images, the bytes of e1..e8
     through each element, that `closure` found.  Length reads a stored count
     and membership tests a matrix's column images against the image set, so
     neither builds a table.  A closure builds its point tables on the first
-    read that needs them (`elements`, stabilizer_of_point) by the
-    breadth-first walk over its generators in sorted order: each element
-    found is taken through every generator, and an image not yet seen is the
-    next element.  The matrices are built once, when `elements` is first
-    read.  A group listed without generators is generated by its elements.
+    read that needs them (`elements`, stabilizer_of_point), one per image in
+    sorted order, so its elements are sorted by their columns: the order
+    depends on the group alone, not on its generators.  The matrices are
+    built once, when `elements` is first read.
     """
 
     __slots__ = ("_generators", "_count", "_images", "_tables", "_elements")
@@ -168,10 +168,10 @@ class MatrixGroup:
         self._count = self._images = self._tables = self._elements = None
 
     @classmethod
-    def _from_tables(cls, tables: tuple[bytes, ...], generators=None) -> "MatrixGroup":
+    def _from_tables(cls, tables: tuple[bytes, ...]) -> "MatrixGroup":
         # trusted constructor: tables are the point tables of the elements
         group = cls(())
-        group._generators, group._tables, group._count = generators, tables, len(tables)
+        group._generators, group._tables, group._count = None, tables, len(tables)
         return group
 
     @classmethod
@@ -206,18 +206,7 @@ class MatrixGroup:
         if self._tables is None:
             if self._count is None:
                 raise ValueError("group has no explicit element list")
-            perms = [g.perm for g in sorted(set(self._generators), key=lambda g: g.cols)]
-            tables = [_IDPERM]
-            images = [_UNITS]  # images[i] is tables[i]'s column images
-            seen = {_UNITS}
-            for f, c in zip(tables, images):
-                for g in perms:
-                    h = c.translate(g)
-                    if h not in seen:
-                        seen.add(h)
-                        images.append(h)
-                        tables.append(f.translate(g))
-            self._tables = tuple(tables)
+            self._tables = tuple(map(_point_table, sorted(self._images)))
         return self._tables
 
 
@@ -245,7 +234,7 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
     generator) pair.  Before a coset is added the group is checked against
     cap; the group always holds the identity, so a cap below 1 raises
     ValueError.  The group keeps the count and the image set; its point
-    tables are listed in breadth-first order on the first read that needs
+    tables are listed in sorted image order on the first read that needs
     them (MatrixGroup).
     """
     if cap < 1:
@@ -533,7 +522,11 @@ def centralizer_in_gl(generators) -> MatrixGroup:
 
 
 def stabilizer_of_point(group: MatrixGroup, p: int) -> MatrixGroup:
-    """Subgroup of a listed group fixing the point p: the tables t with t[p] == p."""
+    """Subgroup of a listed group fixing the point p: the tables t with t[p] == p.
+
+    The tables keep the group's order, which for a closure is sorted by
+    column images.
+    """
     _check_point(p)
     return MatrixGroup._from_tables(tuple(t for t in group._listed() if t[p] == p))
 

@@ -506,10 +506,11 @@ def ref_eager_closure(generators, cap=DEFAULT_CAP):
     table as it was found, deduped on the 8-byte column images: the tuple
     of the tables, in breadth-first order.
 
-    Checks `groups.closure`'s coset count, and the tables
-    `MatrixGroup._listed` builds for a closure on its first read.  The
-    closure walked this way until 51b57eb; since the commit after 51b57eb
-    the listing runs this walk, uncapped.
+    Checks `groups.closure`'s coset count, and, sorted by their column
+    images, the tables `MatrixGroup._listed` builds for a closure on its
+    first read.  The closure walked this way until 51b57eb, and from the
+    commit after 51b57eb the listing ran this walk, uncapped, until it
+    came to read the tables off the sorted image set.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
