@@ -295,7 +295,7 @@ def _(run):
 
 @check("orbits/5-flat-incidence", "per-class membership counts in the four 5-flats")
 def _(run):
-    flats = orbits.tetrad_five_flats().values()
+    flats = orbits.tetrad_five_flats()
     counts = {"O1": 3, "O2": 2, "O3": 1, "O4": 0, "O5": 0}
     return True, all(
         sum(1 for fl in flats if p in fl) == counts[orbits.classify_point(p)] for p in range(1, 256))
@@ -304,7 +304,7 @@ def _(run):
 @check("orbits/81-points", "points avoiding every 5-flat")
 def _(run):
     orbs = orbits.definitional_orbits()
-    flats = orbits.tetrad_five_flats().values()
+    flats = orbits.tetrad_five_flats()
     outside = {p for p in range(1, 256) if all(p not in fl for fl in flats)}
     return set(orbs["O4"] | orbs["O5"]), outside
 
@@ -360,7 +360,7 @@ for _gs_label in ("O1", "O2", "O3", "O4", "O5"):
 
 
 def _zero_set_mask(labels: str) -> int:
-    return orbits.orbit_mask(orbits.definitional_orbits(), *labels.split())
+    return orbits.orbit_mask(*labels.split())
 
 
 def _class_values(name: str, values: tuple[int, ...], run: Run):
@@ -414,7 +414,7 @@ def _(run):
     model = segre.build_model()
     geometric = {
         "Q4": _flat_sum(model.ambient_flats.values()),
-        "Q4'": _flat_sum(orbits.tetrad_three_flats().values()),
+        "Q4'": _flat_sum(orbits.tetrad_three_flats()),
         "Q6": _flat_sum(Flat(line) for (_, _, r), line in model.generators.items() if r == 3),
     }
     for name, poly in geometric.items():

@@ -152,26 +152,28 @@ class MatrixGroup:
     first takes their point tables (centralizer_in_gl, stabilizer_of_point)
     and keeps their order; such a group is generated by its elements.  The
     second takes the set of their column images, the bytes of e1..e8
-    through each element, that `closure` found.  Length reads a stored count
-    and membership tests a matrix's column images against the image set, so
-    neither builds a table.  A closure builds its point tables on the first
-    read that needs them (`elements`, stabilizer_of_point), one per image in
-    sorted order, so its elements are sorted by their columns: the order
-    depends on the group alone, not on its generators.  The matrices are
-    built once, when `elements` is first read.
+    through each element, that `closure` found.  Length reads the image set
+    or the tables, and membership tests a matrix's column images against
+    the image set, so neither builds a table; on a group with no element
+    list both raise ValueError, as `elements` does.  A closure builds its
+    point tables on the first read that needs them (`elements`,
+    stabilizer_of_point), one per image in sorted order, so its elements
+    are sorted by their columns: the order depends on the group alone, not
+    on its generators.  The matrices are built once, when `elements` is
+    first read.
     """
 
-    __slots__ = ("_generators", "_count", "_images", "_tables", "_elements")
+    __slots__ = ("_generators", "_images", "_tables", "_elements")
 
     def __init__(self, generators):
         self._generators = _check_invertible(generators, "group generators must be invertible")
-        self._count = self._images = self._tables = self._elements = None
+        self._images = self._tables = self._elements = None
 
     @classmethod
     def _from_tables(cls, tables: tuple[bytes, ...]) -> "MatrixGroup":
         # trusted constructor: tables are the point tables of the elements
         group = cls(())
-        group._generators, group._tables, group._count = None, tables, len(tables)
+        group._generators, group._tables = None, tables
         return group
 
     @classmethod
@@ -179,7 +181,7 @@ class MatrixGroup:
         # trusted constructor: images are the column images of every element
         # of the group the generators generate
         group = cls(())
-        group._generators, group._images, group._count = generators, images, len(images)
+        group._generators, group._images = generators, images
         return group
 
     @property
@@ -187,8 +189,8 @@ class MatrixGroup:
         return self.elements if self._generators is None else self._generators
 
     @property
-    def elements(self) -> tuple[GFMatrix, ...] | None:
-        if self._elements is None and self._count is not None:
+    def elements(self) -> tuple[GFMatrix, ...]:
+        if self._elements is None:
             self._elements = tuple(map(GFMatrix._from_perm, self._listed()))
         return self._elements
 
@@ -198,13 +200,11 @@ class MatrixGroup:
         return isinstance(mat, GFMatrix) and bytes(mat.cols) in self._images
 
     def __len__(self) -> int:
-        if self._count is None:
-            raise ValueError("group has no explicit element list")
-        return self._count
+        return len(self._listed() if self._images is None else self._images)
 
     def _listed(self) -> tuple[bytes, ...]:
         if self._tables is None:
-            if self._count is None:
+            if self._images is None:
                 raise ValueError("group has no explicit element list")
             self._tables = tuple(map(_point_table, sorted(self._images)))
         return self._tables
@@ -222,8 +222,8 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
 
     A matrix is fixed by its column images, the bytes of e1..e8 through it,
     and the images of g * f are f's images through g's point table
-    (GFMatrix.perm).  The generators are taken in sorted order, and each
-    one not yet in the subgroup H closed so far extends it: the left cosets
+    (GFMatrix.perm).  The generators are taken as given, and each one not
+    yet in the subgroup H closed so far extends it: the left cosets
     r H fill the larger group, and each coset r H taken through each
     generator s of the larger group is a coset found or a new one, s r H.
     A coset is kept as one block of its elements' images, so the new coset
@@ -233,18 +233,17 @@ def closure(generators, cap: int = DEFAULT_CAP) -> MatrixGroup:
     cosets steps once per (coset, generator) pair, not once per (element,
     generator) pair.  Before a coset is added the group is checked against
     cap; the group always holds the identity, so a cap below 1 raises
-    ValueError.  The group keeps the count and the image set; its point
-    tables are listed in sorted image order on the first read that needs
-    them (MatrixGroup).
+    ValueError.  The group keeps the image set, which does not depend on the
+    order of the generators; its point tables are listed in sorted image
+    order on the first read that needs them (MatrixGroup).
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
     generators = _check_invertible(generators, "closure requires invertible generators")
-    gens = sorted(set(generators), key=lambda g: g.cols)
     seen = {_UNITS}  # the column images of the elements found
     block = _UNITS  # the images of H, identity first
     walked = []  # the point tables of H's generators, then the new one
-    for g in gens:
+    for g in generators:
         if bytes(g.cols) in seen:
             continue
         walked.append(g.perm)

@@ -113,8 +113,9 @@ def classify_point(p: int) -> str:
     raise AssertionError("unreachable: classes cover all points")
 
 
-def orbit_mask(label_sets: dict[str, frozenset[int]], *labels: str) -> int:
-    return _mask_of(p for label in labels for p in label_sets[label])
+def orbit_mask(*labels: str) -> int:
+    """Mask of the points in the named definitional classes; an unknown label raises KeyError."""
+    return _mask_of(p for label in labels for p in definitional_orbits()[label])
 
 
 # ---------------------------------------------------------------------------
@@ -237,35 +238,28 @@ TETRAD_LINES = tuple(
     )
 )
 
-_TETRAD_KEYS = "abcd"
-
-
 @cache
-def tetrad_five_flats() -> dict[str, Flat]:
-    """For each tetrad line, the 5-flat spanned by the other three lines."""
-    flats = {}
-    for i, h in enumerate(_TETRAD_KEYS):
-        pts: set[int] = set()
-        for j, line in enumerate(TETRAD_LINES):
-            if j != i:
-                pts |= line
-        flat = span(pts)
+def tetrad_five_flats() -> tuple[Flat, ...]:
+    """For each tetrad line, in order, the 5-flat spanned by the other three lines."""
+    flats = []
+    for i in range(len(TETRAD_LINES)):
+        flat = span(frozenset().union(*TETRAD_LINES[:i], *TETRAD_LINES[i + 1:]))
         if flat.dim_projective != 5:
             raise ConstructionError("three tetrad lines do not span a 5-flat")
-        flats[h] = flat
-    return flats
+        flats.append(flat)
+    return tuple(flats)
 
 
 @cache
-def tetrad_three_flats() -> dict[str, Flat]:
-    """The six 3-flats spanned by pairs of tetrad lines."""
-    flats = {}
-    for (i, h), (j, k) in combinations(enumerate(_TETRAD_KEYS), 2):
-        flat = span(TETRAD_LINES[i] | TETRAD_LINES[j])
+def tetrad_three_flats() -> tuple[Flat, ...]:
+    """The six 3-flats spanned by pairs of tetrad lines, in combinations order."""
+    flats = []
+    for a, b in combinations(TETRAD_LINES, 2):
+        flat = span(a | b)
         if flat.dim_projective != 3:
             raise ConstructionError("two tetrad lines do not span a 3-flat")
-        flats[h + k] = flat
-    return flats
+        flats.append(flat)
+    return tuple(flats)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from segre_pg72.anf import named_Q
 from segre_pg72.checks import SEVEN_TABLE, Run
-from segre_pg72.orbits import CUBE_ORBIT_CENSUS, definitional_orbits, orbit_mask
+from segre_pg72.orbits import CUBE_ORBIT_CENSUS, orbit_mask
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,15 +73,14 @@ def test_criterion_5_orbits():
 
 
 def test_criterion_6_polynomials():
-    q = named_Q()  # construction asserts geometric == closed-form for each
+    q = named_Q()  # the closed forms; polys/Q-catalog checks them against the geometry
     run = Run()
     _assert_pass("polys/Q-catalog polys/Q2-geometric polys/degree/Q2 polys/degree/Q4"
                  " polys/degree/Q4' polys/degree/Q6", run)
-    orbs = definitional_orbits()
     start = time.perf_counter()
     # Q2's zero set is covered by polys/Q2-geometric
     for name, labels in (("Q4", ("O2", "O5")), ("Q4'", ("O3", "O4", "O5")), ("Q6", ("O5",))):
-        assert q[name].pointset() == orbit_mask(orbs, *labels)
+        assert q[name].pointset() == orbit_mask(*labels)
     _assert_pass("polys/incidence/Q2 polys/incidence/Q4 polys/incidence/Q4' polys/incidence/Q6", run)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -72,7 +72,6 @@ from segre_pg72.groups import (
     segre_group_even,
 )
 from segre_pg72.orbits import (
-    definitional_orbits,
     orbit_mask,
     tetrad_five_flats,
     tetrad_three_flats,
@@ -195,9 +194,8 @@ def incidence_cases() -> dict[str, int]:
         cases[f"random-zeroset-{degree}"] = f.pointset()
     cases["all-points"] = (1 << 256) - 2
     cases["single-point"] = 1 << UNIT
-    orbs = definitional_orbits()
     for classes in INVARIANT_SET_CLASSES:
-        cases["invariant-" + "+".join(classes)] = orbit_mask(orbs, *classes)
+        cases["invariant-" + "+".join(classes)] = orbit_mask(*classes)
     return cases
 
 
@@ -264,12 +262,15 @@ class TestPointsetEquation:
         assert anf_from_pointset(psi) == Anf.zero()
 
     def test_roundtrip_on_orbit_unions(self):
-        orbs = definitional_orbits()
+        # no label is the empty mask, and a label that names no class raises
         labels = ["O1", "O2", "O3", "O4", "O5"]
         for r in range(1, 6):
             for chosen in combinations(labels, r):
-                psi = orbit_mask(orbs, *chosen)
+                psi = orbit_mask(*chosen)
                 assert anf_from_pointset(psi).pointset() == psi
+        assert orbit_mask() == 0
+        with pytest.raises(KeyError):
+            orbit_mask("O6")
 
     def test_roundtrip_on_seeded_random_sets(self):
         rng = random.Random(2024)
@@ -292,8 +293,7 @@ class TestPointsetEquation:
                 seen_even += 1
 
     def test_values_split_on_and_off_the_set(self):
-        orbs = definitional_orbits()
-        psi = orbit_mask(orbs, "O2", "O4", "O5")
+        psi = orbit_mask("O2", "O4", "O5")
         q = anf_from_pointset(psi)
         assert q.evaluate(0) == 0
         for v in range(1, 256):
@@ -395,8 +395,8 @@ class TestFlatEquation:
             "ambient_flats": list(model.ambient_flats.values()),
             "z_flats": list(model.z_flats.values()),
             "tangents": [Flat(line) for line in model.tangents.values()],
-            "tetrad_three_flats": list(tetrad_three_flats().values()),
-            "tetrad_five_flats": list(tetrad_five_flats().values()),
+            "tetrad_three_flats": list(tetrad_three_flats()),
+            "tetrad_five_flats": list(tetrad_five_flats()),
         }
         for family, flats in families.items():
             assert flats, family
@@ -434,8 +434,7 @@ class TestDegreeByIncidence:
         assert even5.dim_projective == 5
 
     def test_quartic_class_with_even_witness(self):
-        orbs = definitional_orbits()
-        psi = orbit_mask(orbs, "O2", "O5")
+        psi = orbit_mask("O2", "O5")
         assert degree_by_incidence(psi) == 4
         even3 = next(
             fl
@@ -451,16 +450,14 @@ class TestDegreeByIncidence:
         assert anf_from_pointset(psi).degree == 7
 
     def test_agrees_with_anf_degree_on_quadric(self):
-        orbs = definitional_orbits()
-        psi = orbit_mask(orbs, "O2", "O4", "O5")
+        psi = orbit_mask("O2", "O4", "O5")
         assert degree_by_incidence(psi) == anf_from_pointset(psi).degree == 2
 
     def test_agrees_with_anf_degree_on_all_fifteen_invariant_sets(self):
         # every invariant zero set is O5 plus a union of the other classes
-        orbs = definitional_orbits()
         for r in range(5):
             for extra in combinations(("O1", "O2", "O3", "O4"), r):
-                psi = orbit_mask(orbs, "O5", *extra)
+                psi = orbit_mask("O5", *extra)
                 if psi.bit_count() == 255:
                     continue
                 assert degree_by_incidence(psi) == anf_from_pointset(psi).degree
@@ -768,9 +765,8 @@ class TestNamedPolynomials:
 
 class TestNamedQ:
     def test_q2_vanishes_on_the_quadric_classes(self):
-        orbs = definitional_orbits()
         q2 = named_Q()["Q2"]
-        assert q2.pointset() == orbit_mask(orbs, "O2", "O4", "O5")
+        assert q2.pointset() == orbit_mask("O2", "O4", "O5")
         assert q2.evaluate(E[1]) == 0
         assert q2.evaluate(E[1] ^ E[8]) == 1
 
@@ -795,10 +791,7 @@ class TestNamedQ:
         assert q6.degree == 6
 
     def test_q6p_vanishes_off_o1(self):
-        orbs = definitional_orbits()
-        assert named_Q()["Q6'"].pointset() == orbit_mask(
-            orbs, "O2", "O3", "O4", "O5"
-        )
+        assert named_Q()["Q6'"].pointset() == orbit_mask("O2", "O3", "O4", "O5")
 
     @pytest.mark.parametrize("name,text,cid,actual", [
         ("Q4", "P2''+P3'+P4'''+P4iv", "polys/Q-catalog",

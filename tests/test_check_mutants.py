@@ -8,7 +8,7 @@ package class, that holds it, and never changes an expected literal in
 cleared before and after each run, so the mutant is seen by that run
 alone.
 
-This table holds sixteen slices: the invariant-solving kernel, `gf2._kernel`,
+This table holds seventeen slices: the invariant-solving kernel, `gf2._kernel`,
 and the checks that read it; the incidence scan's plan, `anf._quotient_plan`,
 and the `polys/incidence/*` checks that read it; the stabilizer chain,
 `groups.stabilizer_chain`, and the `groups/chain/*` checks that read its
@@ -28,8 +28,9 @@ membership test, `groups.MatrixGroup.__contains__`, and
 `groups/parity/out`; the monomial orbit sums, `anf.monomial_orbit_poly`,
 and `polys/P-catalog`, the one check that reads them; the point-set
 equation, `anf.anf_from_pointset`, and the two checks that compare the
-Q's with it; and the flats' canonical basis, `gf2._rref`, and the
-`orbits/*` checks that read the model's flats and tangents.
+Q's with it; the flats' canonical basis, `gf2._rref`, and the
+`orbits/*` checks that read the model's flats and tangents; and the named
+catalog, `groups.named_elements`, and the checks that read Jx, W and C.
 """
 
 import sys
@@ -53,6 +54,7 @@ from segre_pg72.groups import (
     centralizer_in_gl,
     closure,
     element,
+    named_elements,
     stabilizer_chain,
     stabilizer_of_point,
 )
@@ -135,7 +137,7 @@ POLAR_FORM_OF_ANOTHER_QUADRIC = (
 
 # the closure stops at the first generator's cyclic group: each group comes
 # out a proper subgroup, and the paired involutions fall outside the even one
-CLOSES_UNDER_THE_FIRST_GENERATOR = (closure, ("for g in gens:", "for g in gens[:1]:"))
+CLOSES_UNDER_THE_FIRST_GENERATOR = (closure, ("for g in generators:", "for g in generators[:1]:"))
 # the stabilizer keeps the elements fixing e1, not p
 FIXES_E1_INSTEAD_OF_P = (stabilizer_of_point, ("if t[p] == p", "if t[1] == 1"))
 # the inverse is the matrix itself: conjugates of W leave {W, W^2}.  J is an
@@ -172,6 +174,18 @@ KEEPS_THE_CONSTANT_TERM = (anf_from_pointset, ("~(psi | 1)", "~psi"))
 # another flat, and build_model raises on a tangent whose points are not
 # collinear with its point
 RETURNS_THE_MIRRORED_ROWS = (_rref, ("_MIRROR[r] for r", "r for r"))
+# the catalog's Jx swaps the second slot, so it is Jy: the catalog row, J as
+# the product of the three, and the fixed spaces of JxJy and JxJz go wrong
+JX_SWAPS_THE_SECOND_SLOT = (
+    named_elements,
+    ("jx = tensor_operator(SWAP2, I2, I2)", "jx = tensor_operator(I2, SWAP2, I2)"),
+)
+# the catalog's W is C = Jx K12, of order 4 and not fixed-point free.  The
+# spread then raises "W-orbit does not have three points", so spread/lines
+# fails by the raise alone and stays on the identity list
+W_IS_C = (named_elements, ('w = GFMatrix(map(parse_point, _VALIDATION["W"].split()))', "w = jx * k12"))
+# the catalog's C is Jx K13: it no longer cycles the tetrad
+C_FROM_K13 = (named_elements, ("c = jx * k12", "c = jx * k13"))
 # the flats' basis handed back by highest mirrored bit, that is by lowest
 # bit descending: still canonical, so every flat compares as before and
 # all 98 ids pass.  The flat bases printed by `verify all --format json`
@@ -248,6 +262,16 @@ MUTANTS = {
         ["orbits/5-flat-incidence", "orbits/model-counts", "orbits/tangent-examples"],
         RETURNS_THE_MIRRORED_ROWS,
     ),
+    **dict.fromkeys(
+        ["groups/catalog", "groups/J-product", "groups/fix/JxJy", "groups/fix/JxJz"],
+        JX_SWAPS_THE_SECOND_SLOT,
+    ),
+    **dict.fromkeys(
+        [*(f"groups/W/{name}" for name in ("images", "order", "minpoly", "fix", "conj-J")),
+         "spread/W-on-O2", "spread/W-on-O3"],
+        W_IS_C,
+    ),
+    "spread/C-cycle": C_FROM_K13,
 }
 
 

@@ -86,9 +86,9 @@ TRANSVECTION = GFMatrix([1, 2, 4, 8, 16, 32, 64, 129])
 
 
 def pairs_led_by_an_involution(seed, count):
-    """count seeded pairs of elements of <M,N> whose first element in the
-    closure's sorted order has order 2, so that its first coset stage is
-    the smallest, a group of two."""
+    """count seeded pairs of elements of <M,N>, each sorted by columns, whose
+    first element has order 2: closure walks it first, so that its first
+    coset stage is the smallest, a group of two."""
     rng = random.Random(seed)
     elements = segre_group().elements
     pairs = []
@@ -383,7 +383,7 @@ class TestClosure:
         listed = closure(gens)
         assert element("M") * element("N") in listed
         assert element("K") not in listed
-        for ask in (lambda g: element("M") in g, len):
+        for ask in (lambda g: element("M") in g, len, lambda g: g.elements):
             with pytest.raises(ValueError, match="no explicit element list"):
                 ask(MatrixGroup(gens))
 
@@ -412,6 +412,13 @@ class TestClosure:
         group._generators = ()
         assert group._listed() == closure([m, n])._listed()
         assert group.elements == listed
+        # the walk order of the generators changes nothing a closure keeps
+        for gens in closure_cases():
+            group = closure(gens)
+            for other in (closure(gens[::-1]), closure([gens[0], *gens])):
+                assert other._images == group._images
+                assert len(other) == len(group)
+                assert other.elements == group.elements
 
     def test_length_agrees_with_the_elements_and_the_chain_on_seeded_subsets(self):
         for gens in closure_cases():
@@ -521,12 +528,14 @@ class TestClosure:
 
     @pytest.mark.parametrize("label", ["M,N,K", "M,N,K'"])
     def test_coset_count_overflows_as_the_product_references_do(self, label):
+        # and as it does with the generators reversed
+        reversed_closure = lambda gens, cap: closure(gens[::-1], cap=cap)
         raised = []
-        for route in (closure, ref_eager_closure, ref_closure):
+        for route in (closure, reversed_closure, ref_eager_closure, ref_closure):
             with pytest.raises(ClosureOverflowError) as exc:
                 route(elements(label), cap=5000)
             raised.append((type(exc.value), str(exc.value)))
-        assert raised == [(ClosureOverflowError, "closure exceeded cap of 5000 elements")] * 3
+        assert raised == [(ClosureOverflowError, "closure exceeded cap of 5000 elements")] * 4
 
     def test_membership_agrees_with_the_listed_tables_before_and_after_they_are_built(self):
         # membership reads the image set the coset count found; the tables

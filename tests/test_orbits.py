@@ -307,7 +307,7 @@ class TestLineOrbitSplit:
 
 class TestTetradFlats:
     def test_five_flat_membership_counts_by_class(self):
-        flats = tetrad_five_flats().values()
+        flats = tetrad_five_flats()
         counts = {"O1": 3, "O2": 2, "O3": 1, "O4": 0, "O5": 0}
         for p in range(1, 256):
             n = sum(1 for fl in flats if p in fl)
@@ -316,7 +316,7 @@ class TestTetradFlats:
     def test_points_outside_all_five_flats(self):
         # the 81 points avoiding every 5-flat are exactly O4 and O5
         orbs = definitional_orbits()
-        flats = tetrad_five_flats().values()
+        flats = tetrad_five_flats()
         outside = {
             p for p in range(1, 256) if all(p not in fl for fl in flats)
         }
@@ -326,7 +326,7 @@ class TestTetradFlats:
     def test_three_flat_count_and_dimension(self):
         flats = tetrad_three_flats()
         assert len(flats) == 6
-        assert all(fl.dim_projective == 3 for fl in flats.values())
+        assert all(fl.dim_projective == 3 for fl in flats)
 
     def test_o1_bisecants_land_in_o2(self):
         orbs = definitional_orbits()
