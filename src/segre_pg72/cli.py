@@ -80,7 +80,7 @@ def report_payload(suite: str, seed: int, checks: list[Result]) -> dict:
     }
 
 
-def report_text(suite: str, seed: int, checks: list[Result]) -> str:
+def report_text(suite: str, checks: list[Result]) -> str:
     lines = []
     for c in checks:
         if c.passed:
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
         if args.format == "json":
             text = _to_json(report_payload(args.suite, args.seed, checks))
         else:
-            text = report_text(args.suite, args.seed, checks)
+            text = report_text(args.suite, checks)
         status = _emit(text, args.out)
         if status:
             return status

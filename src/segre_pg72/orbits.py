@@ -203,27 +203,26 @@ def line_orbit_split(spread: Spread, group: MatrixGroup) -> tuple[tuple[frozense
     # iteration order.  `verify` prints their iteration order
     # (spread/tangents), so the walk stays depth first in this order and
     # builds each image once; the tests pin it against ref_line_orbit_split.
+    # The walk labels each line with its class's first line, so the classes,
+    # and the lines within each, are read off this one pass in by_min order.
     found = list(lines)
-    seen = bytearray(len(lines))
-    classes = []
+    first = bytearray([_OFF]) * len(lines)
+    classes: dict[int, list[frozenset[int]]] = {}
     for start in by_min:
-        if seen[start]:
-            continue
-        seen[start] = 1
-        orbit = [start]
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            line = found[i]
-            for perm, move in moves:
-                j = move[i]
-                if not seen[j]:
-                    seen[j] = 1
-                    found[j] = frozenset(map(perm.__getitem__, line))
-                    orbit.append(j)
-                    stack.append(j)
-        classes.append(tuple(found[i] for i in sorted(orbit, key=firsts.__getitem__)))
-    return tuple(classes)
+        if first[start] == _OFF:
+            first[start] = start
+            stack = [start]
+            while stack:
+                i = stack.pop()
+                line = found[i]
+                for perm, move in moves:
+                    j = move[i]
+                    if first[j] == _OFF:
+                        first[j] = start
+                        found[j] = frozenset(map(perm.__getitem__, line))
+                        stack.append(j)
+        classes.setdefault(first[start], []).append(found[start])
+    return tuple(map(tuple, classes.values()))
 
 
 # The four-line orbit of the spread, frozen in coordinates; everything about
@@ -238,28 +237,26 @@ TETRAD_LINES = tuple(
     )
 )
 
+
+def _tetrad_spans(lines: tuple[frozenset[int], ...], k: int, dim: int, message: str) -> tuple[Flat, ...]:
+    """The flats spanned by the k-subsets of lines, in combinations order; each must be a dim-flat."""
+    flats = tuple(span(frozenset().union(*subset)) for subset in combinations(lines, k))
+    if any(flat.dim_projective != dim for flat in flats):
+        raise ConstructionError(message)
+    return flats
+
+
 @cache
 def tetrad_five_flats() -> tuple[Flat, ...]:
     """For each tetrad line, in order, the 5-flat spanned by the other three lines."""
-    flats = []
-    for i in range(len(TETRAD_LINES)):
-        flat = span(frozenset().union(*TETRAD_LINES[:i], *TETRAD_LINES[i + 1:]))
-        if flat.dim_projective != 5:
-            raise ConstructionError("three tetrad lines do not span a 5-flat")
-        flats.append(flat)
-    return tuple(flats)
+    # the triples of the reversed lines miss line 0, 1, 2 and 3 in turn
+    return _tetrad_spans(TETRAD_LINES[::-1], 3, 5, "three tetrad lines do not span a 5-flat")
 
 
 @cache
 def tetrad_three_flats() -> tuple[Flat, ...]:
     """The six 3-flats spanned by pairs of tetrad lines, in combinations order."""
-    flats = []
-    for a, b in combinations(TETRAD_LINES, 2):
-        flat = span(a | b)
-        if flat.dim_projective != 3:
-            raise ConstructionError("two tetrad lines do not span a 3-flat")
-        flats.append(flat)
-    return tuple(flats)
+    return _tetrad_spans(TETRAD_LINES, 2, 3, "two tetrad lines do not span a 3-flat")
 
 
 # ---------------------------------------------------------------------------

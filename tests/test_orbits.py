@@ -6,7 +6,7 @@ import pytest
 
 from refs import ref_line_orbit_split, ref_point_orbits, ref_spread
 from segre_pg72 import orbits
-from segre_pg72.gf2 import GFMatrix, UNIT, parse_point, weight
+from segre_pg72.gf2 import GFMatrix, UNIT, parse_point, span, weight
 from segre_pg72.groups import MatrixGroup, cube_group, element, segre_group, segre_group_even
 from segre_pg72.orbits import (
     CUBE_ORBIT_CENSUS,
@@ -312,6 +312,12 @@ class TestTetradFlats:
         for p in range(1, 256):
             n = sum(1 for fl in flats if p in fl)
             assert n == counts[classify_point(p)]
+        # flat i is the span of the other three lines and misses line i
+        assert len(flats) == 4
+        for i, (fl, line) in enumerate(zip(flats, TETRAD_LINES)):
+            others = [p for j, other in enumerate(TETRAD_LINES) if j != i for p in other]
+            assert fl == span(others)
+            assert not any(p in fl for p in line)
 
     def test_points_outside_all_five_flats(self):
         # the 81 points avoiding every 5-flat are exactly O4 and O5
@@ -327,6 +333,8 @@ class TestTetradFlats:
         flats = tetrad_three_flats()
         assert len(flats) == 6
         assert all(fl.dim_projective == 3 for fl in flats)
+        # the pair spans, in combinations order
+        assert flats == tuple(span(a | b) for a, b in combinations(TETRAD_LINES, 2))
 
     def test_o1_bisecants_land_in_o2(self):
         orbs = definitional_orbits()
